@@ -7,9 +7,9 @@
 // provenance, semantic debugger), and user layer (keyword search, guided
 // structured querying, browsing, alerts, reputation and incentives).
 //
-// See DESIGN.md for the system inventory, EXPERIMENTS.md for the measured
-// results, and examples/ for runnable walkthroughs. The E1-E10 benchmarks
-// in bench_test.go regenerate every experiment.
+// internal/experiments asserts the paper's claims E1-E10 as tests;
+// bench/ (`go run ./bench`) measures the served system end to end and
+// layer by layer; examples/ holds runnable walkthroughs.
 //
 // # Query-path architecture (PR1)
 //
@@ -48,9 +48,9 @@
 // pops highest-priority-first in O(log n), and equal priorities drain
 // FIFO in plan order — the same order the previous stable sort produced.
 //
-// BENCH_PR1.json (written by `go run ./cmd/benchrunner -perfout
-// BENCH_PR1.json`) records the measured trajectory point; see ROADMAP.md
-// for the numbers.
+// In bench/, guided_hot watches the catalog cache (ask_p50_us,
+// core.self_us.ask) and scan_cold the streaming scans (sql_agg_p50_us,
+// proc.allocs_per_op).
 //
 // # Sorted queries and warm start (PR2)
 //
@@ -100,7 +100,8 @@
 // rather than catalog position, so an incrementally grown reformulator
 // answers identically to one rebuilt from the same catalog.
 //
-// BENCH_PR2.json records the measured PR2 trajectory point.
+// In bench/, scan_cold's sql_topk_p50_us watches the top-k path and
+// restart_s, on every workload, the warm start.
 //
 // # Crash-safe durability and recovery (PR3)
 //
@@ -163,11 +164,8 @@
 // System.Close checkpoints both — see examples/quickstart for the full
 // close→reopen walkthrough.
 //
-// BENCH_PR3.json records the measured trajectory point (including the
-// new DiskCommit/DiskReopen durability benches), and CI gates every
-// tracked bench against it: `go run ./cmd/benchrunner -compare
-// BENCH_PR3.json -tolerance 0.25` exits nonzero when any tracked bench
-// regresses more than 25%, so earlier wins cannot silently erode.
+// In bench/, restart_s and disk_bytes_per_row watch the on-disk
+// lifecycle on every workload.
 //
 // # Disk-path performance: group commit, index checkpoints, O(1) warm verify (PR4)
 //
@@ -184,12 +182,12 @@
 // leads the next batch. Each committer blocks only until the batch
 // containing its own record is durable (Commit targets the LSN just
 // past its commit record), a lone committer skips the window and pays
-// the old single-fsync latency, and 8 concurrent committers amortize to
-// ~1 fsync per batch (~8 commits/sync measured; DiskCommitParallel runs
-// at ~1/4.5 the per-txn cost of DiskCommit). A simulated crash during a
-// leader's I/O poisons the WAL — every waiter gets ErrWALPoisoned
-// instead of a fabricated durability verdict, and recovery decides the
-// in-doubt commits from what actually reached the device.
+// the old single-fsync latency, and concurrent committers amortize to
+// one fsync per batch (feedback_mixed's rdbms.wal.syncs_per_commit
+// watches it). A simulated crash during a leader's I/O poisons the WAL —
+// every waiter gets ErrWALPoisoned instead of a fabricated durability
+// verdict, and recovery decides the in-doubt commits from what actually
+// reached the device.
 //
 // Persistent index checkpoints. Checkpoints serialize each changed
 // B+tree (keys in order, posting lists verbatim) into a chain of pages
@@ -206,8 +204,8 @@
 // property suite's new kill points inside chain writes prove it.
 // Unchanged indexes skip re-serialization (a BTree mutation counter),
 // and a reopen that finds an empty log and loads every index skips the
-// closing checkpoint entirely — DiskReopenIndexed runs ~12x faster than
-// the rebuild path on a 10k-row database.
+// closing checkpoint entirely (restart_s and rdbms.open.indexes_loaded /
+// indexes_rebuilt watch it).
 //
 // Checkpoints now write the catalog twice: once before the WAL reset
 // (pointing checkpointLSN at the old log's end, with the fresh stamps
@@ -230,24 +228,19 @@
 //
 // Also in PR4: the ORDER BY + LIMIT bounded top-k heap now runs inside
 // the sequential scan callback (rows it rejects are never retained —
-// O(k) live memory and ~25% faster on the 10k-row bench, verified
-// byte-identical by the 3-path equivalence fuzz); inserts skip
-// tombstoned slots whose row lock another transaction still holds
-// (the deleting transaction's abort restores its row at that exact
-// RID — a latent collision that group commit's real concurrency made
-// urgent); and the CI bench gate benchmarks a PR's merge-base and head
-// on the same runner instead of comparing against numbers measured on
-// another machine. BENCH_PR4.json records the trajectory point.
+// O(k) live memory, verified byte-identical by the 3-path equivalence
+// fuzz); inserts skip tombstoned slots whose row lock another
+// transaction still holds (the deleting transaction's abort restores its
+// row at that exact RID — a latent collision that group commit's real
+// concurrency made urgent).
 //
 // # Non-quiescing checkpoints via page LSNs (PR5)
 //
 // PR5 removes the last stop-the-world stall on the disk path: a
 // checkpoint used to refuse active transactions outright, so a database
 // under sustained traffic could never bound its log or tighten its
-// recovery window. Checkpoints are now fuzzy — commits proceed at a
-// small bounded overhead while one is in flight (DiskCommitDuringCheckpoint
-// runs within ~1.1x of DiskCommit, a bench that previously could not
-// run at all) — built on three structural changes.
+// recovery window. Checkpoints are now fuzzy — commits proceed while one
+// is in flight — built on three structural changes.
 //
 // Page LSNs. The slotted-page header carries the LSN of the last logged
 // mutation applied to the page, stamped under the same pin and heap
@@ -307,9 +300,9 @@
 // chains, hash flagged) — recovery then rebuilds those by scan, while
 // untouched tables keep their loadable chains and O(1)-verifiable
 // hashes. The clean close path is unchanged: Close still quiesces, so
-// DiskReopenIndexed's bulk-load reopen and LoadWarmState's O(1) verify
-// are exactly as fast as PR4 left them. core exposes System.Checkpoint
-// so a long-running system can bound its log mid-traffic
+// the indexed bulk-load reopen and LoadWarmState's O(1) verify keep
+// working as PR4 left them. core exposes System.Checkpoint so a
+// long-running system can bound its log mid-traffic
 // (TestCheckpointDoesNotStallWriters drives corrections and catalog
 // reads under a continuous checkpointer).
 //
@@ -335,9 +328,7 @@
 //
 // Also in PR5: Options.GroupCommitWindow exposes the group-commit
 // straggler window (nil = default 512 yields; explicit zero degenerates
-// to solo-commit flushing, asserted by TestGroupCommitZeroWindowSoloCommit),
-// and BENCH_PR5.json records the trajectory point with the new
-// checkpoint_commit_overhead ratio.
+// to solo-commit flushing, asserted by TestGroupCommitZeroWindowSoloCommit).
 //
 // # A crash- and overload-proof serving front end (PR6)
 //
@@ -389,10 +380,9 @@
 // CorrectValue absorbs the strict-2PL upgrade deadlock between racing
 // corrections with a bounded retry, and the alert center's delivery
 // ledger (Center.History) proves exactly-once notification per
-// correction identity under concurrent corrections. perfbench gained a
-// sustained-load measurement (256 wire-protocol clients, mixed ops;
-// ops/sec plus p50/p99 in BENCH_PR6.json, gated by benchrunner
-// -compare), and CI gained a server smoke job: real binaries, mixed
+// correction identity under concurrent corrections. bench/ drives every
+// workload through this front end (server.wire_self_us.<op>,
+// server.shed), and CI runs a server smoke job: real binaries, mixed
 // remote workload, SIGTERM, clean-drain and warm-reopen assertions.
 //
 // # MVCC snapshot reads behind the View API (PR7)
@@ -456,13 +446,9 @@
 // over one connection via a single reader goroutine routing responses
 // by ID.
 //
-// The headline measurement (perfbench/mixedload.go, BENCH_PR7.json):
-// 1/4/8 reader connections running the guided flow against 2 churning
-// writers. Before PR7 the sweep was pinned at ~1x; now the 8-reader
-// aggregate scales ~4x over 1 reader even on a single-core runner
-// (scheduling, not locking, is the remaining ceiling there), and the
-// engine-level comparison — 8 snapshot readers vs the old locking read
-// path under the same churn — lands around 40x.
+// In bench/, feedback_mixed runs guided reads beside durable corrections
+// (ask_p50_us, read_p99_us, rdbms.mvcc.versions_retained), and
+// guided_hot's rdbms.lock.acquisitions_per_op stays 0.
 //
 // # Parallel bulk ingest: cluster fan-out into a COPY-style batch load (PR8)
 //
@@ -516,11 +502,10 @@
 // (sweepTriggerVersions) with geometric re-arm, bounding hot-chain growth
 // between checkpoints; cmd/unidb grew an `ingest` subcommand.
 //
-// The headline measurement (perfbench/ingestload.go, BENCH_PR8.json): a
-// 1M-row load on the extracted-table schema with both indexes and the
-// content hash enabled, versus the row-at-a-time durable path — ~20x the
-// rows/sec on the reference runner, gated in CI alongside the other
-// trajectory points.
+// In bench/, sharded_mixed's setup_s prices bulk ingest and scan_cold's
+// the row-at-a-time path (core.ingest_rows_per_s on both).
+// BenchmarkBulkLoad in internal/rdbms compares the two load paths on a
+// 1M-row load of the extracted-table schema.
 //
 // # Sharded dataspace: entity-hash partitioning with fan-out/merge serving (PR9)
 //
@@ -585,12 +570,9 @@
 // move. The fault suite drives all of it over real sockets with
 // concurrent healthy traffic under admission-control deadlines.
 //
-// The headline measurement (perfbench/shardload.go, BENCH_PR9.json):
-// the PR7 mixed guided-flow read sweep against a 4-shard system versus
-// one engine, same corpus, same reader counts — sharded throughput
-// scales with engines (target >= 2x at 4 shards even on a single-core
-// runner, where per-shard LIMIT pushdown shrinks each engine's scan and
-// merge work is O(k)).
+// In bench/, sharded_mixed replays scan_cold's exact op stream over two
+// shards, so the difference between the two workloads is the shard
+// layer (shard.call_us.<op>, shard.row_skew, shard.min_buffer_hit_rate).
 //
 // # Larger-than-RAM serving: scan-resistant buffer pool + segmented WAL (PR10)
 //
@@ -630,17 +612,17 @@
 // results to an uncapped run across point reads, scans, and ORDER BY,
 // with residency never exceeding capacity and post-GC heap growth flat
 // across repeated sweeps; the scan-resistance A/B pits the SLRU against
-// a flat-LRU build of the same pool (Options.FlatLRU) and requires the
-// hot set to survive sweeps only under SLRU; the rotation crash suite
-// kills the segment/manifest protocol at every mutating I/O (crash and
-// torn-write) and requires every acked commit after reopen; a
+// a flat-LRU build of the same pool (newBufferPool's flat mode) and
+// requires the hot set to survive sweeps only under SLRU; the rotation
+// crash suite kills the segment/manifest protocol at every mutating I/O
+// (crash and torn-write) and requires every acked commit after reopen; a
 // concurrent pin/evict storm hammers a capacity-2 pool with 8 goroutines
 // under -race and write faults. CI adds a GOMEMLIMIT=128MiB job — the
 // runtime itself enforces the memory bound the oracle claims.
 //
-// The headline measurement (perfbench/bufferload.go, BENCH_PR10.json):
-// a full heap sweep through a pool ~10x smaller than the table, and hot
-// point reads interleaved with such sweeps — the hot reads stay at
-// in-cache cost with a 1.0 hit rate because the sweeps cannot evict the
-// protected set.
+// In bench/, scan_cold watches the pool under eviction
+// (rdbms.buffer.hit_rate, misses_per_op, ghost_hits_per_op) and
+// guided_hot must show none of it (hit rate 1.0).
+// BenchmarkHotPointReadUnderScan in internal/rdbms reports the hit rate
+// of hot point reads between full-heap sweeps.
 package repro

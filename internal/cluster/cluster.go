@@ -304,10 +304,9 @@ type MakespanModel struct {
 
 // SimulateMakespan computes the wall-clock a cluster of the given worker
 // count would need for tasks with the given costs, using greedy
-// least-loaded list scheduling. The host running this reproduction may
-// have a single CPU, so measured wall-clock cannot exhibit parallel
-// speedup; this simulation substitutes for the multi-node testbed (see
-// DESIGN.md) while using *measured* per-task costs as input.
+// least-loaded list scheduling. It stands in for the paper's multi-node
+// testbed: wall-clock on a host with few CPUs cannot exhibit a cluster's
+// parallel speedup, while the schedule over given per-task costs can.
 func SimulateMakespan(taskCosts []time.Duration, workers int, m MakespanModel) time.Duration {
 	if workers < 1 {
 		workers = 1

@@ -6,8 +6,8 @@
 // (mass collaboration), aggregated by reputation-weighted voting.
 //
 // Humans are simulated by SimulatedAnswerer: an oracle with a configurable
-// error rate, matching how the paper's claims about HI accuracy lift can
-// be measured without actual people (see DESIGN.md substitutions).
+// error rate, so the paper's claims about HI accuracy lift can be
+// measured without actual people (internal/experiments E3, E4).
 package hi
 
 import (

@@ -7,9 +7,9 @@ import (
 
 // BTree is an in-memory B+tree index mapping a single-column key Value to
 // the RIDs of tuples with that key. Duplicate keys are supported; each key
-// holds a posting list. Indexes are rebuilt from the heap at database open
-// (and after crash recovery), so they need no WAL records of their own —
-// a deliberate simplification documented in DESIGN.md.
+// holds a posting list. Indexes need no WAL records of their own:
+// recovery restores each from its checkpoint chain plus the WAL tail's
+// row deltas, or rebuilds it from the heap (idxcheckpoint.go).
 type BTree struct {
 	mu    sync.RWMutex
 	root  node

@@ -34,8 +34,8 @@ var ErrPoolExhausted = errors.New("rdbms: buffer pool exhausted")
 // full table scan therefore recycles one probationary slot per page and
 // cannot flush the protected working set, which is exactly the
 // scan-thrashing failure mode of the flat LRU this replaces (and which
-// the larger-than-RAM oracle demonstrates by re-enabling it via
-// Options.FlatLRU).
+// the larger-than-RAM oracle demonstrates by swapping it in through
+// newBufferPool's flat mode).
 //
 // A 2Q-style ghost list closes the cold-start gap: without it, a hot set
 // larger than the probation queue can cycle through probation without
@@ -157,13 +157,6 @@ func (s BufferStats) HitRate() float64 {
 // participate in logging (tests, benchmarks).
 func NewBufferPool(pager Pager, wal *WAL, capacity int) *BufferPool {
 	return newBufferPool(pager, wal, capacity, false)
-}
-
-// NewFlatLRUBufferPool wraps pager with the retired single-queue LRU
-// (scan hints ignored). It exists so the larger-than-RAM oracle can
-// demonstrate the policy difference; engines open it via Options.FlatLRU.
-func NewFlatLRUBufferPool(pager Pager, wal *WAL, capacity int) *BufferPool {
-	return newBufferPool(pager, wal, capacity, true)
 }
 
 func newBufferPool(pager Pager, wal *WAL, capacity int, flat bool) *BufferPool {

@@ -91,11 +91,6 @@ type Options struct {
 	// cost of more frequent rotations (one manifest swap + directory
 	// sync each).
 	WALSegmentBytes int64
-	// FlatLRU disables the buffer pool's scan-resistant segmented LRU,
-	// reverting to a single recency queue that ignores scan hints. It
-	// exists so the larger-than-RAM oracle can demonstrate the policy
-	// difference; production opens leave it false.
-	FlatLRU bool
 }
 
 // OpenStats reports how recovery reconstructed secondary structures.
@@ -182,16 +177,12 @@ func Open(pager Pager, wal *WAL, opts Options) (*DB, error) {
 	db := &DB{
 		pager:          pager,
 		wal:            wal,
+		bp:             NewBufferPool(pager, wal, opts.BufferPages),
 		lm:             NewLockManager(),
 		vs:             newVersionStore(),
 		tables:         make(map[string]*Table),
 		active:         make(map[TxnID]*Txn),
 		rebuildIndexes: opts.RebuildIndexes,
-	}
-	if opts.FlatLRU {
-		db.bp = NewFlatLRUBufferPool(pager, wal, opts.BufferPages)
-	} else {
-		db.bp = NewBufferPool(pager, wal, opts.BufferPages)
 	}
 	if pager.NumPages() == 0 {
 		// Fresh database: allocate and write the catalog page.

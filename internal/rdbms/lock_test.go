@@ -1,6 +1,7 @@
 package rdbms
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -125,7 +126,7 @@ func TestDeadlockDetection(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	// Txn 2 requesting a would close the cycle: must get ErrDeadlock.
 	err := lm.Acquire(2, a, LockExclusive)
-	if err != ErrDeadlock {
+	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("expected ErrDeadlock, got %v", err)
 	}
 	if lm.Deadlocks() != 1 {
