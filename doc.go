@@ -597,6 +597,17 @@
 // (hits, misses, evictions, scan-bypass, ghost hits, residency) threads
 // through core.EngineStats — summed across shards — to unidbd health.
 //
+// Page concurrency. The buffer pool is the one owner of page
+// concurrency: every frame has a read/write latch, and page bytes are
+// reachable only through the PageGuard that Pin, PinScan and NewPage
+// return, holding the pin and the latch (shared for reads, exclusive for
+// writes) until Release. A heap holds at most one chain page's latch at
+// a time and never latches under the pool mutex; HeapFile.mu guards only
+// the page chain. Row locks protect rows, the latch protects the page
+// header they share. TestHeapPageLatchReadersVsWriters holds the rule
+// (readers and writers on shared pages, clean under -race), and CI runs
+// `go test -race -cpu 1,2,4 ./...` plus the benchmark under -race.
+//
 // Segmented WAL (internal/rdbms/wal.go, walstore.go). The log is now a
 // sequence of fixed-size segments under a manifest (temp + fsync +
 // rename + directory fsync). Rotation happens in the group-commit flush

@@ -3,6 +3,7 @@ package filestore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -182,7 +183,7 @@ func TestChecksumDetectsInMemoryCorruption(t *testing.T) {
 	id, _ := s.Append([]byte("payload"))
 	// Corrupt the stored payload directly.
 	s.segments[0][headerSize] ^= 0xFF
-	if _, err := s.Read(id); err != ErrCorrupt {
+	if _, err := s.Read(id); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Read after corruption = %v, want ErrCorrupt", err)
 	}
 }

@@ -50,7 +50,7 @@ var ErrPoolExhausted = errors.New("rdbms: buffer pool exhausted")
 // The pool is where the write-ahead rule is enforced: no dirty page
 // reaches the pager before the WAL records describing its changes are
 // durable. Mutators append their log record while the modified page is
-// pinned (see HeapFile.InsertWith), pinned pages cannot be evicted, and
+// latched (see HeapFile.InsertWhere), latched pages cannot be evicted, and
 // every write-back path below flushes the WAL up to the page's LSN first
 // — so the before-image of any flushed change is always recoverable.
 //
@@ -60,6 +60,21 @@ var ErrPoolExhausted = errors.New("rdbms: buffer pool exhausted")
 // not yet covered by a pager sync. min over both is the WAL-truncation
 // horizon a fuzzy checkpoint may not pass: every record below it
 // describes changes that are durably in the data pages.
+//
+// The pool is the one owner of page concurrency. Every frame carries a
+// read/write latch, and the only way to reach page bytes is a PageGuard:
+// Pin, PinScan and NewPage return one holding the pin and the frame's
+// latch (shared for readers, exclusive for NewPage and writers), and its
+// Release drops the latch, then the pin. The latch order:
+//
+//   - Hold at most one chain-reachable page latch at a time. Fresh pages
+//     that no chain links to yet are the only exception: they may stay
+//     latched while another page (the tail that will link them) is
+//     latched.
+//   - Never wait on a latch while holding bp.mu: pin takes the pin under
+//     bp.mu and the latch after releasing it.
+//   - Write-back touches only frames with pins == 0. A latch holder always
+//     holds a pin, so such a frame has no latch holder and no waiter.
 type BufferPool struct {
 	mu           sync.Mutex
 	pager        Pager
@@ -109,6 +124,7 @@ const (
 type frame struct {
 	id    PageID
 	data  []byte
+	latch sync.RWMutex // guards data; held only by a PageGuard
 	pins  int
 	dirty bool
 	elem  *list.Element
@@ -280,8 +296,9 @@ func (bp *BufferPool) rememberGhostLocked(f *frame) {
 }
 
 // writeBack enforces the WAL rule and writes one frame to the pager. The
-// caller holds bp.mu; the frame's recLSN moves to the unsynced set (the
-// write is not durable until the next pager sync).
+// caller holds bp.mu and f is unpinned, so no latch holder can be writing
+// f.data; the frame's recLSN moves to the unsynced set (the write is not
+// durable until the next pager sync).
 func (bp *BufferPool) writeBack(f *frame) error {
 	if bp.wal != nil {
 		// Flush the log only up to the page's last stamped record: +1 so
@@ -304,21 +321,73 @@ func (bp *BufferPool) writeBack(f *frame) error {
 	return nil
 }
 
-// Pin fetches a page into the pool and pins it. The returned buffer aliases
-// the cached frame: callers that modify it must call Unpin with dirty=true.
-func (bp *BufferPool) Pin(id PageID) ([]byte, error) {
-	return bp.pin(id, false)
+// LatchMode selects the latch a PageGuard holds on its frame.
+type LatchMode uint8
+
+const (
+	LatchShared    LatchMode = iota // readers; any number at once
+	LatchExclusive                  // writers; alone on the page
+)
+
+// PageGuard is a pinned page holding its frame's latch. Data aliases the
+// cached frame and is valid until Release; only an exclusive guard may
+// modify it.
+type PageGuard struct {
+	bp   *BufferPool
+	f    *frame
+	mode LatchMode
 }
 
-// PinScan is Pin with the sequential-scan hint: a one-touch page is
-// admitted evict-first and a resident page's recency is not refreshed,
-// so a full scan cannot displace the hot working set. Correctness is
-// identical to Pin — the hint only biases replacement.
-func (bp *BufferPool) PinScan(id PageID) ([]byte, error) {
-	return bp.pin(id, true)
+// ID returns the guarded page's id.
+func (g PageGuard) ID() PageID { return g.f.id }
+
+// Data returns the guarded page's bytes.
+func (g PageGuard) Data() []byte { return g.f.data }
+
+// Release drops the latch, then the pin; dirty marks the frame modified.
+func (g PageGuard) Release(dirty bool) {
+	if g.mode == LatchExclusive {
+		g.f.latch.Unlock()
+	} else {
+		g.f.latch.RUnlock()
+	}
+	g.bp.mu.Lock()
+	defer g.bp.mu.Unlock()
+	g.f.pins--
+	if dirty && !g.f.dirty {
+		g.f.dirty = true
+		g.f.recLSN = g.f.pinLSN
+	}
 }
 
-func (bp *BufferPool) pin(id PageID, scan bool) ([]byte, error) {
+// Pin fetches a page into the pool, pins it, and latches it in mode.
+func (bp *BufferPool) Pin(id PageID, mode LatchMode) (PageGuard, error) {
+	return bp.pin(id, mode, false)
+}
+
+// PinScan is a shared Pin with the sequential-scan hint: a one-touch
+// page is admitted evict-first and a resident page's recency is not
+// refreshed, so a full scan cannot displace the hot working set.
+// Correctness is identical to Pin — the hint only biases replacement.
+func (bp *BufferPool) PinScan(id PageID) (PageGuard, error) {
+	return bp.pin(id, LatchShared, true)
+}
+
+func (bp *BufferPool) pin(id PageID, mode LatchMode, scan bool) (PageGuard, error) {
+	f, err := bp.pinFrame(id, scan)
+	if err != nil {
+		return PageGuard{}, err
+	}
+	// The pin keeps f resident; the latch is taken outside bp.mu.
+	if mode == LatchExclusive {
+		f.latch.Lock()
+	} else {
+		f.latch.RLock()
+	}
+	return PageGuard{bp: bp, f: f, mode: mode}, nil
+}
+
+func (bp *BufferPool) pinFrame(id PageID, scan bool) (*frame, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
@@ -328,7 +397,7 @@ func (bp *BufferPool) pin(id PageID, scan bool) ([]byte, error) {
 		f.pins++
 		bp.touchLocked(f, scan)
 		bp.hits++
-		return f.data, nil
+		return f, nil
 	}
 	bp.misses++
 	if err := bp.evictIfFullLocked(); err != nil {
@@ -344,43 +413,30 @@ func (bp *BufferPool) pin(id PageID, scan bool) ([]byte, error) {
 	}
 	bp.insertLocked(f, scan)
 	bp.frames[id] = f
-	return f.data, nil
+	return f, nil
 }
 
-// NewPage allocates a fresh page, pins it, and returns its id and buffer.
-func (bp *BufferPool) NewPage() (PageID, []byte, error) {
+// NewPage allocates a fresh page and returns it pinned and exclusively
+// latched.
+func (bp *BufferPool) NewPage() (PageGuard, error) {
 	id, err := bp.pager.Allocate()
 	if err != nil {
-		return InvalidPage, nil, err
+		return PageGuard{}, err
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if err := bp.evictIfFullLocked(); err != nil {
-		return InvalidPage, nil, err
+		return PageGuard{}, err
 	}
 	f := &frame{id: id, data: make([]byte, PageSize), pins: 1, dirty: true}
 	if bp.wal != nil {
 		f.pinLSN = bp.wal.NextLSN()
 		f.recLSN = f.pinLSN
 	}
+	f.latch.Lock() // unpublished frame: cannot wait
 	bp.insertLocked(f, false)
 	bp.frames[id] = f
-	return id, f.data, nil
-}
-
-// Unpin releases one pin; dirty marks the frame as modified.
-func (bp *BufferPool) Unpin(id PageID, dirty bool) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	f, ok := bp.frames[id]
-	if !ok || f.pins == 0 {
-		return
-	}
-	f.pins--
-	if dirty && !f.dirty {
-		f.dirty = true
-		f.recLSN = f.pinLSN
-	}
+	return PageGuard{bp: bp, f: f, mode: LatchExclusive}, nil
 }
 
 // victimLocked finds the coldest unpinned frame: probation tail first,

@@ -167,17 +167,10 @@ func (h *HeapFile) AppendChunk(tups []Tuple, maxPages int, onPinned func(rids []
 	if maxPages < 1 {
 		maxPages = 1
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-
-	type pinnedPage struct {
-		id PageID
-		p  *slottedPage
-	}
-	var pages []pinnedPage
+	var pages []PageGuard
 	unpinAll := func() {
-		for _, pg := range pages {
-			h.bp.Unpin(pg.id, true)
+		for _, g := range pages {
+			g.Release(true)
 		}
 	}
 
@@ -203,14 +196,14 @@ func (h *HeapFile) AppendChunk(tups []Tuple, maxPages int, onPinned func(rids []
 				break
 			}
 		}
-		id, data, err := h.bp.NewPage()
+		g, err := h.bp.NewPage()
 		if err != nil {
 			unpinAll()
 			return nil, 0, 0, err
 		}
-		p := newSlottedPage(data)
+		id, p := g.ID(), newSlottedPage(g.Data())
 		p.setNext(InvalidPage)
-		pages = append(pages, pinnedPage{id: id, p: p})
+		pages = append(pages, g)
 		curID, curP = id, p
 		slot, ok := p.insert(rec, nil)
 		if !ok {
@@ -231,24 +224,23 @@ func (h *HeapFile) AppendChunk(tups []Tuple, maxPages int, onPinned func(rids []
 	}
 	// Chain the chunk's pages to each other, stamp, and release the pins;
 	// only then expose everything at once by linking the old tail.
-	for i, pg := range pages {
+	for i, g := range pages {
+		p := newSlottedPage(g.Data())
 		if i+1 < len(pages) {
-			pg.p.setNext(pages[i+1].id)
+			p.setNext(pages[i+1].ID())
 		}
 		if lsn != 0 {
-			pg.p.setPageLSN(lsn)
+			p.setPageLSN(lsn)
 		}
 	}
 	unpinAll()
-	tail := h.pages[len(h.pages)-1]
-	tdata, err := h.bp.Pin(tail)
-	if err != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.linkLocked(pages[0].ID()); err != nil {
 		return rids, consumed, lsn, err
 	}
-	newSlottedPage(tdata).setNext(pages[0].id)
-	h.bp.Unpin(tail, true)
-	for _, pg := range pages {
-		h.pages = append(h.pages, pg.id)
+	for _, g := range pages[1:] {
+		h.pages = append(h.pages, g.ID())
 	}
 	return rids, consumed, lsn, nil
 }
@@ -443,7 +435,7 @@ func (bl *BulkLoader) rollbackChunk(chunk *Txn, marker *batchMarker, rids []RID,
 		Data:  encodeBatchRows(rids, recs),
 	})
 	for _, rid := range rids {
-		bl.t.Heap.DeleteWith(rid, func() LSN { return lsn })
+		bl.t.Heap.DeleteWith(rid, func(RID) LSN { return lsn })
 	}
 	db.vs.abortBatch(marker)
 	db.wal.Append(&LogRecord{Kind: LogAbort, Txn: chunk.id})

@@ -61,7 +61,7 @@ func runCkptFaultWorkload(t *testing.T, seed int64, pageDev Device, walDev WALSt
 	t.Helper()
 	const (
 		workers       = 3
-		txnsPerWorker = 7
+		txnsPerWorker = 9
 	)
 	var mu sync.Mutex
 	var outcomes []*ckptFaultOutcome

@@ -681,9 +681,9 @@ func (db *DB) Close() error {
 //     the log position" and "page behind it" is normal; the gate makes
 //     both cases converge, and replaying the same tail twice is a no-op.
 //
-//   - Undo: transactions with no verdict record lost the crash; their
-//     records are walked in reverse and their slots forced back to the
-//     before-images. "Set slot to X" is state-idempotent, so recovery
+//   - Undo: transactions with no verdict record lost the crash; each
+//     slot they touched is forced back to the before-image of its oldest
+//     loser record. "Set slot to X" is state-idempotent, so recovery
 //     crashing mid-undo and re-running converges too. (Transactions
 //     aborted before the crash need no undo: their compensation records
 //     replayed as part of redo.)
@@ -867,33 +867,46 @@ func (db *DB) recover() error {
 		lastKey, lastApplied = key, applied
 	}
 
-	// Undo: roll loser transactions back, newest record first. Undo
-	// writes are stamped just below the durable end, so a re-run's redo
-	// pass skips everything on those pages (they reflect the whole tail)
-	// while records appended after recovery — whose LSNs start at the
-	// durable end — still replay.
+	// Undo: roll loser transactions back. Under strict 2PL a loser is the
+	// last writer of every slot it touched, so the slot's rollback target
+	// is the before-image of the loser's oldest record on it. Forcing each
+	// slot once, tombstones first, skips the intermediate states of a
+	// record-by-record reverse walk — a row the loser inserted and then
+	// deleted need not be restored into space other transactions have
+	// since filled. Undo writes are stamped just below the durable end, so
+	// a re-run's redo pass skips everything on those pages (they reflect
+	// the whole tail) while records appended after recovery — whose LSNs
+	// start at the durable end — still replay.
 	undoStamp := db.wal.FlushedLSN()
 	if undoStamp > 0 {
 		undoStamp--
 	}
-	for i := len(records) - 1; i >= 0; i-- {
-		r := records[i]
-		if r.Kind != LogInsert && r.Kind != LogDelete && r.Kind != LogUpdate {
-			continue
-		}
-		if resolved[r.Txn] {
+	var oldest []*LogRecord // each loser slot's oldest record
+	undone := map[chainRef]bool{}
+	for _, r := range records {
+		if r.Kind != LogInsert && r.Kind != LogDelete && r.Kind != LogUpdate || resolved[r.Txn] {
 			continue
 		}
 		t := db.tables[r.Table]
-		if t == nil || r.LSN < t.bornLSN {
+		ref := chainRef{table: r.Table, rid: r.Row}
+		if t == nil || r.LSN < t.bornLSN || undone[ref] {
 			continue
 		}
-		sc := SlotContent{}
-		if r.Kind != LogInsert {
-			sc = SlotContent{Live: true, Tup: r.Before}
-		}
-		if err := t.Heap.ForceSlot(r.Row, sc, undoStamp); err != nil {
-			return err
+		undone[ref] = true
+		oldest = append(oldest, r)
+	}
+	for _, live := range [...]bool{false, true} {
+		for _, r := range oldest {
+			if (r.Kind != LogInsert) != live {
+				continue
+			}
+			sc := SlotContent{Live: live}
+			if live {
+				sc.Tup = r.Before
+			}
+			if err := db.tables[r.Table].Heap.ForceSlot(r.Row, sc, undoStamp); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -1181,10 +1194,7 @@ func (db *DB) ensureHeapPage(t *Table, id PageID) error {
 			return err
 		}
 	}
-	if !t.Heap.Contains(id) {
-		return t.Heap.Adopt(id)
-	}
-	return nil
+	return t.Heap.Adopt(id)
 }
 
 func tupleEqual(a, b Tuple) bool {

@@ -2,18 +2,18 @@ package rdbms
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
 // HeapFile is an unordered collection of tuples stored in a chain of
-// slotted pages. All page access goes through the buffer pool. A HeapFile
-// serializes its own structural mutations with a write lock;
+// slotted pages. All page access goes through the buffer pool, and every
+// read or write of page bytes holds that page's latch (see BufferPool);
 // transaction-level isolation is provided above it by the lock manager.
-// MVCC snapshot readers use the *Latched read variants, which take the
-// read side per page: many snapshots scan concurrently with each other
-// and exclude only in-progress byte mutations.
+// mu guards only the chain: the cached page order and the tail-append
+// path that extends it. It is never held just to read page bytes.
 type HeapFile struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	bp    *BufferPool
 	first PageID
 	pages []PageID // cached chain order
@@ -21,14 +21,13 @@ type HeapFile struct {
 
 // CreateHeapFile allocates the first page of a new heap.
 func CreateHeapFile(bp *BufferPool) (*HeapFile, error) {
-	id, data, err := bp.NewPage()
+	g, err := bp.NewPage()
 	if err != nil {
 		return nil, err
 	}
-	p := newSlottedPage(data)
-	p.setNext(InvalidPage)
-	bp.Unpin(id, true)
-	return &HeapFile{bp: bp, first: id, pages: []PageID{id}}, nil
+	newSlottedPage(g.Data()).setNext(InvalidPage)
+	g.Release(true)
+	return &HeapFile{bp: bp, first: g.ID(), pages: []PageID{g.ID()}}, nil
 }
 
 // OpenHeapFile reconstructs a heap from its first page by walking the
@@ -45,13 +44,12 @@ func OpenHeapFile(bp *BufferPool, first PageID) (*HeapFile, error) {
 	for id != InvalidPage && (id != 0 || len(h.pages) == 0) && id < bp.NumPages() {
 		// One-touch chain walk: scan-hinted so opening a large heap does
 		// not displace the hot working set.
-		data, err := bp.PinScan(id)
+		g, err := bp.PinScan(id)
 		if err != nil {
 			return nil, err
 		}
-		p := newSlottedPage(data)
-		next := p.next()
-		bp.Unpin(id, false)
+		next := newSlottedPage(g.Data()).next()
+		g.Release(false)
 		h.pages = append(h.pages, id)
 		id = next
 		if len(h.pages) > 1<<24 {
@@ -64,132 +62,137 @@ func OpenHeapFile(bp *BufferPool, first PageID) (*HeapFile, error) {
 // FirstPage returns the head page id (stored in the catalog).
 func (h *HeapFile) FirstPage() PageID { return h.first }
 
-// Insert stores a tuple and returns its RID.
-func (h *HeapFile) Insert(t Tuple) (RID, error) { return h.InsertWith(t, nil) }
-
-// InsertWith stores a tuple and, while the target page is still pinned,
-// invokes onApply with the new RID. Pinned pages cannot be evicted, so a
-// WAL append performed in onApply is guaranteed to precede any flush of
-// the modified page (the write-ahead rule). onApply returns the LSN of
-// the record it logged, which is stamped into the page header (the page
-// LSN recovery's redo gating compares against); return 0 for unlogged
-// mutations.
-func (h *HeapFile) InsertWith(t Tuple, onApply func(RID) LSN) (RID, error) {
-	return h.InsertWhere(t, nil, onApply)
-}
-
-// InsertWhere is InsertWith with a slot admission filter: a non-nil
-// slotOK vetoes candidate slots (tombstone reuse and fresh slots alike).
-// The transaction layer uses it to skip tombstoned slots whose row lock
-// is still held by a concurrent deleting transaction — reusing such a
-// slot would collide with that transaction's abort, which restores its
-// row at the same RID.
-func (h *HeapFile) InsertWhere(t Tuple, slotOK func(RID) bool, onApply func(RID) LSN) (RID, error) {
-	rec := EncodeTuple(t)
-	if len(rec)+slotSize > PageSize-pageHeaderSize {
-		return RID{}, fmt.Errorf("rdbms: tuple of %d bytes exceeds page capacity", len(rec))
-	}
+// chain returns a copy of the page order.
+func (h *HeapFile) chain() []PageID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Try the last page first (append-mostly workloads), then scan.
-	order := make([]PageID, 0, len(h.pages))
-	if n := len(h.pages); n > 0 {
-		order = append(order, h.pages[n-1])
-		order = append(order, h.pages[:n-1]...)
-	}
-	for _, id := range order {
-		data, err := h.bp.Pin(id)
-		if err != nil {
-			return RID{}, err
-		}
-		var pageOK func(uint16) bool
-		if slotOK != nil {
-			id := id
-			pageOK = func(slot uint16) bool { return slotOK(RID{Page: id, Slot: slot}) }
-		}
-		p := newSlottedPage(data)
-		if slot, ok := p.insert(rec, pageOK); ok {
-			rid := RID{Page: id, Slot: slot}
-			if onApply != nil {
-				if lsn := onApply(rid); lsn != 0 {
-					p.setPageLSN(lsn)
-				}
-			}
-			h.bp.Unpin(id, true)
-			return rid, nil
-		}
-		h.bp.Unpin(id, false)
-	}
-	// Need a new page linked to the tail.
-	id, data, err := h.bp.NewPage()
+	return append([]PageID(nil), h.pages...)
+}
+
+// linkLocked points the tail at id and appends id to the chain; the
+// caller holds h.mu and no chain page's latch.
+func (h *HeapFile) linkLocked(id PageID) error {
+	g, err := h.bp.Pin(h.pages[len(h.pages)-1], LatchExclusive)
 	if err != nil {
-		return RID{}, err
+		return err
 	}
-	p := newSlottedPage(data)
-	p.setNext(InvalidPage)
-	slot, ok := p.insert(rec, nil)
-	if !ok {
-		h.bp.Unpin(id, true)
-		return RID{}, fmt.Errorf("rdbms: tuple does not fit in a fresh page")
+	newSlottedPage(g.Data()).setNext(id)
+	g.Release(true)
+	h.pages = append(h.pages, id)
+	return nil
+}
+
+// growFrom links a fresh, empty tail page unless the chain already grew
+// past the n pages the caller has tried, and returns the pages new since.
+func (h *HeapFile) growFrom(n int) ([]PageID, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.pages) == n {
+		g, err := h.bp.NewPage()
+		if err != nil {
+			return nil, err
+		}
+		id := g.ID()
+		newSlottedPage(g.Data()).setNext(InvalidPage)
+		g.Release(true)
+		if err := h.linkLocked(id); err != nil {
+			return nil, err
+		}
 	}
-	rid := RID{Page: id, Slot: slot}
+	return append([]PageID(nil), h.pages[n:]...), nil
+}
+
+// applied runs a mutation's onApply hook, if any, while the page is still
+// latched, and stamps the page with the LSN the hook logged (0 = unlogged).
+func applied(p *slottedPage, rid RID, onApply func(RID) LSN) {
 	if onApply != nil {
 		if lsn := onApply(rid); lsn != 0 {
 			p.setPageLSN(lsn)
 		}
 	}
-	h.bp.Unpin(id, true)
-	// Link previous tail to the new page.
-	tail := h.pages[len(h.pages)-1]
-	tdata, err := h.bp.Pin(tail)
-	if err != nil {
-		return RID{}, err
-	}
-	newSlottedPage(tdata).setNext(id)
-	h.bp.Unpin(tail, true)
-	h.pages = append(h.pages, id)
-	return rid, nil
 }
 
-// Contains reports whether page id is part of this heap's chain.
-func (h *HeapFile) Contains(id PageID) bool {
+// Insert stores a tuple and returns its RID.
+func (h *HeapFile) Insert(t Tuple) (RID, error) { return h.InsertWhere(t, nil, nil) }
+
+// InsertWhere stores a tuple and, while the target page is still latched,
+// invokes onApply with the new RID. Latched pages cannot be evicted, so a
+// WAL append performed in onApply is guaranteed to precede any flush of
+// the modified page (the write-ahead rule). onApply returns the LSN of
+// the record it logged, which is stamped into the page header (the page
+// LSN recovery's redo gating compares against); return 0 for unlogged
+// mutations.
+//
+// A non-nil slotOK vetoes candidate slots (tombstone reuse and fresh
+// slots alike). The transaction layer uses it to skip tombstoned slots
+// whose row lock is still held by a concurrent deleting transaction —
+// reusing such a slot would collide with that transaction's abort, which
+// restores its row at the same RID.
+func (h *HeapFile) InsertWhere(t Tuple, slotOK func(RID) bool, onApply func(RID) LSN) (RID, error) {
+	rec := EncodeTuple(t)
+	if len(rec)+slotSize > PageSize-pageHeaderSize {
+		return RID{}, fmt.Errorf("rdbms: tuple of %d bytes exceeds page capacity", len(rec))
+	}
+	// Try the last page first (append-mostly workloads), then the rest.
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, p := range h.pages {
-		if p == id {
-			return true
+	n := len(h.pages)
+	order := make([]PageID, 0, n)
+	order = append(order, h.pages[n-1])
+	order = append(order, h.pages[:n-1]...)
+	h.mu.Unlock()
+	for {
+		for _, id := range order {
+			if rid, ok, err := h.insertInto(id, rec, slotOK, onApply); ok || err != nil {
+				return rid, err
+			}
 		}
+		// Every page tried is full: grow, then try only the new pages.
+		fresh, err := h.growFrom(n)
+		if err != nil {
+			return RID{}, err
+		}
+		order, n = fresh, n+len(fresh)
 	}
-	return false
 }
 
-// Adopt links an already-allocated page into the heap chain. Recovery uses
-// this for pages that were allocated before a crash but whose chain link
-// never reached disk. The page is (re)initialized if blank.
+// insertInto places rec on page id under its write latch if it fits.
+func (h *HeapFile) insertInto(id PageID, rec []byte, slotOK func(RID) bool, onApply func(RID) LSN) (rid RID, ok bool, err error) {
+	g, err := h.bp.Pin(id, LatchExclusive)
+	if err != nil {
+		return RID{}, false, err
+	}
+	defer func() { g.Release(ok) }()
+	var pageOK func(uint16) bool
+	if slotOK != nil {
+		pageOK = func(slot uint16) bool { return slotOK(RID{Page: id, Slot: slot}) }
+	}
+	p := newSlottedPage(g.Data())
+	slot, ok := p.insert(rec, pageOK)
+	if !ok {
+		return RID{}, false, nil
+	}
+	rid = RID{Page: id, Slot: slot}
+	applied(p, rid, onApply)
+	return rid, true, nil
+}
+
+// Adopt links an already-allocated page into the heap chain unless it is
+// already part of it. Recovery uses this for pages that were allocated
+// before a crash but whose chain link never reached disk. The page is
+// (re)initialized if blank.
 func (h *HeapFile) Adopt(id PageID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, p := range h.pages {
-		if p == id {
-			return nil
-		}
+	if slices.Contains(h.pages, id) {
+		return nil
 	}
-	data, err := h.bp.Pin(id)
+	g, err := h.bp.Pin(id, LatchExclusive)
 	if err != nil {
 		return err
 	}
-	p := newSlottedPage(data)
-	p.setNext(InvalidPage)
-	h.bp.Unpin(id, true)
-	tail := h.pages[len(h.pages)-1]
-	tdata, err := h.bp.Pin(tail)
-	if err != nil {
-		return err
-	}
-	newSlottedPage(tdata).setNext(id)
-	h.bp.Unpin(tail, true)
-	h.pages = append(h.pages, id)
-	return nil
+	newSlottedPage(g.Data()).setNext(InvalidPage)
+	g.Release(true)
+	return h.linkLocked(id)
 }
 
 // InsertAt re-inserts a tuple at a specific RID if that slot is free; used
@@ -197,19 +200,16 @@ func (h *HeapFile) Adopt(id PageID) error {
 // honoured (already occupied by live data) it returns an error.
 func (h *HeapFile) InsertAt(rid RID, t Tuple) error { return h.InsertAtWith(rid, t, nil) }
 
-// InsertAtWith is InsertAt with an onApply hook invoked while the page is
-// pinned (see InsertWith for the write-ahead rationale and the page-LSN
-// stamping contract).
-func (h *HeapFile) InsertAtWith(rid RID, t Tuple, onApply func() LSN) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// InsertAtWith is InsertAt with an onApply hook (see InsertWhere for the
+// write-ahead rationale and the page-LSN stamping contract).
+func (h *HeapFile) InsertAtWith(rid RID, t Tuple, onApply func(RID) LSN) error {
 	rec := EncodeTuple(t)
-	data, err := h.bp.Pin(rid.Page)
+	g, err := h.bp.Pin(rid.Page, LatchExclusive)
 	if err != nil {
 		return err
 	}
-	defer h.bp.Unpin(rid.Page, true)
-	p := newSlottedPage(data)
+	defer g.Release(true)
+	p := newSlottedPage(g.Data())
 	if rid.Slot < p.numSlots() {
 		if _, live := p.read(rid.Slot); live {
 			return fmt.Errorf("rdbms: InsertAt %v: slot occupied", rid)
@@ -218,11 +218,7 @@ func (h *HeapFile) InsertAtWith(rid RID, t Tuple, onApply func() LSN) error {
 	if err := setSlotContent(p, rid.Slot, SlotContent{Live: true, Tup: t}, rec); err != nil {
 		return fmt.Errorf("rdbms: InsertAt %v: %w", rid, err)
 	}
-	if onApply != nil {
-		if lsn := onApply(); lsn != 0 {
-			p.setPageLSN(lsn)
-		}
-	}
+	applied(p, rid, onApply)
 	return nil
 }
 
@@ -271,23 +267,20 @@ func setSlotContent(p *slottedPage, s uint16, sc SlotContent, rec []byte) error 
 // idempotent: replaying the same WAL tail twice over recovered pages is a
 // no-op. Returns whether the record was applied.
 func (h *HeapFile) RedoSlot(rid RID, sc SlotContent, lsn LSN) (bool, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	data, err := h.bp.Pin(rid.Page)
+	g, err := h.bp.Pin(rid.Page, LatchExclusive)
 	if err != nil {
 		return false, err
 	}
-	p := newSlottedPage(data)
+	p := newSlottedPage(g.Data())
 	if p.pageLSN() >= lsn {
-		h.bp.Unpin(rid.Page, false)
+		g.Release(false)
 		return false, nil
 	}
+	defer g.Release(true)
 	if err := setSlotContent(p, rid.Slot, sc, nil); err != nil {
-		h.bp.Unpin(rid.Page, true)
 		return false, fmt.Errorf("rdbms: redo %v: %w", rid, err)
 	}
 	p.setPageLSN(lsn)
-	h.bp.Unpin(rid.Page, true)
 	return true, nil
 }
 
@@ -296,14 +289,12 @@ func (h *HeapFile) RedoSlot(rid RID, sc SlotContent, lsn LSN) (bool, error) {
 // their before-images: "set slot to X" is state-idempotent, so re-running
 // undo after a crash during recovery converges to the same pages.
 func (h *HeapFile) ForceSlot(rid RID, sc SlotContent, lsn LSN) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	data, err := h.bp.Pin(rid.Page)
+	g, err := h.bp.Pin(rid.Page, LatchExclusive)
 	if err != nil {
 		return err
 	}
-	defer h.bp.Unpin(rid.Page, true)
-	p := newSlottedPage(data)
+	defer g.Release(true)
+	p := newSlottedPage(g.Data())
 	if err := setSlotContent(p, rid.Slot, sc, nil); err != nil {
 		return fmt.Errorf("rdbms: undo %v: %w", rid, err)
 	}
@@ -311,15 +302,15 @@ func (h *HeapFile) ForceSlot(rid RID, sc SlotContent, lsn LSN) error {
 	return nil
 }
 
-// Get reads the tuple at rid; ok is false for deleted or absent rows.
+// Get reads the tuple at rid under its page's read latch; ok is false for
+// deleted or absent rows.
 func (h *HeapFile) Get(rid RID) (Tuple, bool, error) {
-	data, err := h.bp.Pin(rid.Page)
+	g, err := h.bp.Pin(rid.Page, LatchShared)
 	if err != nil {
 		return nil, false, err
 	}
-	defer h.bp.Unpin(rid.Page, false)
-	p := newSlottedPage(data)
-	rec, ok := p.read(rid.Slot)
+	defer g.Release(false)
+	rec, ok := newSlottedPage(g.Data()).read(rid.Slot)
 	if !ok {
 		return nil, false, nil
 	}
@@ -330,88 +321,22 @@ func (h *HeapFile) Get(rid RID) (Tuple, bool, error) {
 	return t, true, nil
 }
 
-// GetLatched is Get holding the heap's read latch, excluding concurrent
-// byte mutations (which hold the write side). Snapshot readers use it:
-// the plain Get is only safe under the lock manager's row locks.
-func (h *HeapFile) GetLatched(rid RID) (Tuple, bool, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.Get(rid)
-}
-
-// ScanLatched is Scan holding the read latch across each page visit (not
-// the whole scan, so writers interleave between pages). fn runs outside
-// the latch. Snapshot readers use it for the same reason as GetLatched.
-func (h *HeapFile) ScanLatched(fn func(rid RID, t Tuple) bool) error {
-	h.mu.RLock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.RUnlock()
-	for _, id := range pages {
-		rows, err := h.readPageLatched(id)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if !fn(r.rid, r.t) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-type heapRow struct {
-	rid RID
-	t   Tuple
-}
-
-func (h *HeapFile) readPageLatched(id PageID) ([]heapRow, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	// Scan-hinted: readPageLatched only serves ScanLatched's sequential
-	// sweep; point reads go through Get/GetLatched.
-	data, err := h.bp.PinScan(id)
-	if err != nil {
-		return nil, err
-	}
-	defer h.bp.Unpin(id, false)
-	p := newSlottedPage(data)
-	n := p.numSlots()
-	rows := make([]heapRow, 0, n)
-	for s := uint16(0); s < n; s++ {
-		rec, ok := p.read(s)
-		if !ok {
-			continue
-		}
-		t, err := DecodeTuple(rec)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, heapRow{RID{Page: id, Slot: s}, t})
-	}
-	return rows, nil
-}
-
 // Delete tombstones the tuple at rid.
 func (h *HeapFile) Delete(rid RID) (bool, error) { return h.DeleteWith(rid, nil) }
 
-// DeleteWith tombstones the tuple at rid, invoking onApply while the page
-// is pinned (see InsertWith for the write-ahead rationale and the
-// page-LSN stamping contract).
-func (h *HeapFile) DeleteWith(rid RID, onApply func() LSN) (bool, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	data, err := h.bp.Pin(rid.Page)
+// DeleteWith tombstones the tuple at rid with an onApply hook (see
+// InsertWhere for the write-ahead rationale and the page-LSN stamping
+// contract).
+func (h *HeapFile) DeleteWith(rid RID, onApply func(RID) LSN) (bool, error) {
+	g, err := h.bp.Pin(rid.Page, LatchExclusive)
 	if err != nil {
 		return false, err
 	}
-	defer h.bp.Unpin(rid.Page, true)
-	p := newSlottedPage(data)
+	defer g.Release(true)
+	p := newSlottedPage(g.Data())
 	ok := p.del(rid.Slot)
-	if ok && onApply != nil {
-		if lsn := onApply(); lsn != 0 {
-			p.setPageLSN(lsn)
-		}
+	if ok {
+		applied(p, rid, onApply)
 	}
 	return ok, nil
 }
@@ -427,81 +352,81 @@ func (h *HeapFile) Update(rid RID, t Tuple) (RID, error) {
 	if ok {
 		return newRID, nil
 	}
-	if deleted, err := h.Delete(rid); err != nil || !deleted {
-		return RID{}, fmt.Errorf("rdbms: update of missing row %v (err=%v)", rid, err)
+	deleted, err := h.Delete(rid)
+	if err != nil {
+		return RID{}, fmt.Errorf("rdbms: update of %v: %w", rid, err)
+	}
+	if !deleted {
+		return RID{}, fmt.Errorf("rdbms: update of missing row %v", rid)
 	}
 	return h.Insert(t)
 }
 
 // TryUpdateInPlace replaces the tuple at rid if the new encoding fits in
-// its page, invoking onApply while the page is pinned. ok is false when the
+// its page, with an onApply hook (see InsertWhere). ok is false when the
 // tuple must move (caller performs delete+insert, each separately logged).
-func (h *HeapFile) TryUpdateInPlace(rid RID, t Tuple, onApply func(RID) LSN) (RID, bool, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (h *HeapFile) TryUpdateInPlace(rid RID, t Tuple, onApply func(RID) LSN) (newRID RID, ok bool, err error) {
 	rec := EncodeTuple(t)
-	data, err := h.bp.Pin(rid.Page)
+	g, err := h.bp.Pin(rid.Page, LatchExclusive)
 	if err != nil {
 		return RID{}, false, err
 	}
-	p := newSlottedPage(data)
-	if p.update(rid.Slot, rec) {
-		if onApply != nil {
-			if lsn := onApply(rid); lsn != 0 {
-				p.setPageLSN(lsn)
-			}
+	defer func() { g.Release(ok) }()
+	p := newSlottedPage(g.Data())
+	if ok = p.update(rid.Slot, rec); !ok {
+		if _, live := p.read(rid.Slot); !live {
+			return RID{}, false, fmt.Errorf("rdbms: update of missing row %v", rid)
 		}
-		h.bp.Unpin(rid.Page, true)
-		return rid, true, nil
+		return RID{}, false, nil
 	}
-	_, live := p.read(rid.Slot)
-	h.bp.Unpin(rid.Page, false)
-	if !live {
-		return RID{}, false, fmt.Errorf("rdbms: update of missing row %v", rid)
-	}
-	return RID{}, false, nil
+	applied(p, rid, onApply)
+	return rid, true, nil
 }
 
-// Scan calls fn for every live tuple in page-chain order. Returning false
-// stops the scan.
+// Scan calls fn for every live tuple in page-chain order. Each page's
+// rows are copied under its read latch and fn runs outside it, so writers
+// interleave between pages. Returning false stops the scan.
 func (h *HeapFile) Scan(fn func(rid RID, t Tuple) bool) error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for _, id := range pages {
-		// Scan-hinted pin: a full sweep recycles one probationary frame
-		// per page instead of flushing the protected working set.
-		data, err := h.bp.PinScan(id)
+	for _, id := range h.chain() {
+		rids, tups, err := h.pageRows(id)
 		if err != nil {
 			return err
 		}
-		p := newSlottedPage(data)
-		n := p.numSlots()
-		type row struct {
-			rid RID
-			t   Tuple
-		}
-		rows := make([]row, 0, n)
-		for s := uint16(0); s < n; s++ {
-			rec, ok := p.read(s)
-			if !ok {
-				continue
-			}
-			t, err := DecodeTuple(rec)
-			if err != nil {
-				h.bp.Unpin(id, false)
-				return err
-			}
-			rows = append(rows, row{RID{Page: id, Slot: s}, t})
-		}
-		h.bp.Unpin(id, false)
-		for _, r := range rows {
-			if !fn(r.rid, r.t) {
+		for i, rid := range rids {
+			if !fn(rid, tups[i]) {
 				return nil
 			}
 		}
 	}
 	return nil
+}
+
+// pageRows decodes page id's live rows under its read latch. Scan-hinted
+// pin: a full sweep recycles one probationary frame per page instead of
+// flushing the protected working set.
+func (h *HeapFile) pageRows(id PageID) ([]RID, []Tuple, error) {
+	g, err := h.bp.PinScan(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer g.Release(false)
+	p := newSlottedPage(g.Data())
+	n := p.numSlots()
+	rids := make([]RID, 0, n)
+	tups := make([]Tuple, 0, n)
+	for s := uint16(0); s < n; s++ {
+		rec, ok := p.read(s)
+		if !ok {
+			continue
+		}
+		t, err := DecodeTuple(rec)
+		if err != nil {
+			return nil, nil, err
+		}
+		rids = append(rids, RID{Page: id, Slot: s})
+		tups = append(tups, t)
+	}
+	return rids, tups, nil
 }
 
 // Count returns the number of live tuples (full scan).

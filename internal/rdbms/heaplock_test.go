@@ -2,6 +2,10 @@ package rdbms
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -147,5 +151,164 @@ func TestConcurrentDeleteInsertChurn(t *testing.T) {
 	tx.Commit()
 	if n != 40 { // 20 seeds (all aborts restored) + 20 churn inserts
 		t.Fatalf("final row count %d, want 40", n)
+	}
+}
+
+// TestHeapPageLatchReadersVsWriters: readers and writers share one or two
+// heap pages. Readers touch only stable rows — Txn.Get under row S locks,
+// Snap.Get, and Snap.Scan — while writers insert, update (growing and
+// shrinking the payload, so pages compact), delete and abort their own
+// rows on the same pages. Row locks never conflict, so only the page latch
+// stands between a reader decoding a page header and a writer rewriting
+// it; under -race an unlatched read is a reported race. Every read must
+// decode to the committed value, and a snapshot must scan the same rows
+// twice.
+func TestHeapPageLatchReadersVsWriters(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE kv (k INT, v STRING)")
+	const (
+		stable  = 16
+		writers = 2
+		readers = 2
+		rounds  = 150
+	)
+	stableVal := func(k int64) string { return fmt.Sprintf("stable-%d", k) }
+	rids := make([]RID, stable)
+	seed := db.Begin()
+	for k := int64(0); k < stable; k++ {
+		rid, err := seed.Insert("kv", Tuple{NewInt(k), NewString(stableVal(k))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids[k] = rid
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	checkStable := func(k int64, tup Tuple, live bool) error {
+		if !live || len(tup) != 2 || tup[0].I != k || tup[1].S != stableVal(k) {
+			return fmt.Errorf("stable row %d read as %v (live=%v)", k, tup, live)
+		}
+		return nil
+	}
+	// snapRows scans every row visible to sn, checking the stable ones.
+	snapRows := func(sn *Snap) (map[RID]string, error) {
+		rows := map[RID]string{}
+		var bad error
+		err := sn.Scan("kv", func(rid RID, tup Tuple) bool {
+			if k := tup[0].I; k < stable {
+				bad = checkStable(k, tup, true)
+			}
+			rows[rid] = tup[1].S
+			return bad == nil
+		})
+		if bad != nil {
+			return nil, bad
+		}
+		if err == nil && len(rows) < stable {
+			err = fmt.Errorf("snapshot scan saw %d rows, want >= %d", len(rows), stable)
+		}
+		return rows, err
+	}
+
+	errCh := make(chan error, writers+readers)
+	var writersWG, readersWG sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		writersWG.Add(1)
+		go func() {
+			defer writersWG.Done()
+			var live []RID // this writer's committed rows, oldest first
+			write := func(i int) error {
+				k := int64(1000*(w+1) + i)
+				tx := db.Begin()
+				rid, err := tx.Insert("kv", Tuple{NewInt(k), NewString("w")})
+				if err == nil {
+					rid, err = tx.Update("kv", rid, Tuple{NewInt(k), NewString(strings.Repeat("x", 8+i%40))})
+				}
+				deleted := false
+				if err == nil && i%3 == 0 {
+					err, deleted = tx.Delete("kv", rid), true
+				}
+				retire := err == nil && len(live) > 3
+				if retire {
+					err = tx.Delete("kv", live[0])
+				}
+				if err != nil {
+					tx.Abort()
+					return err
+				}
+				if i%5 == 0 {
+					return tx.Abort()
+				}
+				if err := tx.Commit(); err != nil {
+					return err
+				}
+				if retire {
+					live = live[1:]
+				}
+				if !deleted {
+					live = append(live, rid)
+				}
+				return nil
+			}
+			for i := 0; i < rounds; i++ {
+				if err := write(i); err != nil {
+					errCh <- fmt.Errorf("writer %d round %d: %w", w, i, err)
+					return
+				}
+			}
+		}()
+	}
+	var stop atomic.Bool
+	for r := 0; r < readers; r++ {
+		r := r
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			for i := 0; !stop.Load(); i++ {
+				k := int64((r*7 + i) % stable)
+				tx := db.Begin()
+				tup, live, err := tx.Get("kv", rids[k])
+				tx.Commit()
+				if err == nil {
+					err = checkStable(k, tup, live)
+				}
+				if err != nil {
+					errCh <- fmt.Errorf("reader %d Txn.Get: %w", r, err)
+					return
+				}
+				sn := db.BeginSnapshot()
+				tup, live, err = sn.Get("kv", rids[k])
+				if err == nil {
+					err = checkStable(k, tup, live)
+				}
+				var first, second map[RID]string
+				if err == nil {
+					first, err = snapRows(sn)
+				}
+				if err == nil {
+					second, err = snapRows(sn)
+				}
+				sn.Close()
+				if err == nil && !reflect.DeepEqual(first, second) {
+					err = fmt.Errorf("snapshot scan not repeatable: %d then %d rows", len(first), len(second))
+				}
+				if err != nil {
+					errCh <- fmt.Errorf("reader %d Snap: %w", r, err)
+					return
+				}
+			}
+		}()
+	}
+	writersWG.Wait()
+	stop.Store(true)
+	readersWG.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if pages := db.Table("kv").Heap.Pages(); pages > 2 {
+		t.Errorf("heap grew to %d pages; the test wants readers and writers on one or two", pages)
 	}
 }

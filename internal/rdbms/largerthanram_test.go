@@ -276,14 +276,14 @@ func TestPoolExhaustedSentinelOnEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := NewBufferPool(pager, nil, 2)
-	var ids []PageID
+	var held []PageGuard
 	for i := 0; i < 3; i++ {
-		id, _, err := bp.NewPage()
+		g, err := bp.NewPage()
 		if i < 2 {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids = append(ids, id)
+			held = append(held, g)
 			continue
 		}
 		// Third page with both frames pinned: must refuse, typed.
@@ -295,16 +295,18 @@ func TestPoolExhaustedSentinelOnEviction(t *testing.T) {
 		}
 	}
 	// Releasing one pin clears the condition.
-	bp.Unpin(ids[0], false)
-	id, _, err := bp.NewPage()
+	held[0].Release(false)
+	g, err := bp.NewPage()
 	if err != nil {
-		t.Fatalf("NewPage after Unpin: %v", err)
+		t.Fatalf("NewPage after Release: %v", err)
 	}
-	bp.Unpin(id, false)
-	bp.Unpin(ids[1], false)
-	if _, err := bp.Pin(ids[0]); err != nil {
+	g.Release(false)
+	held[1].Release(false)
+	g, err = bp.Pin(held[0].ID(), LatchShared)
+	if err != nil {
 		t.Fatalf("Pin after pressure released: %v", err)
 	}
+	g.Release(false)
 }
 
 // flakyWriteDevice injects a deterministic write failure every Nth write
@@ -355,13 +357,13 @@ func TestConcurrentPinEvictRaceSuite(t *testing.T) {
 	total := sharedPages + workers
 	pageIDs := make([]PageID, total)
 	for i := 0; i < total; i++ {
-		id, data, err := bp.NewPage()
+		g, err := bp.NewPage()
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint64(data[markerOff:], uint64(id))
-		bp.Unpin(id, true)
-		pageIDs[i] = id
+		binary.LittleEndian.PutUint64(g.Data()[markerOff:], uint64(g.ID()))
+		g.Release(true)
+		pageIDs[i] = g.ID()
 	}
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
@@ -381,7 +383,7 @@ func TestConcurrentPinEvictRaceSuite(t *testing.T) {
 				switch i % 4 {
 				case 0, 1: // shared read, point-read path
 					pid := pageIDs[(g+i)%sharedPages]
-					data, err := bp.Pin(pid)
+					pg, err := bp.Pin(pid, LatchShared)
 					if err != nil {
 						if !errors.Is(err, ErrPoolExhausted) && !errors.Is(err, errFlakyWrite) {
 							errCh <- fmt.Errorf("worker %d: pin %d: unexpected error %w", g, pid, err)
@@ -389,21 +391,21 @@ func TestConcurrentPinEvictRaceSuite(t *testing.T) {
 						}
 						continue
 					}
-					if got := PageID(binary.LittleEndian.Uint64(data[markerOff:])); got != pid {
+					if got := PageID(binary.LittleEndian.Uint64(pg.Data()[markerOff:])); got != pid {
 						errCh <- fmt.Errorf("worker %d: pinned page %d but frame holds page %d's bytes", g, pid, got)
-						bp.Unpin(pid, false)
+						pg.Release(false)
 						return
 					}
 					runtime.Gosched() // widen the window for a racing eviction
-					if got := PageID(binary.LittleEndian.Uint64(data[markerOff:])); got != pid {
+					if got := PageID(binary.LittleEndian.Uint64(pg.Data()[markerOff:])); got != pid {
 						errCh <- fmt.Errorf("worker %d: page %d's frame was stolen while pinned", g, pid)
-						bp.Unpin(pid, false)
+						pg.Release(false)
 						return
 					}
-					bp.Unpin(pid, false)
+					pg.Release(false)
 				case 2: // shared read, scan-hinted path
 					pid := pageIDs[(g*3+i)%sharedPages]
-					data, err := bp.PinScan(pid)
+					pg, err := bp.PinScan(pid)
 					if err != nil {
 						if !errors.Is(err, ErrPoolExhausted) && !errors.Is(err, errFlakyWrite) {
 							errCh <- fmt.Errorf("worker %d: pinscan %d: unexpected error %w", g, pid, err)
@@ -411,14 +413,14 @@ func TestConcurrentPinEvictRaceSuite(t *testing.T) {
 						}
 						continue
 					}
-					if got := PageID(binary.LittleEndian.Uint64(data[markerOff:])); got != pid {
+					if got := PageID(binary.LittleEndian.Uint64(pg.Data()[markerOff:])); got != pid {
 						errCh <- fmt.Errorf("worker %d: scan-pinned page %d but frame holds page %d's bytes", g, pid, got)
-						bp.Unpin(pid, false)
+						pg.Release(false)
 						return
 					}
-					bp.Unpin(pid, false)
+					pg.Release(false)
 				case 3: // private logged mutation: append, stamp, dirty
-					data, err := bp.Pin(private)
+					pg, err := bp.Pin(private, LatchExclusive)
 					if err != nil {
 						if !errors.Is(err, ErrPoolExhausted) && !errors.Is(err, errFlakyWrite) {
 							errCh <- fmt.Errorf("worker %d: pin private %d: unexpected error %w", g, private, err)
@@ -428,11 +430,12 @@ func TestConcurrentPinEvictRaceSuite(t *testing.T) {
 					}
 					lsn := wal.Append(&LogRecord{Kind: LogUpdate, Txn: TxnID(g + 1),
 						Row: RID{Page: private, Slot: uint16(i)}})
+					data := pg.Data()
 					binary.LittleEndian.PutUint64(data[8:16], uint64(lsn))
 					binary.LittleEndian.PutUint64(data[markerOff:], uint64(private))
 					binary.LittleEndian.PutUint64(data[markerOff+8:], uint64(i))
 					lastLSN[g] = lsn
-					bp.Unpin(private, true)
+					pg.Release(true)
 				}
 				if i%97 == 0 {
 					// Exercise the recLSN surfaces under contention.

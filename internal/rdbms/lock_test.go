@@ -123,7 +123,7 @@ func TestDeadlockDetection(t *testing.T) {
 	// Txn 1 waits for b (held by 2).
 	errCh := make(chan error, 1)
 	go func() { errCh <- lm.Acquire(1, b, LockExclusive) }()
-	time.Sleep(20 * time.Millisecond)
+	waitLocked(t, lm, func() bool { return len(lm.waitFor[1]) > 0 })
 	// Txn 2 requesting a would close the cycle: must get ErrDeadlock.
 	err := lm.Acquire(2, a, LockExclusive)
 	if !errors.Is(err, ErrDeadlock) {
@@ -191,7 +191,7 @@ func TestReleaseAllWakesAllWaiters(t *testing.T) {
 			errs <- lm.Acquire(id, key, LockShared)
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond)
+	waitLocked(t, lm, func() bool { return lm.locks[key].waiting == 5 })
 	lm.ReleaseAll(1)
 	wg.Wait()
 	close(errs)
@@ -199,5 +199,24 @@ func TestReleaseAllWakesAllWaiters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// waitLocked polls cond under lm.mu until it holds, so a test can wait for
+// a goroutine to be queued inside Acquire instead of sleeping and hoping.
+func waitLocked(t *testing.T, lm *LockManager, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		lm.mu.Lock()
+		ok := cond()
+		lm.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("lock manager never reached the awaited state")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -768,7 +768,7 @@ func (sn *Snap) Get(table string, rid RID) (Tuple, bool, error) {
 }
 
 func (sn *Snap) fetchRow(t *Table, table string, rid RID) (Tuple, bool, error) {
-	tup, live, err := t.Heap.GetLatched(rid)
+	tup, live, err := t.Heap.Get(rid)
 	if v, ok := sn.db.vs.visible(table, rid, sn.lsn); ok {
 		if v.live && v.tup == nil {
 			// Heap-resident batch version: the heap bytes are the committed
@@ -789,7 +789,7 @@ func (sn *Snap) visibleTup(t *Table, table string, rid RID) (Tuple, bool) {
 		return nil, false
 	}
 	if v.tup == nil {
-		tup, live, err := t.Heap.GetLatched(rid)
+		tup, live, err := t.Heap.Get(rid)
 		if err != nil || !live {
 			return nil, false
 		}
@@ -815,7 +815,7 @@ func (sn *Snap) Scan(table string, fn func(rid RID, t Tuple) bool) error {
 	stopped := false
 	n := 0
 	var scanErr error
-	err = t.Heap.ScanLatched(func(rid RID, tup Tuple) bool {
+	err = t.Heap.Scan(func(rid RID, tup Tuple) bool {
 		n++
 		if n%ctxCheckInterval == 0 {
 			if scanErr = sn.ctxErr(); scanErr != nil {

@@ -222,11 +222,11 @@ func allZero(b []byte) bool {
 // Slotted page layout:
 //   [0:2)   numSlots
 //   [2:4)   freeStart (offset where the next record payload region begins,
-//           growing down from PageSize)
+//           growing down from PageSize; 0 on a blank page reads as PageSize)
 //   [4:8)   next page id in the heap chain (InvalidPage terminates)
 //   [8:16)  pageLSN: the LSN of the last logged mutation applied to this
-//           page. Stamped while the page is pinned, under the same heap
-//           mutex that serializes the mutation itself, so per-page LSNs
+//           page. Stamped under the page's write latch, which serializes
+//           the mutation itself, so per-page LSNs
 //           are monotonic and the page content is always exactly "every
 //           logged record with LSN <= pageLSN applied". Recovery redo is
 //           gated on it (apply a record only when pageLSN < rec.LSN),
@@ -255,17 +255,18 @@ type slottedPage struct {
 	data []byte // PageSize bytes
 }
 
-func newSlottedPage(data []byte) *slottedPage {
-	p := &slottedPage{data: data}
-	if p.freeStart() == 0 {
-		p.setFreeStart(PageSize)
-	}
-	return p
-}
+// newSlottedPage views data as a slotted page without writing it, so a
+// reader holding only a shared latch may build one.
+func newSlottedPage(data []byte) *slottedPage { return &slottedPage{data: data} }
 
-func (p *slottedPage) numSlots() uint16      { return binary.LittleEndian.Uint16(p.data[0:2]) }
-func (p *slottedPage) setNumSlots(n uint16)  { binary.LittleEndian.PutUint16(p.data[0:2], n) }
-func (p *slottedPage) freeStart() uint16     { return binary.LittleEndian.Uint16(p.data[2:4]) }
+func (p *slottedPage) numSlots() uint16     { return binary.LittleEndian.Uint16(p.data[0:2]) }
+func (p *slottedPage) setNumSlots(n uint16) { binary.LittleEndian.PutUint16(p.data[0:2], n) }
+func (p *slottedPage) freeStart() uint16 {
+	if v := binary.LittleEndian.Uint16(p.data[2:4]); v != 0 {
+		return v
+	}
+	return PageSize
+}
 func (p *slottedPage) setFreeStart(v uint16) { binary.LittleEndian.PutUint16(p.data[2:4], v) }
 func (p *slottedPage) next() PageID          { return PageID(binary.LittleEndian.Uint32(p.data[4:8])) }
 func (p *slottedPage) setNext(id PageID)     { binary.LittleEndian.PutUint32(p.data[4:8], uint32(id)) }

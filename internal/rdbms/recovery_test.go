@@ -3,6 +3,7 @@ package rdbms
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -192,6 +193,60 @@ func TestRecoveryUncommittedRolledBack(t *testing.T) {
 		t.Fatalf("baseline row corrupted: %v live=%v", got, live)
 	}
 	tx3.Commit()
+}
+
+// TestRecoveryLoserInsertDeleteOnRefilledPage: a loser inserts a large
+// row and deletes it again; a committed transaction then fills the page,
+// compacting away the dead row's bytes. Undo must settle the slot on the
+// loser's starting state (empty) without first restoring the large row,
+// which no longer fits.
+func TestRecoveryLoserInsertDeleteOnRefilledPage(t *testing.T) {
+	pager := NewMemPager()
+	wal := NewMemWAL()
+	db, _ := Open(pager, wal, Options{BufferPages: 64})
+	db.CreateTable(TableSchema{Name: "t", Columns: []ColumnDef{{Name: "v", Type: TString}}})
+
+	loser := db.Begin()
+	big, err := loser.Insert("t", Tuple{NewString(strings.Repeat("b", 1500))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loser.Delete("t", big); err != nil {
+		t.Fatal(err)
+	}
+	filler := db.Begin()
+	n := 0
+	for {
+		rid, err := filler.Insert("t", Tuple{NewString(strings.Repeat("f", 500))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		if rid.Page != big.Page {
+			break // the loser's page is full
+		}
+	}
+	if err := filler.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := crashAndRecover(t, db, pager, wal)
+	tx := re.Begin()
+	defer tx.Commit()
+	rows := 0
+	tx.Scan("t", func(_ RID, tup Tuple) bool {
+		if len(tup[0].S) != 500 {
+			t.Errorf("unexpected row of %d bytes after recovery", len(tup[0].S))
+		}
+		rows++
+		return true
+	})
+	if rows != n {
+		t.Fatalf("after recovery: %d rows, want the filler's %d", rows, n)
+	}
 }
 
 func TestRecoveryUnflushedCommitLost(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -157,24 +158,24 @@ func TestBufferPoolEviction(t *testing.T) {
 	bp := NewBufferPool(m, nil, 4)
 	var ids []PageID
 	for i := 0; i < 10; i++ {
-		id, data, err := bp.NewPage()
+		g, err := bp.NewPage()
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[0] = byte(i)
-		bp.Unpin(id, true)
-		ids = append(ids, id)
+		g.Data()[0] = byte(i)
+		g.Release(true)
+		ids = append(ids, g.ID())
 	}
 	// All pages readable, with correct contents after eviction round trips.
 	for i, id := range ids {
-		data, err := bp.Pin(id)
+		g, err := bp.Pin(id, LatchShared)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if data[0] != byte(i) {
-			t.Fatalf("page %d content %d, want %d", id, data[0], i)
+		if got := g.Data()[0]; got != byte(i) {
+			t.Fatalf("page %d content %d, want %d", id, got, i)
 		}
-		bp.Unpin(id, false)
+		g.Release(false)
 	}
 	st := bp.Stats()
 	if st.Misses == 0 {
@@ -188,24 +189,25 @@ func TestBufferPoolEviction(t *testing.T) {
 func TestBufferPoolAllPinned(t *testing.T) {
 	m := NewMemPager()
 	bp := NewBufferPool(m, nil, 2)
-	id1, _, _ := bp.NewPage()
-	id2, _, _ := bp.NewPage()
-	if _, _, err := bp.NewPage(); err == nil {
+	g1, _ := bp.NewPage()
+	g2, _ := bp.NewPage()
+	if _, err := bp.NewPage(); err == nil {
 		t.Fatal("pool of 2 with both pinned must refuse a third pin")
 	}
-	bp.Unpin(id1, false)
-	bp.Unpin(id2, false)
-	if _, _, err := bp.NewPage(); err != nil {
-		t.Fatalf("after unpin: %v", err)
+	g1.Release(false)
+	g2.Release(false)
+	if _, err := bp.NewPage(); err != nil {
+		t.Fatalf("after release: %v", err)
 	}
 }
 
 func TestBufferPoolFlush(t *testing.T) {
 	m := NewMemPager()
 	bp := NewBufferPool(m, nil, 8)
-	id, data, _ := bp.NewPage()
-	copy(data, "dirty data")
-	bp.Unpin(id, true)
+	g, _ := bp.NewPage()
+	id := g.ID()
+	copy(g.Data(), "dirty data")
+	g.Release(true)
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -380,18 +382,19 @@ func TestHeapAdopt(t *testing.T) {
 	bp := NewBufferPool(NewMemPager(), nil, 16)
 	h, _ := CreateHeapFile(bp)
 	// Allocate an orphan page directly.
-	id, _, err := bp.NewPage()
+	g, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp.Unpin(id, true)
-	if h.Contains(id) {
+	id := g.ID()
+	g.Release(true)
+	if slices.Contains(h.chain(), id) {
 		t.Fatal("orphan should not be in chain")
 	}
 	if err := h.Adopt(id); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Contains(id) {
+	if !slices.Contains(h.chain(), id) {
 		t.Fatal("adopted page missing from chain")
 	}
 	// Adopt is idempotent.

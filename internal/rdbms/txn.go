@@ -93,7 +93,7 @@ type undoRec struct {
 // store the first time this transaction mutates it. It must run before
 // the row's heap bytes can change (the mutation paths call it either
 // ahead of the heap call or inside the onApply hook, which runs under
-// the heap's write latch), so snapshot readers that find no chain know
+// the page's write latch), so snapshot readers that find no chain know
 // the heap bytes they read were committed.
 func (tx *Txn) noteVersion(table string, rid RID, before Tuple, beforeLive bool) {
 	ref := chainRef{table: table, rid: rid}
@@ -200,9 +200,9 @@ func (tx *Txn) Insert(table string, tup Tuple) (RID, error) {
 	}
 	t.noteMutation()
 	rid, err := t.Heap.InsertWhere(tup, tx.slotFilter(table), func(rid RID) LSN {
-		// The chosen slot is only known here; the page is pinned under the
-		// heap's write latch, so the chain exists before any snapshot
-		// reader can observe the new bytes. The pre-image is "no row".
+		// The chosen slot is only known here; this runs under the page's
+		// write latch, so the chain exists before any snapshot reader can
+		// observe the new bytes. The pre-image is "no row".
 		tx.noteVersion(table, rid, nil, false)
 		return tx.db.wal.Append(&LogRecord{Kind: LogInsert, Txn: tx.id, Table: table, Row: rid, After: tup})
 	})
@@ -269,7 +269,7 @@ func (tx *Txn) Delete(table string, rid RID) error {
 	}
 	t.noteMutation()
 	tx.noteVersion(table, rid, before, true)
-	ok, err := t.Heap.DeleteWith(rid, func() LSN {
+	ok, err := t.Heap.DeleteWith(rid, func(RID) LSN {
 		return tx.db.wal.Append(&LogRecord{Kind: LogDelete, Txn: tx.id, Table: table, Row: rid, Before: before})
 	})
 	if err != nil {
@@ -329,7 +329,7 @@ func (tx *Txn) Update(table string, rid RID, tup Tuple) (RID, error) {
 	}
 	// Tuple moves: logged as delete + insert so each page mutation has its
 	// own record while pinned.
-	if _, err := t.Heap.DeleteWith(rid, func() LSN {
+	if _, err := t.Heap.DeleteWith(rid, func(RID) LSN {
 		return tx.db.wal.Append(&LogRecord{Kind: LogDelete, Txn: tx.id, Table: table, Row: rid, Before: before})
 	}); err != nil {
 		return RID{}, err
@@ -528,7 +528,7 @@ func (tx *Txn) Abort() error {
 		t.noteMutation()
 		switch u.kind {
 		case LogInsert:
-			if _, err := t.Heap.DeleteWith(u.rid, func() LSN {
+			if _, err := t.Heap.DeleteWith(u.rid, func(RID) LSN {
 				return tx.db.wal.Append(&LogRecord{Kind: LogDelete, Txn: tx.id, Table: u.table, Row: u.rid, Before: u.after})
 			}); err != nil {
 				return fmt.Errorf("rdbms: abort undo insert: %w", err)
@@ -538,7 +538,7 @@ func (tx *Txn) Abort() error {
 				idx.Delete(u.after[ci], u.rid)
 			}
 		case LogDelete:
-			if err := t.Heap.InsertAtWith(u.rid, u.before, func() LSN {
+			if err := t.Heap.InsertAtWith(u.rid, u.before, func(RID) LSN {
 				return tx.db.wal.Append(&LogRecord{Kind: LogInsert, Txn: tx.id, Table: u.table, Row: u.rid, After: u.before})
 			}); err != nil {
 				return fmt.Errorf("rdbms: abort undo delete: %w", err)
@@ -558,7 +558,7 @@ func (tx *Txn) Abort() error {
 			if !ok {
 				// The before-image no longer fits in place: compensate as
 				// a delete + insert, like a moving update.
-				if _, err := t.Heap.DeleteWith(u.rid, func() LSN {
+				if _, err := t.Heap.DeleteWith(u.rid, func(RID) LSN {
 					return tx.db.wal.Append(&LogRecord{Kind: LogDelete, Txn: tx.id, Table: u.table, Row: u.rid, Before: u.after})
 				}); err != nil {
 					return fmt.Errorf("rdbms: abort undo update: %w", err)

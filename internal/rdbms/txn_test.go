@@ -110,13 +110,13 @@ func TestTxnDoneErrors(t *testing.T) {
 	mustCreateCities(t, db)
 	tx := db.Begin()
 	tx.Commit()
-	if _, err := tx.Insert("cities", Tuple{NewString("x"), NewString("y"), NewInt(1)}); err != ErrTxnDone {
+	if _, err := tx.Insert("cities", Tuple{NewString("x"), NewString("y"), NewInt(1)}); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("expected ErrTxnDone, got %v", err)
 	}
-	if err := tx.Commit(); err != ErrTxnDone {
+	if err := tx.Commit(); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("double commit: %v", err)
 	}
-	if err := tx.Abort(); err != ErrTxnDone {
+	if err := tx.Abort(); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("abort after commit: %v", err)
 	}
 }

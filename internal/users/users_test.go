@@ -1,6 +1,7 @@
 package users
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ func TestRegisterAuthenticate(t *testing.T) {
 	if err := m.Register("alice", "secret", RoleDeveloper); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Register("alice", "other", RoleOrdinary); err != ErrExists {
+	if err := m.Register("alice", "other", RoleOrdinary); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate register: %v", err)
 	}
 	tok, err := m.Authenticate("alice", "secret")
@@ -20,14 +21,14 @@ func TestRegisterAuthenticate(t *testing.T) {
 	if err != nil || u.Name != "alice" || u.Role != RoleDeveloper {
 		t.Fatalf("whoami: %+v %v", u, err)
 	}
-	if _, err := m.Authenticate("alice", "wrong"); err != ErrAuth {
+	if _, err := m.Authenticate("alice", "wrong"); !errors.Is(err, ErrAuth) {
 		t.Fatalf("wrong password: %v", err)
 	}
-	if _, err := m.Authenticate("bob", "x"); err != ErrAuth {
+	if _, err := m.Authenticate("bob", "x"); !errors.Is(err, ErrAuth) {
 		t.Fatalf("unknown user: %v", err)
 	}
 	m.Logout(tok)
-	if _, err := m.Whoami(tok); err != ErrAuth {
+	if _, err := m.Whoami(tok); !errors.Is(err, ErrAuth) {
 		t.Fatalf("after logout: %v", err)
 	}
 }
