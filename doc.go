@@ -377,9 +377,10 @@
 // The durability contract extends to the wire: TestDaemonKill9Durability
 // streams acked INSERTs at a daemon, kills it with SIGKILL mid-traffic,
 // reopens the directory, and audits that every acked response survived.
-// CorrectValue absorbs the strict-2PL upgrade deadlock between racing
-// corrections with a bounded retry, and the alert center's delivery
-// ledger (Center.History) proves exactly-once notification per
+// A correction is an index-point write with no retry: IX on the table,
+// an entity-index lookup, X on the one row (Txn.LockRowByIndex), so
+// racing corrections cannot deadlock each other. The alert center's
+// delivery ledger (Center.History) proves exactly-once notification per
 // correction identity under concurrent corrections. bench/ drives every
 // workload through this front end (server.wire_self_us.<op>,
 // server.shed), and CI runs a server smoke job: real binaries, mixed

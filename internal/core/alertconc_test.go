@@ -11,10 +11,9 @@ import (
 
 // The alert center is the delivery edge of the correction pipeline:
 // every successful CorrectValue evaluates the corrected row against the
-// standing queries. Under concurrent corrections (which deadlock-retry
-// inside CorrectValue) the contract is exactly-once per correction
-// identity — no lost notification when a retry wins, no duplicate when a
-// retried attempt re-evaluates.
+// standing queries. Under concurrent corrections the contract is
+// exactly-once per correction identity — no lost notification, and no
+// duplicate when an identical correction re-evaluates.
 
 func TestAlertExactlyOnceUnderConcurrentCorrections(t *testing.T) {
 	s := newCloseTestSystem(t)
@@ -58,8 +57,8 @@ func TestAlertExactlyOnceUnderConcurrentCorrections(t *testing.T) {
 		}
 	}
 
-	// Round 1: all corrections race. Every one must succeed (the deadlock
-	// retry absorbs the 2PL upgrade cycles) and fire exactly one alert.
+	// Round 1: all corrections race. Every one must succeed (each locks
+	// only its own row) and fire exactly one alert.
 	var wg sync.WaitGroup
 	errs := make(chan error, len(idents))
 	correct(&wg, errs)

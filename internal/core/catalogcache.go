@@ -13,8 +13,9 @@ import (
 // runs zero table scans. All fields are guarded by System.mu.
 //
 // Lifecycle contract:
-//   - Write paths that go through core (materialize, CorrectValue) update
-//     the cache in place, after their transaction commits, under System.mu.
+//   - materialize updates the cache in place, after its transaction
+//     commits, under System.mu. CorrectValue leaves the cache alone: it
+//     rewrites a row's value, never its (entity, attribute, qualifier).
 //   - Write paths that bypass core's row bookkeeping (UQL STORE inside
 //     Generate, direct System.SQL writes) invalidate the cache; the next
 //     Catalog() call rebuilds it with one full scan and reinstalls it.

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/alert"
 	"repro/internal/browse"
@@ -240,7 +239,7 @@ func (s *System) Closing() bool {
 // The struct itself is immutable after publication; the reformulator it
 // points at is the cache's live one, which is internally synchronized and
 // absorbs incremental addRow deltas in place — so a published snapshot
-// stays current across materialize/CorrectValue writes and only full
+// stays current across materialize writes and only full
 // invalidations (UQL STORE, direct SQL writes, warm installs, rebuilds)
 // force a new generation.
 type catSnap struct {
@@ -754,23 +753,20 @@ func (s *System) Subscribe(sub alert.Subscription) (int, error) {
 // debugger first (re)learns per-attribute constraints from the stored
 // data itself — its trimmed-support fence tolerates a corrupt minority —
 // so the sweep works regardless of which generation path (declarative or
-// incremental) produced the rows.
+// incremental) produced the rows. The rows are read through a snapshot,
+// so the sweep takes no locks and never blocks a correction.
 func (s *System) SweepSuspicious(ctx context.Context) ([]debugger.Violation, error) {
 	if err := s.beginOp(); err != nil {
 		return nil, err
 	}
 	defer s.endOp()
 	var triples [][3]string
-	tx := s.DB.Begin().WithContext(ctx)
-	err := tx.Scan(TableName, func(_ rdbms.RID, t rdbms.Tuple) bool {
+	sn := s.DB.BeginSnapshot().WithContext(ctx)
+	defer sn.Close()
+	if err := sn.Scan(TableName, func(_ rdbms.RID, t rdbms.Tuple) bool {
 		triples = append(triples, [3]string{t[0].S, t[1].S, t[3].S})
 		return true
-	})
-	if err != nil {
-		tx.Abort()
-		return nil, err
-	}
-	if err := tx.Commit(); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	for _, tr := range triples {
@@ -779,104 +775,62 @@ func (s *System) SweepSuspicious(ctx context.Context) ([]debugger.Violation, err
 	return s.Debugger.Sweep(triples), nil
 }
 
-// correctValueRetries bounds the deadlock retry loop in CorrectValue.
-// Under strict 2PL a correction's scan takes a shared table lock and the
-// update upgrades it to exclusive; two concurrent corrections therefore
-// form a classic upgrade cycle and the lock manager aborts one with
-// ErrDeadlock. The victim's work is trivially replayable (the whole
-// operation is one scan + one update), so we retry a bounded number of
-// times with a short backoff instead of surfacing the abort to the user.
-const correctValueRetries = 16
-
 // CorrectValue applies a human correction to the extracted structure: the
 // row's value is replaced and its confidence set from the corrector's
 // reputation. The contributor is rewarded via the incentive manager, and
 // the corrected row is re-evaluated against alert subscriptions (a
 // correction is new information arriving, exactly what a standing query
-// watches for). Deadlocks against concurrent corrections are retried.
+// watches for). The row is addressed through the entity index under IX on
+// the table and X on the row alone, so corrections of distinct rows run
+// side by side and cannot deadlock each other; a deadlock against a
+// multi-row writer surfaces once as rdbms.ErrDeadlock for the caller to
+// retry. A correction never changes (entity, attribute, qualifier), so
+// the catalog cache is left alone.
 func (s *System) CorrectValue(ctx context.Context, user, entity, attribute, qualifier, newValue string) error {
 	if err := s.beginOp(); err != nil {
 		return err
 	}
 	defer s.endOp()
 	weight := s.Users.Weight(user)
-	var lastErr error
-	for attempt := 0; attempt < correctValueRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt > 0 {
-			// Brief jittered-by-attempt backoff so the colliding correction
-			// can finish its upgrade before we retake the shared lock.
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(time.Duration(attempt) * time.Millisecond):
-			}
-		}
-		retry, err := s.correctValueOnce(ctx, weight, entity, attribute, qualifier, newValue)
-		if err == nil {
-			s.mu.Lock()
-			s.cat.addRow(entity, attribute, qualifier)
-			s.mu.Unlock()
-			s.Users.Award(user, 5)
-			s.Stats.Inc("core.corrections", 1)
-			// Evaluate standing queries against the corrected row. The alert
-			// center dedups on (subscription, entity, qualifier, value), so a
-			// retried or repeated identical correction notifies once.
-			fired := s.Alerts.Evaluate([]alert.Row{{
-				Entity: entity, Attribute: attribute, Qualifier: qualifier,
-				Value: newValue, Conf: weight,
-			}})
-			if len(fired) > 0 {
-				s.Stats.Inc("core.alerts.fired", int64(len(fired)))
-			}
-			return nil
-		}
-		if !retry {
-			return err
-		}
-		lastErr = err
-		s.Stats.Inc("core.corrections.deadlock_retries", 1)
+	if err := s.correctRow(ctx, weight, entity, attribute, qualifier, newValue); err != nil {
+		return err
 	}
-	return fmt.Errorf("core: correction kept deadlocking after %d attempts: %w", correctValueRetries, lastErr)
+	s.Users.Award(user, 5)
+	s.Stats.Inc("core.corrections", 1)
+	// Evaluate standing queries against the corrected row. The alert
+	// center dedups on (subscription, entity, qualifier, value), so a
+	// repeated identical correction notifies once.
+	fired := s.Alerts.Evaluate([]alert.Row{{
+		Entity: entity, Attribute: attribute, Qualifier: qualifier,
+		Value: newValue, Conf: weight,
+	}})
+	if len(fired) > 0 {
+		s.Stats.Inc("core.alerts.fired", int64(len(fired)))
+	}
+	return nil
 }
 
-// correctValueOnce runs one scan-and-update attempt. It reports retry=true
-// only for deadlock aborts (the one transient failure worth replaying).
-func (s *System) correctValueOnce(ctx context.Context, weight float64, entity, attribute, qualifier, newValue string) (retry bool, err error) {
+// correctRow is CorrectValue's transaction: lock the fact's row through
+// the entity index, rewrite its value and confidence, commit.
+func (s *System) correctRow(ctx context.Context, weight float64, entity, attribute, qualifier, newValue string) error {
 	tx := s.DB.Begin().WithContext(ctx)
-	var target *rdbms.RID
-	var old rdbms.Tuple
-	err = tx.Scan(TableName, func(rid rdbms.RID, t rdbms.Tuple) bool {
-		if t[0].S == entity && t[1].S == attribute && t[2].S == qualifier {
-			r := rid
-			target = &r
-			old = t.Clone()
-			return false
-		}
-		return true
+	rid, row, found, err := tx.LockRowByIndex(TableName, "entity", rdbms.NewString(entity), func(t rdbms.Tuple) bool {
+		return t[1].S == attribute && t[2].S == qualifier
 	})
+	if err == nil && !found {
+		err = fmt.Errorf("core: no extracted row for %s.%s[%s]", entity, attribute, qualifier)
+	}
+	if err == nil {
+		row[3] = rdbms.NewString(newValue)
+		row[4] = uql.NumValue(newValue)
+		row[5] = rdbms.NewFloat(weight)
+		_, err = tx.Update(TableName, rid, row)
+	}
 	if err != nil {
 		tx.Abort()
-		return errors.Is(err, rdbms.ErrDeadlock), err
+		return err
 	}
-	if target == nil {
-		tx.Abort()
-		return false, fmt.Errorf("core: no extracted row for %s.%s[%s]", entity, attribute, qualifier)
-	}
-	newTuple := old.Clone()
-	newTuple[3] = rdbms.NewString(newValue)
-	newTuple[4] = uql.NumValue(newValue)
-	newTuple[5] = rdbms.NewFloat(weight)
-	if _, err := tx.Update(TableName, *target, newTuple); err != nil {
-		tx.Abort()
-		return errors.Is(err, rdbms.ErrDeadlock), err
-	}
-	if err := tx.Commit(); err != nil {
-		return errors.Is(err, rdbms.ErrDeadlock), err
-	}
-	return false, nil
+	return tx.Commit()
 }
 
 // AverageFromRows is a helper for examples/benches: parse-and-average a

@@ -146,6 +146,73 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	}
 }
 
+// TestCommitReadYourWritesBehindPendingCommit: group commit can make a
+// commit durable and published while an earlier-appended commit of the
+// same flush batch is still pending, and a snapshot pins below every
+// pending LSN. Commit must not acknowledge until that earlier commit
+// resolves, or a snapshot begun right after the acknowledgement misses
+// the acknowledged write.
+func TestCommitReadYourWritesBehindPendingCommit(t *testing.T) {
+	db := openGroupCommitDB(t, NewMemWALStore())
+	defer db.Close()
+	// The state an earlier committer is in while its flush is in flight:
+	// commit record appended, LSN registered pending, nothing published.
+	early := db.Begin()
+	pending := db.vs.withPending(func() LSN {
+		return db.wal.AppendEnd(&LogRecord{Kind: LogCommit, Txn: early.id})
+	})
+
+	type seen struct {
+		rows int
+		err  error
+	}
+	done := make(chan seen, 1)
+	go func() {
+		tx := db.Begin()
+		if _, err := tx.Insert("kv", Tuple{NewInt(1), NewString("acked")}); err != nil {
+			tx.Abort()
+			done <- seen{err: err}
+			return
+		}
+		if err := tx.Commit(); err != nil {
+			done <- seen{err: err}
+			return
+		}
+		sn := db.BeginSnapshot()
+		defer sn.Close()
+		n := 0
+		err := sn.Scan("kv", func(RID, Tuple) bool { n++; return true })
+		done <- seen{rows: n, err: err}
+	}()
+
+	// Release the earlier commit only once the later one is blocked behind
+	// it — or has already returned, which is the bug.
+	var got seen
+	returned := false
+	waitLocked(t, &db.vs.mu, func() bool {
+		select {
+		case got = <-done:
+			returned = true
+			return true
+		default:
+			return db.vs.awaiting > 0
+		}
+	})
+	db.vs.cancelPending(pending)
+	if !returned {
+		got = <-done
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.rows != 1 {
+		t.Fatalf("snapshot begun after Commit returned sees %d rows, want the acknowledged 1 (returned while an earlier commit was pending: %v)", got.rows, returned)
+	}
+	if err := early.Abort(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // gcOutcome records one transaction's fate in the concurrent crash test.
 type gcOutcome struct {
 	keys [2]int64

@@ -106,6 +106,10 @@ type LockManager struct {
 	cond    *sync.Cond
 	locks   map[LockKey]*lockState
 	waitFor map[TxnID]map[TxnID]bool // waiter -> holders it waits on
+	// grown marks that locks has held more than lockMapRemakeAt entries:
+	// a Go map never returns its buckets, so ReleaseAll re-makes it once it
+	// empties, instead of keeping a bulk transaction's peak forever.
+	grown bool
 
 	deadlocks    int64
 	acquisitions atomic.Int64
@@ -115,6 +119,10 @@ type lockState struct {
 	holders map[TxnID]LockMode
 	waiting int
 }
+
+// lockMapRemakeAt is the lock-table population past which an emptied
+// table is re-made rather than kept at its peak size.
+const lockMapRemakeAt = 1024
 
 // NewLockManager returns an empty lock manager.
 func NewLockManager() *LockManager {
@@ -137,6 +145,9 @@ func (lm *LockManager) Acquire(txn TxnID, key LockKey, mode LockMode) error {
 		ls := lm.locks[key]
 		if ls == nil {
 			lm.locks[key] = &lockState{holders: map[TxnID]LockMode{txn: mode}}
+			if len(lm.locks) > lockMapRemakeAt {
+				lm.grown = true
+			}
 			return nil
 		}
 		held, holding := ls.holders[txn]
@@ -222,6 +233,10 @@ func (lm *LockManager) ReleaseAll(txn TxnID) {
 				delete(lm.locks, key)
 			}
 		}
+	}
+	if lm.grown && len(lm.locks) == 0 {
+		lm.locks = make(map[LockKey]*lockState)
+		lm.grown = false
 	}
 	delete(lm.waitFor, txn)
 	lm.cond.Broadcast()

@@ -123,7 +123,7 @@ func TestDeadlockDetection(t *testing.T) {
 	// Txn 1 waits for b (held by 2).
 	errCh := make(chan error, 1)
 	go func() { errCh <- lm.Acquire(1, b, LockExclusive) }()
-	waitLocked(t, lm, func() bool { return len(lm.waitFor[1]) > 0 })
+	waitLocked(t, &lm.mu, func() bool { return len(lm.waitFor[1]) > 0 })
 	// Txn 2 requesting a would close the cycle: must get ErrDeadlock.
 	err := lm.Acquire(2, a, LockExclusive)
 	if !errors.Is(err, ErrDeadlock) {
@@ -191,7 +191,7 @@ func TestReleaseAllWakesAllWaiters(t *testing.T) {
 			errs <- lm.Acquire(id, key, LockShared)
 		}(i)
 	}
-	waitLocked(t, lm, func() bool { return lm.locks[key].waiting == 5 })
+	waitLocked(t, &lm.mu, func() bool { return lm.locks[key].waiting == 5 })
 	lm.ReleaseAll(1)
 	wg.Wait()
 	close(errs)
@@ -202,20 +202,21 @@ func TestReleaseAllWakesAllWaiters(t *testing.T) {
 	}
 }
 
-// waitLocked polls cond under lm.mu until it holds, so a test can wait for
-// a goroutine to be queued inside Acquire instead of sleeping and hoping.
-func waitLocked(t *testing.T, lm *LockManager, cond func() bool) {
+// waitLocked polls cond under mu until it holds, so a test can wait for a
+// goroutine to be queued inside Acquire (mu = lm.mu) or a commit wait
+// (mu = vs.mu) instead of sleeping and hoping.
+func waitLocked(t *testing.T, mu sync.Locker, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		lm.mu.Lock()
+		mu.Lock()
 		ok := cond()
-		lm.mu.Unlock()
+		mu.Unlock()
 		if ok {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("lock manager never reached the awaited state")
+			t.Fatal("never reached the awaited state")
 		}
 		time.Sleep(time.Millisecond)
 	}

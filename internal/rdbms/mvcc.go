@@ -140,6 +140,10 @@ type VersionStore struct {
 	// pending holds commit LSNs appended to the WAL but not yet
 	// published (group commit in flight).
 	pending map[LSN]struct{}
+	// drained is broadcast whenever an LSN leaves pending; commits blocked
+	// in awaitPublished (counted by awaiting) wait on it.
+	drained  *sync.Cond
+	awaiting int
 	// maxCommit is the newest published commit LSN.
 	maxCommit LSN
 	// snaps refcounts active snapshot LSNs.
@@ -161,7 +165,7 @@ type VersionStore struct {
 const sweepTriggerVersions = 4096
 
 func newVersionStore() *VersionStore {
-	return &VersionStore{
+	vs := &VersionStore{
 		tables:     make(map[string]map[RID]*versionChain),
 		batches:    make(map[string]map[PageID]batchPage),
 		pending:    make(map[LSN]struct{}),
@@ -170,6 +174,8 @@ func newVersionStore() *VersionStore {
 		snapSeq:    1,
 		hiWater:    sweepTriggerVersions,
 	}
+	vs.drained = sync.NewCond(&vs.mu)
+	return vs
 }
 
 // noteWrite records the committed pre-image of (table, rid) and takes a
@@ -259,8 +265,30 @@ func (vs *VersionStore) withPending(append func() LSN) LSN {
 func (vs *VersionStore) cancelPending(lsn LSN) {
 	vs.mu.Lock()
 	delete(vs.pending, lsn)
+	vs.drained.Broadcast()
 	vs.sweepLocked()
 	vs.mu.Unlock()
+}
+
+// awaitPublished blocks until no commit LSN below lsn is pending, i.e.
+// until every snapshot acquired from now on pins at or above lsn.
+func (vs *VersionStore) awaitPublished(lsn LSN) {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	for vs.pendingBelowLocked(lsn) {
+		vs.awaiting++
+		vs.drained.Wait()
+		vs.awaiting--
+	}
+}
+
+func (vs *VersionStore) pendingBelowLocked(lsn LSN) bool {
+	for p := range vs.pending {
+		if p < lsn {
+			return true
+		}
+	}
+	return false
 }
 
 // finalState is the net effect of one transaction on one row.
@@ -296,6 +324,7 @@ func (vs *VersionStore) publish(lsn LSN, finals []finalState, touched []chainRef
 		}
 	}
 	delete(vs.pending, lsn)
+	vs.drained.Broadcast()
 	if lsn > vs.maxCommit {
 		vs.maxCommit = lsn
 	}
@@ -323,6 +352,7 @@ func (vs *VersionStore) publishBatch(lsn LSN, m *batchMarker) {
 	m.from = lsn
 	m.pending = false
 	delete(vs.pending, lsn)
+	vs.drained.Broadcast()
 	if lsn > vs.maxCommit {
 		vs.maxCommit = lsn
 	}

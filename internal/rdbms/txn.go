@@ -353,11 +353,18 @@ func (tx *Txn) Update(table string, rid RID, tup Tuple) (RID, error) {
 	return newRID, nil
 }
 
+// fixIndexes moves a row's index entries from (before, oldRID) to (after,
+// newRID), skipping the ones that do not change. The new entry goes in
+// before the old one comes out, so an index lookup never finds the row
+// missing mid-update: LockRowByIndex answers "no such row" from that.
 func (tx *Txn) fixIndexes(t *Table, oldRID, newRID RID, before, after Tuple) {
 	for col, idx := range t.Indexes {
 		ci := t.Schema.ColIndex(col)
-		idx.Delete(before[ci], oldRID)
+		if oldRID == newRID && eqKey(before[ci], after[ci]) {
+			continue
+		}
 		idx.Insert(after[ci], newRID)
+		idx.Delete(before[ci], oldRID)
 	}
 }
 
@@ -418,6 +425,80 @@ func (tx *Txn) IndexLookup(table, column string, key Value) ([]RID, error) {
 		return nil, err
 	}
 	return idx.Lookup(key), nil
+}
+
+// LockRowByIndex finds the row whose indexed column equals key and which
+// match accepts, and locks it for writing: IX on the table (never S, so
+// writers of distinct rows stay compatible and cannot form an S→X upgrade
+// cycle), then X on the one row. Each index candidate is read under its
+// heap page's read latch and offered to match; the first accepted one is
+// X-locked, then re-read and re-checked, since it was chosen without the
+// lock. If meanwhile the row died, stopped matching, or moved (an Update
+// that does not fit in place gives the row a new RID), the lookup runs
+// again. An index entry whose heap slot is dead belongs to a writer in the
+// middle of moving or deleting that row; when no live candidate matches,
+// the lookup waits for that writer through the entry's X lock and retries.
+//
+// Candidates are chosen from the newest heap bytes, committed or not, and
+// the re-check under X decides. "No such row" (found false, err nil) is
+// answered without a predicate lock: a row that another transaction is
+// inserting, or has deleted or rewritten out of the match without
+// committing, is not waited on.
+func (tx *Txn) LockRowByIndex(table, column string, key Value, match func(Tuple) bool) (rid RID, tup Tuple, found bool, err error) {
+	if tx.done {
+		return RID{}, nil, false, ErrTxnDone
+	}
+	t, err := tx.table(table)
+	if err != nil {
+		return RID{}, nil, false, err
+	}
+	idx := t.Indexes[column]
+	if idx == nil {
+		return RID{}, nil, false, fmt.Errorf("rdbms: no index on %s.%s", table, column)
+	}
+	ci := t.Schema.ColIndex(column)
+	accept := func(got Tuple, live bool) bool { return live && eqKey(got[ci], key) && match(got) }
+	if err := tx.db.lm.Acquire(tx.id, TableLock(table), LockIX); err != nil {
+		return RID{}, nil, false, err
+	}
+	for {
+		if err := tx.ctxErr(); err != nil {
+			return RID{}, nil, false, err
+		}
+		var cand, busy RID
+		var hit, inFlight bool
+		for _, r := range idx.Lookup(key) {
+			got, live, err := t.Heap.Get(r)
+			if err != nil {
+				return RID{}, nil, false, err
+			}
+			if accept(got, live) {
+				cand, hit = r, true
+				break
+			}
+			// A dead slot this transaction already holds X on has no writer
+			// in flight: it is not worth waiting on again.
+			if !live && !inFlight && !tx.db.lm.Held(tx.id, RowLock(table, r), LockExclusive) {
+				busy, inFlight = r, true
+			}
+		}
+		if !hit {
+			if !inFlight {
+				return RID{}, nil, false, nil
+			}
+			cand = busy
+		}
+		if err := tx.db.lm.Acquire(tx.id, RowLock(table, cand), LockExclusive); err != nil {
+			return RID{}, nil, false, err
+		}
+		got, live, err := t.Heap.Get(cand)
+		if err != nil {
+			return RID{}, nil, false, err
+		}
+		if accept(got, live) {
+			return cand, got, true, nil
+		}
+	}
 }
 
 // IndexRange iterates index entries in [lo, hi] (nil = unbounded),
@@ -505,6 +586,14 @@ func (tx *Txn) Commit() error {
 		tx.db.vs.publish(target, tx.versionFinals(), tx.touchedRefs())
 	}
 	tx.finish()
+	if versioned {
+		// Read your writes: an earlier commit of the same flush batch may
+		// still be pending, and a snapshot pins below min(pending). Return
+		// only once none below target is, so a snapshot begun after this
+		// acknowledgement sees it. Locks are already released: the wait
+		// blocks no other transaction.
+		tx.db.vs.awaitPublished(target)
+	}
 	return nil
 }
 
@@ -519,6 +608,16 @@ func (tx *Txn) Abort() error {
 	if tx.done {
 		return ErrTxnDone
 	}
+	// Index entries of undone inserts come out only after every restore
+	// has put its entries back: undoing a moving update removes the new
+	// RID's entry before it restores the old one, and an index lookup in
+	// between must not find the row missing (see fixIndexes).
+	type indexEntry struct {
+		idx *BTree
+		key Value
+		rid RID
+	}
+	var dels []indexEntry
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		u := tx.undo[i]
 		t := tx.db.Table(u.table)
@@ -534,8 +633,7 @@ func (tx *Txn) Abort() error {
 				return fmt.Errorf("rdbms: abort undo insert: %w", err)
 			}
 			for col, idx := range t.Indexes {
-				ci := t.Schema.ColIndex(col)
-				idx.Delete(u.after[ci], u.rid)
+				dels = append(dels, indexEntry{idx, u.after[t.Schema.ColIndex(col)], u.rid})
 			}
 		case LogDelete:
 			if err := t.Heap.InsertAtWith(u.rid, u.before, func(RID) LSN {
@@ -580,12 +678,11 @@ func (tx *Txn) Abort() error {
 					tx.db.vs.noteAbortMoved(u.table, u.rid)
 				}
 			}
-			for col, idx := range t.Indexes {
-				ci := t.Schema.ColIndex(col)
-				idx.Delete(u.after[ci], u.rid)
-				idx.Insert(u.before[ci], restoredRID)
-			}
+			tx.fixIndexes(t, u.rid, restoredRID, u.after, u.before)
 		}
+	}
+	for _, e := range dels {
+		e.idx.Delete(e.key, e.rid)
 	}
 	// Undo restored every touched row to its chain's base image; release
 	// the writer holds without publishing anything.

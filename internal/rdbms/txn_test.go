@@ -3,6 +3,7 @@ package rdbms
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -185,6 +186,158 @@ func TestTxnIndexRollback(t *testing.T) {
 		t.Fatal("aborted insert left an index entry")
 	}
 	tx2.Commit()
+}
+
+// TestLockRowByIndexFollowsMovedRow: T1 holds X on a row and rewrites it
+// into a tuple that no longer fits its page, so the row moves to a new
+// RID. T2, queued in LockRowByIndex on the old RID's X lock, must come
+// back with the new RID and T1's committed tuple. Meanwhile a writer of
+// another row under the same key proceeds (IX, not S, on the table).
+func TestLockRowByIndexFollowsMovedRow(t *testing.T) {
+	db := newTestDB(t)
+	mustCreateCities(t, db)
+	if err := db.CreateIndex("cities", "state"); err != nil {
+		t.Fatal(err)
+	}
+	isPop := func(pop int64) func(Tuple) bool {
+		return func(tup Tuple) bool { return tup[2].I == pop }
+	}
+	tx := db.Begin()
+	old, err := tx.Insert("cities", Tuple{NewString("target"), NewString("WI"), NewInt(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("cities", Tuple{NewString("other"), NewString("WI"), NewInt(8)}); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the target's page, so growing the target forces a move.
+	filler := NewString(strings.Repeat("f", 100))
+	for i := 0; ; i++ {
+		rid, err := tx.Insert("cities", Tuple{filler, NewString("XX"), NewInt(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid.Page != old.Page {
+			break
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	t1 := db.Begin()
+	rid, _, found, err := t1.LockRowByIndex("cities", "state", NewString("WI"), isPop(7))
+	if err != nil || !found || rid != old {
+		t.Fatalf("T1 lock: rid %v found %v err %v, want %v", rid, found, err, old)
+	}
+
+	type locked struct {
+		rid   RID
+		tup   Tuple
+		found bool
+		err   error
+	}
+	t2 := db.Begin()
+	got := make(chan locked, 1)
+	go func() {
+		rid, tup, found, err := t2.LockRowByIndex("cities", "state", NewString("WI"), isPop(7))
+		got <- locked{rid, tup, found, err}
+	}()
+	waitLocked(t, &db.lm.mu, func() bool {
+		ls := db.lm.locks[RowLock("cities", old)]
+		return ls != nil && ls.waiting == 1
+	})
+
+	t3 := db.Begin()
+	if _, _, found, err := t3.LockRowByIndex("cities", "state", NewString("WI"), isPop(8)); err != nil || !found {
+		t.Fatalf("writer of another row under the same key: found %v err %v", found, err)
+	}
+	if _, _, found, err := t3.LockRowByIndex("cities", "state", NewString("WI"), isPop(9)); err != nil || found {
+		t.Fatalf("absent row: found %v err %v", found, err)
+	}
+	if err := t3.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	grown := Tuple{NewString(strings.Repeat("t", 1000)), NewString("WI"), NewInt(7)}
+	moved, err := t1.Update("cities", old, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == old {
+		t.Fatal("update fit in place; the test needs the row to move")
+	}
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := <-got
+	if r.err != nil || !r.found {
+		t.Fatalf("T2 lock: found %v err %v", r.found, r.err)
+	}
+	if r.rid != moved || r.tup[0].S != grown[0].S {
+		t.Fatalf("T2 got rid %v name %.10q..., want rid %v and T1's tuple", r.rid, r.tup[0].S, moved)
+	}
+	if !db.lm.Held(t2.id, RowLock("cities", moved), LockExclusive) {
+		t.Fatal("T2 does not hold X on the moved row")
+	}
+	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLockRowByIndexNeverMissesRow: writers race to lock one row by index
+// and rewrite it — in place, moved to a bigger or smaller tuple, and
+// sometimes aborted. The row exists throughout, so no lookup may answer
+// "no such row" from an index caught mid-update.
+func TestLockRowByIndexNeverMissesRow(t *testing.T) {
+	db := newTestDB(t)
+	mustCreateCities(t, db)
+	if err := db.CreateIndex("cities", "state"); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for i := 0; i < 30; i++ {
+		if _, err := tx.Insert("cities", Tuple{NewString(strings.Repeat("n", 100)), NewString("WI"), NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	isTarget := func(tup Tuple) bool { return tup[2].I == 7 }
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				tx := db.Begin()
+				rid, tup, found, err := tx.LockRowByIndex("cities", "state", NewString("WI"), isTarget)
+				if err != nil || !found {
+					tx.Abort()
+					t.Errorf("writer %d round %d: found %v err %v", w, i, found, err)
+					return
+				}
+				tup[0] = NewString(strings.Repeat("n", 50+(w*37+i*53)%400))
+				if _, err := tx.Update("cities", rid, tup); err != nil {
+					tx.Abort()
+					t.Errorf("update: %v", err)
+					return
+				}
+				if i%5 == 0 {
+					err = tx.Abort()
+				} else {
+					err = tx.Commit()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestConcurrentTransfersSerializable(t *testing.T) {

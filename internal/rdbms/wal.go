@@ -289,13 +289,19 @@ type WAL struct {
 	flushing   bool   // a leader's write+sync is in flight (outside mu)
 	poisoned   bool   // a crash panic escaped mid-flush; see ErrWALPoisoned
 	syncs      int64  // completed device syncs (group-commit diagnostics)
-	spare      []byte // a flushed batch's buffer, recycled for appends
+	spare      []byte // a flushed batch's buffer, recycled for appends (cap <= walSpareMaxBytes)
 	committers int    // commits between AppendEnd and durable: potential batch-mates
 
 	window      int   // straggler-wait budget (yields); 0 = solo-commit
 	windowOpens int64 // times a leader opened the group window (tests)
 	rotations   int64 // completed segment rotations (tests and diagnostics)
 }
+
+// walSpareMaxBytes caps the flushed batch buffer the WAL keeps for reuse.
+// Steady-state group-commit batches fit well under it; a bulk set-up
+// transaction's batch (hundreds of KB) would otherwise stay live for the
+// life of the process.
+const walSpareMaxBytes = 64 << 10
 
 // NewMemWAL returns a WAL over an in-memory store; Flush makes records
 // durable against the simulated crash model (MemWALStore.Crash keeps
@@ -617,7 +623,7 @@ func (w *WAL) flushToLocked(target LSN, window bool) error {
 			w.buf = append(chunk, w.buf...)
 		default:
 			w.flushed = base + LSN(len(chunk))
-			if w.spare == nil || cap(chunk) > cap(w.spare) {
+			if cap(chunk) <= walSpareMaxBytes && (w.spare == nil || cap(chunk) > cap(w.spare)) {
 				w.spare = chunk[:0] // recycle the batch buffer
 			}
 			if poisonRotate {
