@@ -129,10 +129,10 @@
 // pages, then truncates the WAL entirely (Device.Truncate is durable by
 // itself, so old-generation records can never resurface), then rewrites
 // the catalog; each intermediate crash point is analyzed in
-// checkpointLocked. Abort writes compensation records for its physical
-// restores, so recovery replays aborted transactions like winners (net
-// zero, in global log order) and a commit whose flush failed can be
-// durably superseded by its abort.
+// checkpointLocked. Abort writes one compensation record per slot it
+// forces back (see "One undo" below), so recovery replays aborted
+// transactions like winners (net zero, in global log order) and a commit
+// whose flush failed can be durably superseded by its abort.
 //
 // Recovery by logical materialization. Rather than replaying records
 // one at a time against pages whose on-disk state may already reflect
@@ -143,8 +143,10 @@
 // verdict-less in-flight transactions freeze their slots at the state
 // just before their first touch — and then writes each page once,
 // slot-pinned, compacting as needed. Slotted pages compact in place
-// (slot numbers, hence RIDs, never change), which also lets live aborts
-// restore before-images on churn-fragmented pages.
+// (slot numbers, hence RIDs, never change), so undo can place a
+// before-image at its own RID on a churn-fragmented page as long as the
+// page still has the bytes for it; slot reservations (below) make sure
+// it does.
 //
 // Fault harness. FaultInjector + FaultDevice (exposed as NewFaultPager /
 // NewFaultWAL) schedule an error, a dropped (lying) fsync, a torn write,
@@ -229,10 +231,10 @@
 // Also in PR4: the ORDER BY + LIMIT bounded top-k heap now runs inside
 // the sequential scan callback (rows it rejects are never retained —
 // O(k) live memory, verified byte-identical by the 3-path equivalence
-// fuzz); inserts skip tombstoned slots whose row lock another
-// transaction still holds (the deleting transaction's abort restores its
-// row at that exact RID — a latent collision that group commit's real
-// concurrency made urgent).
+// fuzz); inserts never reuse a tombstoned slot a live transaction still
+// reserves (the deleting transaction's abort restores its row at that
+// exact RID — a latent collision that group commit's real concurrency
+// made urgent; see "One undo" below).
 //
 // # Non-quiescing checkpoints via page LSNs (PR5)
 //
@@ -277,11 +279,29 @@
 // makes those a no-op instead of the hybrid states that forced PR3's
 // logical materialization, and replaying the same tail twice changes
 // nothing (TestRedoIdempotent). Losers (no verdict record) are then
-// undone newest-first by forcing slots back to their before-images —
-// state-idempotent, so recovery crashing mid-undo and re-running
-// converges. The per-slot prior→final outcome machine survives from PR3
-// only as the delta feed for loaded index chains and persisted content
-// hashes.
+// undone by forcing each slot they touched back to its oldest
+// before-image — state-idempotent, so recovery crashing mid-undo and
+// re-running converges. The delta feed for loaded index chains and
+// persisted content hashes comes from the same walk: redo records each
+// slot's first tail record as its prior, and after undo the heap holds
+// each touched slot's final state.
+//
+// One undo. Runtime Abort and recovery undo through one routine,
+// DB.undoSlots: per (table, RID) the oldest record's before-image is the
+// target, and slots are forced tombstones first, then live rows, each
+// exactly once and always at its own RID. Abort logs one compensation
+// record per forced slot and puts every restored index entry in before it
+// takes any undone one out. What makes "at its own RID" always possible
+// is a heap rule in the style of ARIES's space reservation: a slot a live
+// transaction has touched belongs to it until it ends. The writer
+// reserves the slot with its before-image's size when it first mutates
+// the row; inserts skip reserved slots, and inserts and in-place growth
+// see each page's capacity minus every reserved slot's shortfall,
+// max(0, reserved − current length). A heap with no reservations pays
+// one atomic load per insert for the rule. TestUndoOnRefilledPage (three
+// write shapes × runtime abort or crash, each on a page another
+// transaction refilled) and the aborting writers in
+// TestHeapPageLatchReadersVsWriters hold it.
 //
 // Fuzzy checkpoint protocol. A checkpoint brackets itself with
 // begin/end WAL records (the begin record carries the dirty-page table

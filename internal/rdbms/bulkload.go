@@ -186,7 +186,7 @@ func (h *HeapFile) AppendChunk(tups []Tuple, maxPages int, onPinned func(rids []
 			break // commit what fits; the caller will fail on the retry
 		}
 		if curP != nil {
-			if slot, ok := curP.insert(rec, nil); ok {
+			if slot, ok := curP.insert(rec, reservations{}); ok {
 				rids = append(rids, RID{Page: curID, Slot: slot})
 				recs = append(recs, rec)
 				continue
@@ -205,7 +205,7 @@ func (h *HeapFile) AppendChunk(tups []Tuple, maxPages int, onPinned func(rids []
 		p.setNext(InvalidPage)
 		pages = append(pages, g)
 		curID, curP = id, p
-		slot, ok := p.insert(rec, nil)
+		slot, ok := p.insert(rec, reservations{})
 		if !ok {
 			unpinAll()
 			return nil, 0, 0, fmt.Errorf("rdbms: tuple does not fit in a fresh page")

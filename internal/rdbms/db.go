@@ -681,16 +681,17 @@ func (db *DB) Close() error {
 //     the log position" and "page behind it" is normal; the gate makes
 //     both cases converge, and replaying the same tail twice is a no-op.
 //
-//   - Undo: transactions with no verdict record lost the crash; each
-//     slot they touched is forced back to the before-image of its oldest
-//     loser record. "Set slot to X" is state-idempotent, so recovery
-//     crashing mid-undo and re-running converges too. (Transactions
-//     aborted before the crash need no undo: their compensation records
-//     replayed as part of redo.)
+//   - Undo: transactions with no verdict record lost the crash; undoSlots
+//     (the routine Abort uses) forces each slot they touched back to the
+//     before-image of its oldest loser record. "Set slot to X" is
+//     state-idempotent, so recovery crashing mid-undo and re-running
+//     converges too. (Transactions aborted before the crash need no undo:
+//     their compensation records replayed as part of redo.)
 //
 //   - Derived state: an index whose catalog entry is marked consistent
 //     (captured at snapLSN with no transaction active) bulk-loads from
-//     its chain and applies just the tail's per-slot prior→final deltas;
+//     its chain and applies just the tail's per-slot prior→final deltas
+//     (prior from the slot's first tail record, final from the heap);
 //     anything else — stale, torn, or fuzzy-invalidated — rebuilds from
 //     the heap. Content hashes likewise: valid ones delta-adjust from
 //     the tail, invalid ones recompute during the rebuild scan.
@@ -836,6 +837,13 @@ func (db *DB) recover() error {
 	}
 	var lastKey redoPageKey
 	var lastApplied bool
+	// first holds each touched slot's first tail record: it reveals the
+	// slot's snapshot-time content (for a consistency-captured table no
+	// record predates the snapshot, so this record's before-image — or,
+	// for an insert, the slot's emptiness — is exactly what a loaded chain
+	// and a valid hash describe).
+	first := map[chainRef]*LogRecord{}
+	var losers []*LogRecord
 	for _, r := range records {
 		if r.Kind != LogInsert && r.Kind != LogDelete && r.Kind != LogUpdate {
 			continue
@@ -843,6 +851,12 @@ func (db *DB) recover() error {
 		t := db.tables[r.Table]
 		if t == nil || r.LSN < t.bornLSN {
 			continue // table dropped (or recreated) after the record was written
+		}
+		if ref := (chainRef{table: r.Table, rid: r.Row}); first[ref] == nil {
+			first[ref] = r
+		}
+		if !resolved[r.Txn] {
+			losers = append(losers, r)
 		}
 		if err := db.ensureHeapPage(t, r.Row.Page); err != nil {
 			return err
@@ -854,7 +868,7 @@ func (db *DB) recover() error {
 		key := redoPageKey{table: r.Table, page: r.Row.Page, lsn: r.LSN}
 		if key == lastKey {
 			if lastApplied {
-				if err := t.Heap.ForceSlot(r.Row, sc, r.LSN); err != nil {
+				if err := t.Heap.ForceSlot(r.Row, sc, func(RID) LSN { return r.LSN }); err != nil {
 					return err
 				}
 			}
@@ -867,136 +881,51 @@ func (db *DB) recover() error {
 		lastKey, lastApplied = key, applied
 	}
 
-	// Undo: roll loser transactions back. Under strict 2PL a loser is the
-	// last writer of every slot it touched, so the slot's rollback target
-	// is the before-image of the loser's oldest record on it. Forcing each
-	// slot once, tombstones first, skips the intermediate states of a
-	// record-by-record reverse walk — a row the loser inserted and then
-	// deleted need not be restored into space other transactions have
-	// since filled. Undo writes are stamped just below the durable end, so
-	// a re-run's redo pass skips everything on those pages (they reflect
-	// the whole tail) while records appended after recovery — whose LSNs
-	// start at the durable end — still replay.
+	// Undo: roll loser transactions back with the routine Abort uses. Undo
+	// writes are stamped just below the durable end, so a re-run's redo
+	// pass skips everything on those pages (they reflect the whole tail)
+	// while records appended after recovery — whose LSNs start at the
+	// durable end — still replay.
 	undoStamp := db.wal.FlushedLSN()
 	if undoStamp > 0 {
 		undoStamp--
 	}
-	var oldest []*LogRecord // each loser slot's oldest record
-	undone := map[chainRef]bool{}
-	for _, r := range records {
-		if r.Kind != LogInsert && r.Kind != LogDelete && r.Kind != LogUpdate || resolved[r.Txn] {
-			continue
-		}
-		t := db.tables[r.Table]
-		ref := chainRef{table: r.Table, rid: r.Row}
-		if t == nil || r.LSN < t.bornLSN || undone[ref] {
-			continue
-		}
-		undone[ref] = true
-		oldest = append(oldest, r)
-	}
-	for _, live := range [...]bool{false, true} {
-		for _, r := range oldest {
-			if (r.Kind != LogInsert) != live {
-				continue
-			}
-			sc := SlotContent{Live: live}
-			if live {
-				sc.Tup = r.Before
-			}
-			if err := db.tables[r.Table].Heap.ForceSlot(r.Row, sc, undoStamp); err != nil {
-				return err
-			}
-		}
+	if _, err := db.undoSlots(losers, func(slotChange) LSN { return undoStamp }); err != nil {
+		return err
 	}
 
-	// Per-slot prior→final outcomes, for the derived-state deltas: the
-	// prior is the slot's state at the table's snapshot LSN (what a
-	// loaded chain and a valid hash still describe), the final is its
-	// post-undo state. The page content itself was already settled by
-	// redo+undo above.
-	final := map[string]map[RID]*slotOutcome{}
-	for _, r := range records {
-		if r.Kind != LogInsert && r.Kind != LogDelete && r.Kind != LogUpdate {
-			continue
-		}
-		if t := db.tables[r.Table]; t == nil || r.LSN < t.bornLSN {
-			continue
-		}
-		byRID := final[r.Table]
-		if byRID == nil {
-			byRID = map[RID]*slotOutcome{}
-			final[r.Table] = byRID
-		}
-		st := byRID[r.Row]
-		if st == nil {
-			st = &slotOutcome{}
-			byRID[r.Row] = st
-		}
-		if !st.priorSet {
-			// The first tail record on a slot reveals its snapshot-time
-			// content (for a consistency-captured table no record predates
-			// the snapshot, so this record's before-image — or, for an
-			// insert, the slot's emptiness — is exactly what the chain and
-			// hash describe).
-			switch r.Kind {
-			case LogInsert:
-				st.priorLive = false
-			case LogDelete, LogUpdate:
-				st.priorLive, st.prior = true, r.Before
-			}
-			st.priorSet = true
-		}
-		if st.frozen {
-			continue // later records on a loser-trailed slot are the same loser's
-		}
-		if resolved[r.Txn] {
-			switch r.Kind {
-			case LogInsert, LogUpdate:
-				st.live, st.tup = true, r.After
-			case LogDelete:
-				st.live, st.tup = false, nil
-			}
-			st.decided = true
-		} else {
-			// First record of the in-flight loser on this slot: freeze the
-			// slot at the state just before it.
-			if !st.decided {
-				switch r.Kind {
-				case LogInsert:
-					st.live = false
-				case LogDelete, LogUpdate:
-					st.live, st.tup = true, r.Before
-				}
-				st.decided = true
-			}
-			st.frozen = true
-		}
-	}
-
-	// Index maintenance: loaded chains take the tail deltas; the rest
-	// rebuild from the (now settled) heap. Content hashes ride along —
-	// valid ones delta-adjust, invalid ones recompute during the scan.
+	// Index maintenance: loaded chains take the tail deltas, from each
+	// touched slot's prior (first tail record) to its final state (the
+	// heap, settled by redo+undo above); the rest rebuild from the heap.
+	// Content hashes ride along — valid ones delta-adjust, invalid ones
+	// recompute during the scan.
 	allLoaded := true
 	allHashesOK := true
 	for name, t := range db.tables {
-		var touched []RID
-		for rid := range final[name] {
-			touched = append(touched, rid)
+		var touched []slotDelta
+		for ref, r := range first {
+			if ref.table != name {
+				continue
+			}
+			d := slotDelta{rid: ref.rid, priorLive: r.Kind != LogInsert, prior: r.Before}
+			var err error
+			if d.final, d.live, err = t.Heap.Get(ref.rid); err != nil {
+				return err
+			}
+			touched = append(touched, d)
 		}
-		sort.Slice(touched, func(i, j int) bool { return ridLess(touched[i], touched[j]) })
+		sort.Slice(touched, func(i, j int) bool { return ridLess(touched[i].rid, touched[j].rid) })
 		needScan := false
 		for col := range t.Indexes {
 			ci := t.Schema.ColIndex(col)
 			if loadedIdx[t][col] {
 				idx := t.Indexes[col]
-				for _, rid := range touched {
-					st := final[name][rid]
-					if st.priorLive {
-						idx.Delete(st.prior[ci], rid)
+				for _, d := range touched {
+					if d.priorLive {
+						idx.Delete(d.prior[ci], d.rid)
 					}
-					if st.live {
-						idx.Insert(st.tup[ci], rid)
+					if d.live {
+						idx.Insert(d.final[ci], d.rid)
 					}
 				}
 				continue
@@ -1007,13 +936,12 @@ func (db *DB) recover() error {
 		if t.hashCols != nil {
 			if hashOK[t] {
 				var delta uint64
-				for _, rid := range touched {
-					st := final[name][rid]
-					if st.priorLive {
-						delta -= t.rowHash(st.prior)
+				for _, d := range touched {
+					if d.priorLive {
+						delta -= t.rowHash(d.prior)
 					}
-					if st.live {
-						delta += t.rowHash(st.tup)
+					if d.live {
+						delta += t.rowHash(d.final)
 					}
 				}
 				t.hash.Add(delta)
@@ -1027,7 +955,7 @@ func (db *DB) recover() error {
 				return err
 			}
 		}
-		if len(final[name]) > 0 || needScan {
+		if len(touched) > 0 || needScan {
 			// The in-memory state has moved past the persisted snapshot;
 			// force the closing checkpoint to re-capture this table.
 			t.noteMutation()
@@ -1091,21 +1019,84 @@ func (db *DB) rebuildDerived(t *Table, loaded map[string]bool) error {
 	return nil
 }
 
-// slotOutcome accumulates one slot's prior (snapshot-time) and final
-// (post-recovery) content while walking the log — the delta feed for
-// loaded index chains and persisted content hashes.
-type slotOutcome struct {
-	live    bool
-	tup     Tuple
-	decided bool // some record has determined this slot's content
-	frozen  bool // an in-flight loser touched the slot; no further updates
-
-	// The slot's snapshot-time state, taken from its first tail record:
-	// what loaded index checkpoints and persisted content hashes still
-	// describe, and therefore the "remove" side of their tail delta.
+// slotDelta is one touched slot's change across the WAL tail — the delta
+// feed for loaded index chains and persisted content hashes: its
+// snapshot-time content (prior, the "remove" side) and its post-recovery
+// content (final, the "add" side).
+type slotDelta struct {
+	rid       RID
 	prior     Tuple
 	priorLive bool
-	priorSet  bool
+	final     Tuple
+	live      bool
+}
+
+// slotChange is the net effect of a run of records on one slot: before is
+// the state the oldest found, after the state the newest left.
+type slotChange struct {
+	table         string
+	rid           RID
+	before, after SlotContent
+}
+
+// slotChanges folds data records, in log order, into one slotChange per
+// slot, in order of first appearance.
+func slotChanges(recs []*LogRecord) []slotChange {
+	at := make(map[chainRef]int, len(recs))
+	var out []slotChange
+	for _, r := range recs {
+		after := SlotContent{Live: r.Kind != LogDelete, Tup: r.After}
+		ref := chainRef{table: r.Table, rid: r.Row}
+		if i, ok := at[ref]; ok {
+			out[i].after = after
+			continue
+		}
+		at[ref] = len(out)
+		before := SlotContent{Live: r.Kind != LogInsert, Tup: r.Before}
+		out = append(out, slotChange{table: r.Table, rid: r.Row, before: before, after: after})
+	}
+	return out
+}
+
+// compensation is the record that logs forcing c's slot from after back to
+// before, attributed to txn.
+func (c slotChange) compensation(txn TxnID) *LogRecord {
+	rec := &LogRecord{Kind: LogUpdate, Txn: txn, Table: c.table, Row: c.rid, Before: c.after.Tup, After: c.before.Tup}
+	if !c.before.Live {
+		rec.Kind = LogDelete
+	} else if !c.after.Live {
+		rec.Kind = LogInsert
+	}
+	return rec
+}
+
+// undoSlots rolls back the writes recs log, given in log order and made by
+// transactions that are still the last writers of every slot they touched
+// (strict 2PL and heap reservations see to that). Each slot is forced
+// once, straight to the before-image of its oldest record, skipping the
+// intermediate states a record-by-record reverse walk would restore; a
+// slot dead before and after needs no write. Slots that end dead go
+// first, so live targets find the space they free. A live target always
+// fits at its own RID: the slot's reservation kept the bytes, and a
+// recovering process finds the pages as the reservations left them.
+// onApply runs for each forced slot under its page's write latch and
+// returns the LSN to stamp. undoSlots returns every slot recs touched.
+// Runtime Abort and recovery both undo through it.
+func (db *DB) undoSlots(recs []*LogRecord, onApply func(slotChange) LSN) ([]slotChange, error) {
+	slots := slotChanges(recs)
+	for _, live := range [...]bool{false, true} {
+		for _, c := range slots {
+			t := db.Table(c.table)
+			if t == nil || c.before.Live != live || !c.before.Live && !c.after.Live {
+				continue
+			}
+			t.noteMutation()
+			if err := t.Heap.ForceSlot(c.rid, c.before, func(RID) LSN { return onApply(c) }); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return slots, nil
 }
 
 // encodeCheckpointInfo serializes the dirty-page table and active

@@ -306,7 +306,7 @@ func TestSlottedPageCompaction(t *testing.T) {
 	}
 	var slots []uint16
 	for {
-		s, ok := p.insert(big, nil)
+		s, ok := p.insert(big, reservations{})
 		if !ok {
 			break
 		}
@@ -322,7 +322,7 @@ func TestSlottedPageCompaction(t *testing.T) {
 			t.Fatalf("del slot %d", slots[i])
 		}
 	}
-	s, ok := p.insert(big, nil)
+	s, ok := p.insert(big, reservations{})
 	if !ok {
 		t.Fatal("insert after deletes should compact and succeed")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // HeapFile is an unordered collection of tuples stored in a chain of
@@ -12,11 +13,24 @@ import (
 // transaction-level isolation is provided above it by the lock manager.
 // mu guards only the chain: the cached page order and the tail-append
 // path that extends it. It is never held just to read page bytes.
+//
+// A slot a live transaction has touched belongs to that transaction until
+// it ends (see reserve): no other insert reuses it, and inserts and
+// in-place growth on its page leave the bytes its before-image needs
+// reclaimable, so undo can always force the before-image back at its own
+// RID. resMu guards the reservations. Reads never take it; an insert or
+// growth takes it only while the heap holds a reservation (nReserved, read
+// atomically, is 0 otherwise), and registering or releasing one takes it
+// once.
 type HeapFile struct {
 	mu    sync.Mutex
 	bp    *BufferPool
 	first PageID
 	pages []PageID // cached chain order
+
+	resMu     sync.Mutex
+	reserved  map[PageID]reservations
+	nReserved atomic.Int64
 }
 
 // CreateHeapFile allocates the first page of a new heap.
@@ -112,8 +126,71 @@ func applied(p *slottedPage, rid RID, onApply func(RID) LSN) {
 	}
 }
 
+// reserve records that a live transaction has touched rid and that its
+// undo may need bytes of payload back there (the encoded length of the
+// row it first found; 0 for a row it inserted). The transaction registers
+// the first time it mutates the row, before the heap bytes change, and
+// releases at its end (unreserve).
+func (h *HeapFile) reserve(rid RID, bytes int) {
+	h.resMu.Lock()
+	defer h.resMu.Unlock()
+	if h.reserved == nil {
+		h.reserved = make(map[PageID]reservations)
+	}
+	res := h.reserved[rid.Page]
+	if res.holds(rid.Slot) {
+		return // a slot has one owner, which registers once (Txn.noteVersion)
+	}
+	res.slots = append(res.slots, slotReserve{slot: rid.Slot, bytes: bytes})
+	if bytes > 0 {
+		res.sized++
+	}
+	h.reserved[rid.Page] = res
+	h.nReserved.Add(1)
+}
+
+// unreserve releases rid's reservation, if any.
+func (h *HeapFile) unreserve(rid RID) {
+	h.resMu.Lock()
+	defer h.resMu.Unlock()
+	res := h.reserved[rid.Page]
+	for i, r := range res.slots {
+		if r.slot != rid.Slot {
+			continue
+		}
+		last := len(res.slots) - 1
+		res.slots[i] = res.slots[last]
+		res.slots = res.slots[:last]
+		if r.bytes > 0 {
+			res.sized--
+		}
+		if last == 0 {
+			delete(h.reserved, rid.Page)
+		} else {
+			h.reserved[rid.Page] = res
+		}
+		h.nReserved.Add(-1)
+		return
+	}
+}
+
+// withReserved runs fn with page id's reservations (empty when none),
+// holding resMu while the heap has any. The caller holds the page's write
+// latch. A reservation registered after the nReserved load belongs to a
+// writer that has not yet changed its slot (that needs this latch), so
+// the slot lacks nothing yet.
+func (h *HeapFile) withReserved(id PageID, fn func(res reservations)) {
+	if h.nReserved.Load() == 0 {
+		fn(reservations{})
+		return
+	}
+	h.resMu.Lock()
+	defer h.resMu.Unlock()
+	fn(h.reserved[id])
+}
+
 // Insert stores a tuple and returns its RID.
-func (h *HeapFile) Insert(t Tuple) (RID, error) { return h.InsertWhere(t, nil, nil) }
+func (h *HeapFile) Insert(t Tuple) (RID, error) { return h.InsertWhere(t, nil) }
 
 // InsertWhere stores a tuple and, while the target page is still latched,
 // invokes onApply with the new RID. Latched pages cannot be evicted, so a
@@ -122,13 +199,7 @@ func (h *HeapFile) Insert(t Tuple) (RID, error) { return h.InsertWhere(t, nil, n
 // the record it logged, which is stamped into the page header (the page
 // LSN recovery's redo gating compares against); return 0 for unlogged
 // mutations.
-//
-// A non-nil slotOK vetoes candidate slots (tombstone reuse and fresh
-// slots alike). The transaction layer uses it to skip tombstoned slots
-// whose row lock is still held by a concurrent deleting transaction —
-// reusing such a slot would collide with that transaction's abort, which
-// restores its row at the same RID.
-func (h *HeapFile) InsertWhere(t Tuple, slotOK func(RID) bool, onApply func(RID) LSN) (RID, error) {
+func (h *HeapFile) InsertWhere(t Tuple, onApply func(RID) LSN) (RID, error) {
 	rec := EncodeTuple(t)
 	if len(rec)+slotSize > PageSize-pageHeaderSize {
 		return RID{}, fmt.Errorf("rdbms: tuple of %d bytes exceeds page capacity", len(rec))
@@ -142,7 +213,7 @@ func (h *HeapFile) InsertWhere(t Tuple, slotOK func(RID) bool, onApply func(RID)
 	h.mu.Unlock()
 	for {
 		for _, id := range order {
-			if rid, ok, err := h.insertInto(id, rec, slotOK, onApply); ok || err != nil {
+			if rid, ok, err := h.insertInto(id, rec, onApply); ok || err != nil {
 				return rid, err
 			}
 		}
@@ -156,18 +227,20 @@ func (h *HeapFile) InsertWhere(t Tuple, slotOK func(RID) bool, onApply func(RID)
 }
 
 // insertInto places rec on page id under its write latch if it fits.
-func (h *HeapFile) insertInto(id PageID, rec []byte, slotOK func(RID) bool, onApply func(RID) LSN) (rid RID, ok bool, err error) {
+func (h *HeapFile) insertInto(id PageID, rec []byte, onApply func(RID) LSN) (rid RID, ok bool, err error) {
 	g, err := h.bp.Pin(id, LatchExclusive)
 	if err != nil {
 		return RID{}, false, err
 	}
 	defer func() { g.Release(ok) }()
-	var pageOK func(uint16) bool
-	if slotOK != nil {
-		pageOK = func(slot uint16) bool { return slotOK(RID{Page: id, Slot: slot}) }
-	}
 	p := newSlottedPage(g.Data())
-	slot, ok := p.insert(rec, pageOK)
+	if p.freeSpace() < len(rec) && p.reclaimable() < len(rec) {
+		// Full for rec whatever the reservations say: an insert walking the
+		// chain past full pages does not consult them.
+		return RID{}, false, nil
+	}
+	var slot uint16
+	h.withReserved(id, func(res reservations) { slot, ok = p.insert(rec, res) })
 	if !ok {
 		return RID{}, false, nil
 	}
@@ -195,33 +268,6 @@ func (h *HeapFile) Adopt(id PageID) error {
 	return h.linkLocked(id)
 }
 
-// InsertAt re-inserts a tuple at a specific RID if that slot is free; used
-// by abort to restore rows idempotently. If the exact slot cannot be
-// honoured (already occupied by live data) it returns an error.
-func (h *HeapFile) InsertAt(rid RID, t Tuple) error { return h.InsertAtWith(rid, t, nil) }
-
-// InsertAtWith is InsertAt with an onApply hook (see InsertWhere for the
-// write-ahead rationale and the page-LSN stamping contract).
-func (h *HeapFile) InsertAtWith(rid RID, t Tuple, onApply func(RID) LSN) error {
-	rec := EncodeTuple(t)
-	g, err := h.bp.Pin(rid.Page, LatchExclusive)
-	if err != nil {
-		return err
-	}
-	defer g.Release(true)
-	p := newSlottedPage(g.Data())
-	if rid.Slot < p.numSlots() {
-		if _, live := p.read(rid.Slot); live {
-			return fmt.Errorf("rdbms: InsertAt %v: slot occupied", rid)
-		}
-	}
-	if err := setSlotContent(p, rid.Slot, SlotContent{Live: true, Tup: t}, rec); err != nil {
-		return fmt.Errorf("rdbms: InsertAt %v: %w", rid, err)
-	}
-	applied(p, rid, onApply)
-	return nil
-}
-
 // SlotContent is the target state of one slot for RedoSlot / ForceSlot.
 type SlotContent struct {
 	Live bool
@@ -231,11 +277,11 @@ type SlotContent struct {
 // setSlotContent forces slot s of p to exactly sc: dead slots are
 // tombstoned (extending the slot array if s is beyond it), live contents
 // are placed slot-pinned — rows never move to another RID — compacting
-// the page as needed. rec may carry sc.Tup pre-encoded (nil to encode
-// here).
-func setSlotContent(p *slottedPage, s uint16, sc SlotContent, rec []byte) error {
+// the page as needed. Reservations do not apply: the writes it serves are
+// the reservation owners' own restores, and redo of what the page held.
+func setSlotContent(p *slottedPage, s uint16, sc SlotContent) error {
 	for p.numSlots() <= s {
-		if p.freeSpace() < slotSize && !p.compactFor(slotSize) {
+		if !p.room(slotSize, 0) {
 			return fmt.Errorf("no slot space")
 		}
 		n := p.numSlots()
@@ -246,10 +292,8 @@ func setSlotContent(p *slottedPage, s uint16, sc SlotContent, rec []byte) error 
 	if !sc.Live {
 		return nil
 	}
-	if rec == nil {
-		rec = EncodeTuple(sc.Tup)
-	}
-	if p.freeSpace() < len(rec) && !p.compactFor(len(rec)) {
+	rec := EncodeTuple(sc.Tup)
+	if !p.room(len(rec), 0) {
 		return fmt.Errorf("no space for %d bytes", len(rec))
 	}
 	newStart := p.freeStart() - uint16(len(rec))
@@ -277,28 +321,29 @@ func (h *HeapFile) RedoSlot(rid RID, sc SlotContent, lsn LSN) (bool, error) {
 		return false, nil
 	}
 	defer g.Release(true)
-	if err := setSlotContent(p, rid.Slot, sc, nil); err != nil {
+	if err := setSlotContent(p, rid.Slot, sc); err != nil {
 		return false, fmt.Errorf("rdbms: redo %v: %w", rid, err)
 	}
 	p.setPageLSN(lsn)
 	return true, nil
 }
 
-// ForceSlot sets a slot's content unconditionally, stamping the page with
-// lsn. Recovery's undo pass uses it to roll loser transactions back to
-// their before-images: "set slot to X" is state-idempotent, so re-running
-// undo after a crash during recovery converges to the same pages.
-func (h *HeapFile) ForceSlot(rid RID, sc SlotContent, lsn LSN) error {
+// ForceSlot sets a slot's content unconditionally, with an onApply hook
+// (see InsertWhere). Undo uses it to put rows back to their before-images:
+// "set slot to X" is state-idempotent, so re-running undo after a crash
+// converges to the same pages, and the slot's reservation guarantees a
+// before-image fits at its own RID.
+func (h *HeapFile) ForceSlot(rid RID, sc SlotContent, onApply func(RID) LSN) error {
 	g, err := h.bp.Pin(rid.Page, LatchExclusive)
 	if err != nil {
 		return err
 	}
 	defer g.Release(true)
 	p := newSlottedPage(g.Data())
-	if err := setSlotContent(p, rid.Slot, sc, nil); err != nil {
+	if err := setSlotContent(p, rid.Slot, sc); err != nil {
 		return fmt.Errorf("rdbms: undo %v: %w", rid, err)
 	}
-	p.setPageLSN(lsn)
+	applied(p, rid, onApply)
 	return nil
 }
 
@@ -363,7 +408,8 @@ func (h *HeapFile) Update(rid RID, t Tuple) (RID, error) {
 }
 
 // TryUpdateInPlace replaces the tuple at rid if the new encoding fits in
-// its page, with an onApply hook (see InsertWhere). ok is false when the
+// its page, with an onApply hook (see InsertWhere). Growth leaves the
+// bytes the page's reservations lack reclaimable. ok is false when the
 // tuple must move (caller performs delete+insert, each separately logged).
 func (h *HeapFile) TryUpdateInPlace(rid RID, t Tuple, onApply func(RID) LSN) (newRID RID, ok bool, err error) {
 	rec := EncodeTuple(t)
@@ -373,7 +419,8 @@ func (h *HeapFile) TryUpdateInPlace(rid RID, t Tuple, onApply func(RID) LSN) (ne
 	}
 	defer func() { g.Release(ok) }()
 	p := newSlottedPage(g.Data())
-	if ok = p.update(rid.Slot, rec); !ok {
+	h.withReserved(rid.Page, func(res reservations) { ok = p.update(rid.Slot, rec, res) })
+	if !ok {
 		if _, live := p.read(rid.Slot); !live {
 			return RID{}, false, fmt.Errorf("rdbms: update of missing row %v", rid)
 		}

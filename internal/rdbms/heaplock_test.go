@@ -10,9 +10,9 @@ import (
 )
 
 // Regression for the tombstone-reuse concurrency gap: an insert must not
-// reuse a tombstoned slot whose row lock is still held by the deleting
-// transaction. If it did, the deleter's abort would try to restore its
-// row at the reused RID and collide with the newcomer.
+// reuse a tombstoned slot the deleting transaction still reserves. If it
+// did, the deleter's abort would try to restore its row at the reused RID
+// and collide with the newcomer.
 func TestInsertSkipsLockedTombstoneSlot(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE kv (k INT, v STRING)")
@@ -27,14 +27,14 @@ func TestInsertSkipsLockedTombstoneSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Txn A deletes the row and stays open: its X lock on rid0 outlives
-	// the tombstone.
+	// Txn A deletes the row and stays open: its reservation of rid0
+	// outlives the tombstone.
 	txA := db.Begin()
 	if err := txA.Delete("kv", rid0); err != nil {
 		t.Fatal(err)
 	}
 
-	// Txn B inserts concurrently. Without the slot filter it would grab
+	// Txn B inserts concurrently. Without the reservation it would grab
 	// rid0 (the only tombstone on a page with plenty of free space).
 	txB := db.Begin()
 	ridB, err := txB.Insert("kv", Tuple{NewInt(2), NewString("newcomer")})
@@ -42,7 +42,7 @@ func TestInsertSkipsLockedTombstoneSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ridB == rid0 {
-		t.Fatalf("insert reused tombstoned slot %v still row-locked by the deleting txn", rid0)
+		t.Fatalf("insert reused tombstoned slot %v still reserved by the deleting txn", rid0)
 	}
 	if err := txB.Commit(); err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestInsertSkipsLockedTombstoneSlot(t *testing.T) {
 }
 
 // TestInsertReusesTombstoneAfterRelease: once the deleting transaction
-// commits (releasing its locks), the tombstoned slot is fair game again —
-// the filter must not permanently retire slots.
+// commits (releasing its reservations), the tombstoned slot is fair game
+// again — reservations must not permanently retire slots.
 func TestInsertReusesTombstoneAfterRelease(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE kv (k INT, v STRING)")
@@ -160,19 +160,28 @@ func TestConcurrentDeleteInsertChurn(t *testing.T) {
 // shrinking the payload, so pages compact), delete and abort their own
 // rows on the same pages. Row locks never conflict, so only the page latch
 // stands between a reader decoding a page header and a writer rewriting
-// it; under -race an unlatched read is a reported race. Every read must
-// decode to the committed value, and a snapshot must scan the same rows
-// twice.
+// it; under -race an unlatched read is a reported race. An aborter also
+// deletes or shrinks one of the large stable rows, lets a filler commit
+// rows onto the page, and aborts: the row must come back in place, so
+// readers of it wait on its lock (Txn.Get) or resolve its chain (Snap).
+// Every read must decode to the committed value, a snapshot must scan the
+// same rows twice, and no abort may fail.
 func TestHeapPageLatchReadersVsWriters(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE kv (k INT, v STRING)")
 	const (
 		stable  = 16
+		large   = 4 // stable rows the aborter touches
 		writers = 2
 		readers = 2
 		rounds  = 150
 	)
-	stableVal := func(k int64) string { return fmt.Sprintf("stable-%d", k) }
+	stableVal := func(k int64) string {
+		if k < large {
+			return fmt.Sprintf("stable-%d-%s", k, strings.Repeat("l", 600))
+		}
+		return fmt.Sprintf("stable-%d", k)
+	}
 	rids := make([]RID, stable)
 	seed := db.Begin()
 	for k := int64(0); k < stable; k++ {
@@ -211,7 +220,7 @@ func TestHeapPageLatchReadersVsWriters(t *testing.T) {
 		return rows, err
 	}
 
-	errCh := make(chan error, writers+readers)
+	errCh := make(chan error, writers+readers+1)
 	var writersWG, readersWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		w := w
@@ -260,6 +269,57 @@ func TestHeapPageLatchReadersVsWriters(t *testing.T) {
 			}
 		}()
 	}
+	writersWG.Add(1)
+	go func() {
+		defer writersWG.Done()
+		fillVal := NewString(strings.Repeat("f", 400))
+		abortOnce := func(i int) error {
+			k := int64(i % large)
+			tx := db.Begin()
+			var err error
+			if i%2 == 0 {
+				err = tx.Delete("kv", rids[k])
+			} else {
+				_, err = tx.Update("kv", rids[k], Tuple{NewInt(k), NewString("s")})
+			}
+			if err != nil {
+				tx.Abort()
+				return err
+			}
+			fill := db.Begin()
+			var fills []RID
+			for j := 0; j < 3; j++ {
+				rid, err := fill.Insert("kv", Tuple{NewInt(int64(100000 + 3*i + j)), fillVal})
+				if err != nil {
+					fill.Abort()
+					tx.Abort()
+					return err
+				}
+				fills = append(fills, rid)
+			}
+			if err := fill.Commit(); err != nil {
+				tx.Abort()
+				return err
+			}
+			if err := tx.Abort(); err != nil {
+				return fmt.Errorf("abort: %w", err)
+			}
+			clean := db.Begin()
+			for _, rid := range fills {
+				if err := clean.Delete("kv", rid); err != nil {
+					clean.Abort()
+					return err
+				}
+			}
+			return clean.Commit()
+		}
+		for i := 0; i < rounds; i++ {
+			if err := abortOnce(i); err != nil {
+				errCh <- fmt.Errorf("aborter round %d: %w", i, err)
+				return
+			}
+		}
+	}()
 	var stop atomic.Bool
 	for r := 0; r < readers; r++ {
 		r := r

@@ -242,25 +242,6 @@ func (lm *LockManager) ReleaseAll(txn TxnID) {
 	lm.cond.Broadcast()
 }
 
-// HeldByOther reports whether any transaction other than txn holds key in
-// any mode. The insert path uses it to skip tombstoned slots whose row
-// lock is still held by the transaction that deleted them (that
-// transaction's abort would restore its row at the same RID).
-func (lm *LockManager) HeldByOther(txn TxnID, key LockKey) bool {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	ls := lm.locks[key]
-	if ls == nil {
-		return false
-	}
-	for other := range ls.holders {
-		if other != txn {
-			return true
-		}
-	}
-	return false
-}
-
 // Held reports whether txn currently holds key in a mode covering mode.
 func (lm *LockManager) Held(txn TxnID, key LockKey, mode LockMode) bool {
 	lm.mu.Lock()

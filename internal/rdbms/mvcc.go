@@ -91,15 +91,10 @@ type versionChain struct {
 	// retained by the pruner), but an aborted chain's base is at from=0
 	// and would be dropped immediately. The chain therefore stays until
 	// every snapshot with seq < fence has closed — no surviving reader can
-	// hold a pre-undo page copy after that.
+	// hold a pre-undo page copy after that. Undo always restores a row at
+	// its own RID (see HeapFile's reservations), so every aborted chain is
+	// fenced.
 	fence uint64
-	// moved marks the rare abort-undo that could not restore the row in
-	// place (page full even after compaction) and reinserted it at a new
-	// RID. Chain state cannot represent that transition (aborts mint no
-	// LSN), so these chains keep the pre-fix behavior: prompt deletion,
-	// no fence. A reader racing exactly such an abort can still observe
-	// a transient anomaly; see Txn.Abort.
-	moved bool
 }
 
 // batchMarker is the O(1)-per-chunk replacement for per-row bulk-load
@@ -291,31 +286,23 @@ func (vs *VersionStore) pendingBelowLocked(lsn LSN) bool {
 	return false
 }
 
-// finalState is the net effect of one transaction on one row.
-type finalState struct {
-	table string
-	rid   RID
-	live  bool
-	tup   Tuple
-}
-
-// publish appends each row's committed state at lsn, releases the
-// writer holds (touched is a superset of finals' rows: an op that failed
-// before mutating leaves a hold with no final state), and marks lsn
-// published.
-func (vs *VersionStore) publish(lsn LSN, finals []finalState, touched []chainRef) {
+// publish appends each changed row's committed state (its after) at lsn,
+// releases the writer holds (touched is a superset of the changed rows: an
+// op that failed before mutating leaves a hold with no change), and marks
+// lsn published.
+func (vs *VersionStore) publish(lsn LSN, changes []slotChange, touched []chainRef) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	for _, f := range finals {
+	for _, f := range changes {
 		c := vs.chainLocked(f.table, f.rid)
 		if c == nil {
 			continue // table dropped mid-commit (DDL excluded by locks; defensive)
 		}
 		var tup Tuple
-		if f.live {
-			tup = f.tup.Clone()
+		if f.after.Live {
+			tup = f.after.Tup.Clone()
 		}
-		c.versions = append(c.versions, version{from: lsn, live: f.live, tup: tup})
+		c.versions = append(c.versions, version{from: lsn, live: f.after.Live, tup: tup})
 		vs.versions++
 	}
 	for _, r := range touched {
@@ -388,22 +375,12 @@ func (vs *VersionStore) release(touched []chainRef) {
 	for _, r := range touched {
 		if c := vs.chainLocked(r.table, r.rid); c != nil {
 			c.writers--
-			if !c.moved && c.fence < vs.snapSeq {
+			if c.fence < vs.snapSeq {
 				c.fence = vs.snapSeq
 			}
 		}
 	}
 	vs.sweepLocked()
-}
-
-// noteAbortMoved marks a chain whose abort-undo restored the row at a
-// different RID; it opts out of the abort fence (see versionChain.moved).
-func (vs *VersionStore) noteAbortMoved(table string, rid RID) {
-	vs.mu.Lock()
-	if c := vs.chainLocked(table, rid); c != nil {
-		c.moved = true
-	}
-	vs.mu.Unlock()
 }
 
 type chainRef struct {

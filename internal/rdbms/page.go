@@ -291,6 +291,11 @@ func (p *slottedPage) freeSpace() int {
 	return int(p.freeStart()) - slotEnd
 }
 
+// reclaimable returns the usable bytes compaction would leave free.
+func (p *slottedPage) reclaimable() int {
+	return PageSize - pageHeaderSize - int(p.numSlots())*slotSize - p.liveBytes()
+}
+
 // liveBytes sums the payload bytes of live records.
 func (p *slottedPage) liveBytes() int {
 	total := 0
@@ -333,25 +338,76 @@ func (p *slottedPage) compact() {
 	p.setFreeStart(free)
 }
 
-// compactFor compacts the page if doing so yields at least need usable
-// bytes, reporting whether the space is now available. It never compacts
-// unless success is guaranteed, so callers can safely restore slot state
-// on a false return.
-func (p *slottedPage) compactFor(need int) bool {
-	reclaimable := PageSize - pageHeaderSize - int(p.numSlots())*slotSize - p.liveBytes()
-	if reclaimable < need {
+// room makes need contiguous free bytes available while keeping reserve
+// further bytes reclaimable, compacting the page when the free region alone
+// is too small. It never compacts unless success is guaranteed, so callers
+// can safely restore slot state on a false return.
+func (p *slottedPage) room(need, reserve int) bool {
+	if p.freeSpace() >= need+reserve {
+		return true
+	}
+	if p.reclaimable() < need+reserve {
 		return false
 	}
-	p.compact()
+	if p.freeSpace() < need {
+		p.compact()
+	}
 	return true
 }
 
+// slotReserve is one reserved slot (see HeapFile.reserve) and the payload
+// bytes its owner's undo may need back there.
+type slotReserve struct {
+	slot  uint16
+	bytes int
+}
+
+// reservations are one page's reserved slots, and how many of them
+// reserve any bytes (a row its owner inserted reserves none).
+type reservations struct {
+	slots []slotReserve
+	sized int
+}
+
+// holds reports whether slot s is reserved.
+func (res reservations) holds(s uint16) bool {
+	for _, r := range res.slots {
+		if r.slot == s {
+			return true
+		}
+	}
+	return false
+}
+
+// shortfall sums, over the reserved slots in res, the bytes
+// each lacks of its reservation: max(0, reserved - current length), a
+// tombstone counting as 0 and slot at counting as atLen (the length a
+// pending write gives it).
+func (p *slottedPage) shortfall(res reservations, at uint16, atLen int) int {
+	if res.sized == 0 {
+		return 0
+	}
+	total := 0
+	for _, r := range res.slots {
+		if r.bytes == 0 {
+			continue
+		}
+		l := atLen
+		if r.slot != at {
+			rec, _ := p.read(r.slot)
+			l = len(rec)
+		}
+		if r.bytes > l {
+			total += r.bytes - l
+		}
+	}
+	return total
+}
+
 // insert places rec in the page and returns its slot, or false if it does
-// not fit even after compaction. A non-nil slotOK can veto candidate
-// slots (the caller may know a tombstoned slot is still claimed by an
-// in-flight transaction); a vetoed fresh slot means the whole page is
-// unusable for this insert.
-func (p *slottedPage) insert(rec []byte, slotOK func(uint16) bool) (uint16, bool) {
+// not fit even after compaction. The slots in res belong to live
+// transactions: none is reused, and the bytes they lack stay reclaimable.
+func (p *slottedPage) insert(rec []byte, res reservations) (uint16, bool) {
 	if len(rec) > tombstoneLen-1 {
 		return 0, false
 	}
@@ -359,19 +415,16 @@ func (p *slottedPage) insert(rec []byte, slotOK func(uint16) bool) (uint16, bool
 	slot := p.numSlots()
 	newSlot := true
 	for i := uint16(0); i < p.numSlots(); i++ {
-		if _, l := p.slot(i); l == tombstoneLen && (slotOK == nil || slotOK(i)) {
+		if _, l := p.slot(i); l == tombstoneLen && !res.holds(i) {
 			slot, newSlot = i, false
 			break
 		}
-	}
-	if newSlot && slotOK != nil && !slotOK(slot) {
-		return 0, false
 	}
 	need := len(rec)
 	if newSlot {
 		need += slotSize
 	}
-	if p.freeSpace() < need && !p.compactFor(need) {
+	if !p.room(need, p.shortfall(res, slot, len(rec))) {
 		return 0, false
 	}
 	newStart := p.freeStart() - uint16(len(rec))
@@ -411,8 +464,9 @@ func (p *slottedPage) del(i uint16) bool {
 
 // update replaces slot i's record. If the new record fits in the old
 // record's space it is updated in place; otherwise new payload space is
-// taken. Returns false if it cannot fit.
-func (p *slottedPage) update(i uint16, rec []byte) bool {
+// taken, leaving the bytes the reserved slots in res lack reclaimable.
+// Returns false if it cannot fit.
+func (p *slottedPage) update(i uint16, rec []byte, res reservations) bool {
 	if i >= p.numSlots() {
 		return false
 	}
@@ -425,12 +479,12 @@ func (p *slottedPage) update(i uint16, rec []byte) bool {
 		p.setSlot(i, off, uint16(len(rec)))
 		return true
 	}
-	if p.freeSpace() < len(rec) {
+	if reserve := p.shortfall(res, i, len(rec)); p.freeSpace() < len(rec)+reserve {
 		// The old copy's bytes count as reclaimable once the slot is
-		// tombstoned; compactFor only compacts when it will succeed, so
-		// the slot can be restored intact on failure.
+		// tombstoned; room only compacts when it will succeed, so the slot
+		// can be restored intact on failure.
 		p.setSlot(i, 0, tombstoneLen)
-		if !p.compactFor(len(rec)) {
+		if !p.room(len(rec), reserve) {
 			p.setSlot(i, off, l)
 			return false
 		}

@@ -195,57 +195,117 @@ func TestRecoveryUncommittedRolledBack(t *testing.T) {
 	tx3.Commit()
 }
 
-// TestRecoveryLoserInsertDeleteOnRefilledPage: a loser inserts a large
-// row and deletes it again; a committed transaction then fills the page,
-// compacting away the dead row's bytes. Undo must settle the slot on the
-// loser's starting state (empty) without first restoring the large row,
-// which no longer fits.
-func TestRecoveryLoserInsertDeleteOnRefilledPage(t *testing.T) {
-	pager := NewMemPager()
-	wal := NewMemWAL()
-	db, _ := Open(pager, wal, Options{BufferPages: 64})
-	db.CreateTable(TableSchema{Name: "t", Columns: []ColumnDef{{Name: "v", Type: TString}}})
+// TestUndoOnRefilledPage: a writer touches a 1,500-byte row, then another
+// transaction fills the row's page and commits before the writer ends.
+// Whether the writer aborts or is still in flight at a crash, undo must
+// put the slot back as the writer found it, at its original RID, with a
+// matching index entry, every filler row intact and the content hash
+// moved by the filler alone.
+func TestUndoOnRefilledPage(t *testing.T) {
+	orig := Tuple{NewString(strings.Repeat("o", 1500))}
+	shapes := []struct {
+		name      string
+		committed bool // the row is committed before the writer begins
+		touch     func(tx *Txn, rid RID) (RID, error)
+	}{
+		{"insert-delete", false, func(tx *Txn, _ RID) (RID, error) {
+			rid, err := tx.Insert("t", orig)
+			if err == nil {
+				err = tx.Delete("t", rid)
+			}
+			return rid, err
+		}},
+		{"delete-committed", true, func(tx *Txn, rid RID) (RID, error) {
+			return rid, tx.Delete("t", rid)
+		}},
+		{"shrink-committed", true, func(tx *Txn, rid RID) (RID, error) {
+			_, err := tx.Update("t", rid, Tuple{NewString("s")})
+			return rid, err
+		}},
+	}
+	for _, sh := range shapes {
+		for _, ending := range []string{"abort", "crash"} {
+			t.Run(sh.name+"/"+ending, func(t *testing.T) {
+				pager, wal := NewMemPager(), NewMemWAL()
+				db, err := Open(pager, wal, Options{BufferPages: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := db.CreateTable(TableSchema{Name: "t", Columns: []ColumnDef{{Name: "v", Type: TString}}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.CreateIndex("t", "v"); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.EnableContentHash("t", []string{"v"}); err != nil {
+					t.Fatal(err)
+				}
+				var rid RID
+				if sh.committed {
+					seed := db.Begin()
+					if rid, err = seed.Insert("t", orig); err != nil {
+						t.Fatal(err)
+					}
+					if err := seed.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				preHash, _ := db.ContentHash("t")
 
-	loser := db.Begin()
-	big, err := loser.Insert("t", Tuple{NewString(strings.Repeat("b", 1500))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loser.Delete("t", big); err != nil {
-		t.Fatal(err)
-	}
-	filler := db.Begin()
-	n := 0
-	for {
-		rid, err := filler.Insert("t", Tuple{NewString(strings.Repeat("f", 500))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-		if rid.Page != big.Page {
-			break // the loser's page is full
-		}
-	}
-	if err := filler.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Flush(); err != nil {
-		t.Fatal(err)
-	}
+				writer := db.Begin()
+				if rid, err = sh.touch(writer, rid); err != nil {
+					t.Fatal(err)
+				}
+				fill := Tuple{NewString(strings.Repeat("f", 500))}
+				filler := db.Begin()
+				var fills []RID
+				for {
+					r, err := filler.Insert("t", fill)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fills = append(fills, r)
+					if r.Page != rid.Page {
+						break // the writer's page is full
+					}
+				}
+				if err := filler.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				wantHash := preHash + uint64(len(fills))*db.Table("t").rowHash(fill)
 
-	re := crashAndRecover(t, db, pager, wal)
-	tx := re.Begin()
-	defer tx.Commit()
-	rows := 0
-	tx.Scan("t", func(_ RID, tup Tuple) bool {
-		if len(tup[0].S) != 500 {
-			t.Errorf("unexpected row of %d bytes after recovery", len(tup[0].S))
+				if ending == "crash" {
+					db = crashAndRecover(t, db, pager, wal)
+				} else if err := writer.Abort(); err != nil {
+					t.Fatalf("abort: %v", err)
+				}
+
+				tx := db.Begin()
+				defer tx.Commit()
+				got, live, err := tx.Get("t", rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if live != sh.committed || live && !tupleEqual(got, orig) {
+					t.Fatalf("slot %v after undo: live=%v (%d bytes), want live=%v with the original row", rid, live, len(EncodeTuple(got)), sh.committed)
+				}
+				indexed, err := tx.IndexLookup("t", "v", orig[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := map[bool]int{false: 0, true: 1}[sh.committed]; len(indexed) != want || want == 1 && indexed[0] != rid {
+					t.Fatalf("index entries for the row: %v, want %d at %v", indexed, want, rid)
+				}
+				for _, r := range fills {
+					if got, live, err := tx.Get("t", r); err != nil || !live || !tupleEqual(got, fill) {
+						t.Fatalf("filler row %v: live=%v err=%v", r, live, err)
+					}
+				}
+				if h, _ := db.ContentHash("t"); h != wantHash {
+					t.Fatalf("content hash %x, want %x", h, wantHash)
+				}
+			})
 		}
-		rows++
-		return true
-	})
-	if rows != n {
-		t.Fatalf("after recovery: %d rows, want the filler's %d", rows, n)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 
 func TestSlottedPageInsertReadDelete(t *testing.T) {
 	p := newSlottedPage(make([]byte, PageSize))
-	s1, ok := p.insert([]byte("alpha"), nil)
+	s1, ok := p.insert([]byte("alpha"), reservations{})
 	if !ok {
 		t.Fatal("insert failed")
 	}
-	s2, ok := p.insert([]byte("beta"), nil)
+	s2, ok := p.insert([]byte("beta"), reservations{})
 	if !ok {
 		t.Fatal("insert failed")
 	}
@@ -34,7 +34,7 @@ func TestSlottedPageInsertReadDelete(t *testing.T) {
 		t.Fatal("double delete should fail")
 	}
 	// Tombstone slot reused by next insert.
-	s3, ok := p.insert([]byte("gamma"), nil)
+	s3, ok := p.insert([]byte("gamma"), reservations{})
 	if !ok || s3 != s1 {
 		t.Fatalf("tombstone reuse: slot %d, want %d", s3, s1)
 	}
@@ -42,20 +42,20 @@ func TestSlottedPageInsertReadDelete(t *testing.T) {
 
 func TestSlottedPageUpdate(t *testing.T) {
 	p := newSlottedPage(make([]byte, PageSize))
-	s, _ := p.insert([]byte("aaaa"), nil)
-	if !p.update(s, []byte("bb")) {
+	s, _ := p.insert([]byte("aaaa"), reservations{})
+	if !p.update(s, []byte("bb"), reservations{}) {
 		t.Fatal("shrink update failed")
 	}
 	if got, _ := p.read(s); string(got) != "bb" {
 		t.Fatalf("after shrink: %q", got)
 	}
-	if !p.update(s, []byte("cccccccc")) {
+	if !p.update(s, []byte("cccccccc"), reservations{}) {
 		t.Fatal("grow update failed")
 	}
 	if got, _ := p.read(s); string(got) != "cccccccc" {
 		t.Fatalf("after grow: %q", got)
 	}
-	if p.update(99, []byte("x")) {
+	if p.update(99, []byte("x"), reservations{}) {
 		t.Fatal("update of bad slot should fail")
 	}
 }
@@ -65,7 +65,7 @@ func TestSlottedPageFull(t *testing.T) {
 	rec := make([]byte, 100)
 	n := 0
 	for {
-		if _, ok := p.insert(rec, nil); !ok {
+		if _, ok := p.insert(rec, reservations{}); !ok {
 			break
 		}
 		n++
@@ -353,29 +353,29 @@ func TestHeapOpenWalkChain(t *testing.T) {
 	}
 }
 
-func TestHeapInsertAtForRecovery(t *testing.T) {
+func TestHeapForceSlotForRecovery(t *testing.T) {
 	h := newTestHeap(t)
 	rid, _ := h.Insert(Tuple{NewInt(7)})
 	h.Delete(rid)
-	if err := h.InsertAt(rid, Tuple{NewInt(7)}); err != nil {
-		t.Fatal(err)
+	force := func(rid RID, sc SlotContent) {
+		t.Helper()
+		var hooked RID
+		if err := h.ForceSlot(rid, sc, func(r RID) LSN { hooked = r; return 42 }); err != nil {
+			t.Fatal(err)
+		}
+		if hooked != rid {
+			t.Fatalf("onApply saw %v, want %v", hooked, rid)
+		}
+		got, live, _ := h.Get(rid)
+		if live != sc.Live || live && got[0].I != sc.Tup[0].I {
+			t.Fatalf("slot %v = %v (live=%v), want %v", rid, got, live, sc)
+		}
 	}
-	got, live, _ := h.Get(rid)
-	if !live || got[0].I != 7 {
-		t.Fatal("InsertAt into tombstone failed")
-	}
-	if err := h.InsertAt(rid, Tuple{NewInt(8)}); err == nil {
-		t.Fatal("InsertAt into live slot must fail")
-	}
-	// Insert at a slot index beyond the current array.
-	far := RID{Page: rid.Page, Slot: rid.Slot + 5}
-	if err := h.InsertAt(far, Tuple{NewInt(9)}); err != nil {
-		t.Fatal(err)
-	}
-	got, live, _ = h.Get(far)
-	if !live || got[0].I != 9 {
-		t.Fatal("InsertAt beyond slot array failed")
-	}
+	force(rid, SlotContent{Live: true, Tup: Tuple{NewInt(7)}}) // into a tombstone
+	force(rid, SlotContent{Live: true, Tup: Tuple{NewInt(8)}}) // over a live row
+	force(rid, SlotContent{})                                  // back to dead
+	// A slot index beyond the current array.
+	force(RID{Page: rid.Page, Slot: rid.Slot + 5}, SlotContent{Live: true, Tup: Tuple{NewInt(9)}})
 }
 
 func TestHeapAdopt(t *testing.T) {

@@ -35,31 +35,21 @@ type Txn struct {
 	// record but lose the abort, resurrecting a transaction the caller
 	// was told did not commit.
 	commitLogged bool
-	undo         []undoRec
-	// touched tracks the rows whose version chains this transaction holds
-	// (one writer hold per row, taken on first mutation). At commit the
-	// holds convert into published versions; at abort they are released
-	// (undo restored the heap to each chain's base image).
-	touched map[chainRef]struct{}
+	// undo is this transaction's data records, in log order.
+	undo []*LogRecord
+	// touched tracks the rows whose version chains and heap slot
+	// reservations this transaction holds (one of each per row, taken on
+	// first mutation), with the heap holding the reservation. At commit the
+	// chain holds convert into published versions; at abort they are
+	// released (undo restored the heap to each chain's base image). Either
+	// way the reservations go at finish.
+	touched map[chainRef]*HeapFile
 	// hashDelta accumulates, per content-hashed table, the wrapping-sum
 	// delta this transaction's writes apply to the table's multiset
 	// content hash. Applied at Commit (after the log is durable) and
 	// discarded at Abort, whose physical restores return the table — and
 	// therefore the hash — to its pre-transaction state.
 	hashDelta map[string]uint64
-}
-
-// slotFilter returns the tombstone-reuse predicate for inserts: a
-// tombstoned slot whose row lock is still held by another transaction is
-// off limits. The holder is a deleter that may yet abort — its undo would
-// restore the old row at that exact RID, colliding with the new tuple.
-// (The insert path re-locks the chosen RID afterwards; this filter keeps
-// the choice and the lock grant consistent because the only transaction
-// that could hold the lock is the one excluded here.)
-func (tx *Txn) slotFilter(table string) func(RID) bool {
-	return func(rid RID) bool {
-		return !tx.db.lm.HeldByOther(tx.id, RowLock(table, rid))
-	}
 }
 
 // foldHash accumulates a row-content change into the transaction's hash
@@ -81,48 +71,28 @@ func (tx *Txn) foldHash(t *Table, table string, remove, add Tuple) {
 	tx.hashDelta[table] = d
 }
 
-type undoRec struct {
-	kind   LogKind
-	table  string
-	rid    RID
-	before Tuple
-	after  Tuple
-}
-
 // noteVersion records the committed pre-image of a row in the version
-// store the first time this transaction mutates it. It must run before
-// the row's heap bytes can change (the mutation paths call it either
-// ahead of the heap call or inside the onApply hook, which runs under
-// the page's write latch), so snapshot readers that find no chain know
-// the heap bytes they read were committed.
-func (tx *Txn) noteVersion(table string, rid RID, before Tuple, beforeLive bool) {
+// store, and reserves its slot in the heap, the first time this
+// transaction mutates it. It must run before the row's heap bytes can
+// change (the mutation paths call it either ahead of the heap call or
+// inside the onApply hook, which runs under the page's write latch), so
+// snapshot readers that find no chain know the heap bytes they read were
+// committed, and no insert spends the bytes undo needs back.
+func (tx *Txn) noteVersion(t *Table, table string, rid RID, before Tuple, beforeLive bool) {
 	ref := chainRef{table: table, rid: rid}
 	if _, ok := tx.touched[ref]; ok {
 		return
 	}
 	if tx.touched == nil {
-		tx.touched = make(map[chainRef]struct{})
+		tx.touched = make(map[chainRef]*HeapFile)
 	}
-	tx.touched[ref] = struct{}{}
+	tx.touched[ref] = t.Heap
 	tx.db.vs.noteWrite(table, rid, before, beforeLive)
-}
-
-// versionFinals computes the per-row net effect of this transaction from
-// its undo log (the last record per row wins).
-func (tx *Txn) versionFinals() []finalState {
-	finals := make(map[chainRef]int, len(tx.touched))
-	out := make([]finalState, 0, len(tx.touched))
-	for _, u := range tx.undo {
-		f := finalState{table: u.table, rid: u.rid, live: u.kind != LogDelete, tup: u.after}
-		ref := chainRef{table: u.table, rid: u.rid}
-		if i, ok := finals[ref]; ok {
-			out[i] = f
-			continue
-		}
-		finals[ref] = len(out)
-		out = append(out, f)
+	n := 0
+	if beforeLive {
+		n = encodedLen(before)
 	}
-	return out
+	t.Heap.reserve(rid, n)
 }
 
 func (tx *Txn) touchedRefs() []chainRef {
@@ -199,12 +169,15 @@ func (tx *Txn) Insert(table string, tup Tuple) (RID, error) {
 		return RID{}, err
 	}
 	t.noteMutation()
-	rid, err := t.Heap.InsertWhere(tup, tx.slotFilter(table), func(rid RID) LSN {
+	rec := &LogRecord{Kind: LogInsert, Txn: tx.id, Table: table, After: tup}
+	rid, err := t.Heap.InsertWhere(tup, func(rid RID) LSN {
 		// The chosen slot is only known here; this runs under the page's
-		// write latch, so the chain exists before any snapshot reader can
-		// observe the new bytes. The pre-image is "no row".
-		tx.noteVersion(table, rid, nil, false)
-		return tx.db.wal.Append(&LogRecord{Kind: LogInsert, Txn: tx.id, Table: table, Row: rid, After: tup})
+		// write latch, so the chain and the reservation exist before any
+		// reader or inserter can observe the new bytes. The pre-image is
+		// "no row".
+		tx.noteVersion(t, table, rid, nil, false)
+		rec.Row = rid
+		return tx.db.wal.Append(rec)
 	})
 	if err != nil {
 		return RID{}, err
@@ -213,7 +186,7 @@ func (tx *Txn) Insert(table string, tup Tuple) (RID, error) {
 	// applied operation with no undo entry would go uncompensated by
 	// Abort, and recovery would replay it as this transaction's final
 	// verdict on the slot.
-	tx.undo = append(tx.undo, undoRec{kind: LogInsert, table: table, rid: rid, after: tup})
+	tx.undo = append(tx.undo, rec)
 	// Lock the new row exclusively (no other txn can see it anyway until
 	// commit, but readers scanning the heap must block on it).
 	if err := tx.db.lm.Acquire(tx.id, RowLock(table, rid), LockExclusive); err != nil {
@@ -268,10 +241,9 @@ func (tx *Txn) Delete(table string, rid RID) error {
 		return fmt.Errorf("rdbms: delete of missing row %v", rid)
 	}
 	t.noteMutation()
-	tx.noteVersion(table, rid, before, true)
-	ok, err := t.Heap.DeleteWith(rid, func(RID) LSN {
-		return tx.db.wal.Append(&LogRecord{Kind: LogDelete, Txn: tx.id, Table: table, Row: rid, Before: before})
-	})
+	tx.noteVersion(t, table, rid, before, true)
+	rec := &LogRecord{Kind: LogDelete, Txn: tx.id, Table: table, Row: rid, Before: before}
+	ok, err := t.Heap.DeleteWith(rid, func(RID) LSN { return tx.db.wal.Append(rec) })
 	if err != nil {
 		return err
 	}
@@ -282,7 +254,7 @@ func (tx *Txn) Delete(table string, rid RID) error {
 		ci := t.Schema.ColIndex(col)
 		idx.Delete(before[ci], rid)
 	}
-	tx.undo = append(tx.undo, undoRec{kind: LogDelete, table: table, rid: rid, before: before})
+	tx.undo = append(tx.undo, rec)
 	tx.foldHash(t, table, before, nil)
 	return nil
 }
@@ -314,37 +286,37 @@ func (tx *Txn) Update(table string, rid RID, tup Tuple) (RID, error) {
 		return RID{}, fmt.Errorf("rdbms: update of missing row %v", rid)
 	}
 	t.noteMutation()
-	tx.noteVersion(table, rid, before, true)
-	newRID, ok, err := t.Heap.TryUpdateInPlace(rid, tup, func(r RID) LSN {
-		return tx.db.wal.Append(&LogRecord{Kind: LogUpdate, Txn: tx.id, Table: table, Row: r, Before: before, After: tup})
-	})
+	tx.noteVersion(t, table, rid, before, true)
+	rec := &LogRecord{Kind: LogUpdate, Txn: tx.id, Table: table, Row: rid, Before: before, After: tup}
+	newRID, ok, err := t.Heap.TryUpdateInPlace(rid, tup, func(RID) LSN { return tx.db.wal.Append(rec) })
 	if err != nil {
 		return RID{}, err
 	}
 	if ok {
 		tx.fixIndexes(t, rid, newRID, before, tup)
-		tx.undo = append(tx.undo, undoRec{kind: LogUpdate, table: table, rid: newRID, before: before, after: tup})
+		tx.undo = append(tx.undo, rec)
 		tx.foldHash(t, table, before, tup)
 		return newRID, nil
 	}
 	// Tuple moves: logged as delete + insert so each page mutation has its
 	// own record while pinned.
-	if _, err := t.Heap.DeleteWith(rid, func(RID) LSN {
-		return tx.db.wal.Append(&LogRecord{Kind: LogDelete, Txn: tx.id, Table: table, Row: rid, Before: before})
-	}); err != nil {
+	del := &LogRecord{Kind: LogDelete, Txn: tx.id, Table: table, Row: rid, Before: before}
+	if _, err := t.Heap.DeleteWith(rid, func(RID) LSN { return tx.db.wal.Append(del) }); err != nil {
 		return RID{}, err
 	}
-	tx.undo = append(tx.undo, undoRec{kind: LogDelete, table: table, rid: rid, before: before})
-	newRID, err = t.Heap.InsertWhere(tup, tx.slotFilter(table), func(r RID) LSN {
-		tx.noteVersion(table, r, nil, false)
-		return tx.db.wal.Append(&LogRecord{Kind: LogInsert, Txn: tx.id, Table: table, Row: r, After: tup})
+	tx.undo = append(tx.undo, del)
+	ins := &LogRecord{Kind: LogInsert, Txn: tx.id, Table: table, After: tup}
+	newRID, err = t.Heap.InsertWhere(tup, func(r RID) LSN {
+		tx.noteVersion(t, table, r, nil, false)
+		ins.Row = r
+		return tx.db.wal.Append(ins)
 	})
 	if err != nil {
 		return RID{}, err
 	}
 	// Undo entry first, for the same reason as in Insert: the logged
 	// insert must be compensatable even if the lock acquire fails.
-	tx.undo = append(tx.undo, undoRec{kind: LogInsert, table: table, rid: newRID, after: tup})
+	tx.undo = append(tx.undo, ins)
 	if err := tx.db.lm.Acquire(tx.id, RowLock(table, newRID), LockExclusive); err != nil {
 		return RID{}, err
 	}
@@ -583,7 +555,7 @@ func (tx *Txn) Commit() error {
 	if versioned {
 		// Durable: publish the per-row committed states at the commit LSN
 		// so snapshots at or past it resolve to this transaction's writes.
-		tx.db.vs.publish(target, tx.versionFinals(), tx.touchedRefs())
+		tx.db.vs.publish(target, slotChanges(tx.undo), tx.touchedRefs())
 	}
 	tx.finish()
 	if versioned {
@@ -597,98 +569,53 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
-// Abort rolls back all changes using in-memory before-images, then logs
-// the abort and releases locks. Every physical restore is logged as a
-// compensation record attributed to this transaction: recovery replays
-// aborted transactions like winners (the operations and their
-// compensations net to nothing, in global log order), which is what
-// keeps an aborted transaction's undo from firing twice when a later
-// committed transaction reuses the same RID.
+// Abort rolls back all changes with the undo routine recovery uses
+// (DB.undoSlots): each touched slot is forced once, at its own RID, to the
+// before-image this transaction first found there — its reservation kept
+// the bytes for it. Every forced slot is logged as a compensation record
+// attributed to this transaction: recovery replays aborted transactions
+// like winners (the operations and their compensations net to nothing, in
+// global log order), which is what keeps an aborted transaction's undo
+// from firing twice when a later committed transaction reuses the same
+// RID. Then Abort logs the abort and releases locks and reservations.
 func (tx *Txn) Abort() error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	// Index entries of undone inserts come out only after every restore
-	// has put its entries back: undoing a moving update removes the new
-	// RID's entry before it restores the old one, and an index lookup in
-	// between must not find the row missing (see fixIndexes).
-	type indexEntry struct {
-		idx *BTree
-		key Value
-		rid RID
+	slots, err := tx.db.undoSlots(tx.undo, func(c slotChange) LSN {
+		return tx.db.wal.Append(c.compensation(tx.id))
+	})
+	if err != nil {
+		return fmt.Errorf("rdbms: abort: %w", err)
 	}
-	var dels []indexEntry
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		t := tx.db.Table(u.table)
-		if t == nil {
-			continue
-		}
-		t.noteMutation()
-		switch u.kind {
-		case LogInsert:
-			if _, err := t.Heap.DeleteWith(u.rid, func(RID) LSN {
-				return tx.db.wal.Append(&LogRecord{Kind: LogDelete, Txn: tx.id, Table: u.table, Row: u.rid, Before: u.after})
-			}); err != nil {
-				return fmt.Errorf("rdbms: abort undo insert: %w", err)
-			}
-			for col, idx := range t.Indexes {
-				dels = append(dels, indexEntry{idx, u.after[t.Schema.ColIndex(col)], u.rid})
-			}
-		case LogDelete:
-			if err := t.Heap.InsertAtWith(u.rid, u.before, func(RID) LSN {
-				return tx.db.wal.Append(&LogRecord{Kind: LogInsert, Txn: tx.id, Table: u.table, Row: u.rid, After: u.before})
-			}); err != nil {
-				return fmt.Errorf("rdbms: abort undo delete: %w", err)
+	// Every slot's restored index entries go in before any undone entry
+	// comes out: undoing a moving update restores the old RID and empties
+	// the new one, and an index lookup in between must not find the row
+	// missing (see fixIndexes).
+	for pass := range 2 {
+		for _, c := range slots {
+			t := tx.db.Table(c.table)
+			if t == nil {
+				continue
 			}
 			for col, idx := range t.Indexes {
 				ci := t.Schema.ColIndex(col)
-				idx.Insert(u.before[ci], u.rid)
-			}
-		case LogUpdate:
-			restoredRID := u.rid
-			_, ok, err := t.Heap.TryUpdateInPlace(u.rid, u.before, func(r RID) LSN {
-				return tx.db.wal.Append(&LogRecord{Kind: LogUpdate, Txn: tx.id, Table: u.table, Row: r, Before: u.after, After: u.before})
-			})
-			if err != nil {
-				return fmt.Errorf("rdbms: abort undo update: %w", err)
-			}
-			if !ok {
-				// The before-image no longer fits in place: compensate as
-				// a delete + insert, like a moving update.
-				if _, err := t.Heap.DeleteWith(u.rid, func(RID) LSN {
-					return tx.db.wal.Append(&LogRecord{Kind: LogDelete, Txn: tx.id, Table: u.table, Row: u.rid, Before: u.after})
-				}); err != nil {
-					return fmt.Errorf("rdbms: abort undo update: %w", err)
+				if c.before.Live && c.after.Live && eqKey(c.before.Tup[ci], c.after.Tup[ci]) {
+					continue
 				}
-				restoredRID, err = t.Heap.InsertWhere(u.before, tx.slotFilter(u.table), func(r RID) LSN {
-					return tx.db.wal.Append(&LogRecord{Kind: LogInsert, Txn: tx.id, Table: u.table, Row: r, After: u.before})
-				})
-				if err != nil {
-					return fmt.Errorf("rdbms: abort undo update: %w", err)
+				if pass == 0 && c.before.Live {
+					idx.Insert(c.before.Tup[ci], c.rid)
 				}
-				if restoredRID != u.rid {
-					// The row came back at a new RID (original page full
-					// even after compaction). Chain state cannot describe a
-					// relocation without a commit LSN, so this chain opts
-					// out of the abort fence and keeps prompt deletion; a
-					// snapshot scanning across exactly this window may
-					// transiently misread the row — a pre-existing gap,
-					// unreachable for fixed-size tuples.
-					tx.db.vs.noteAbortMoved(u.table, u.rid)
+				if pass == 1 && c.after.Live {
+					idx.Delete(c.after.Tup[ci], c.rid)
 				}
 			}
-			tx.fixIndexes(t, u.rid, restoredRID, u.after, u.before)
 		}
-	}
-	for _, e := range dels {
-		e.idx.Delete(e.key, e.rid)
 	}
 	// Undo restored every touched row to its chain's base image; release
 	// the writer holds without publishing anything.
 	if len(tx.touched) > 0 {
 		tx.db.vs.release(tx.touchedRefs())
-		tx.touched = nil
 	}
 	tx.db.wal.Append(&LogRecord{Kind: LogAbort, Txn: tx.id})
 	if tx.commitLogged {
@@ -706,6 +633,9 @@ func (tx *Txn) Abort() error {
 
 func (tx *Txn) finish() {
 	tx.done = true
+	for ref, h := range tx.touched {
+		h.unreserve(ref.rid)
+	}
 	tx.db.lm.ReleaseAll(tx.id)
 	tx.db.txnMu.Lock()
 	delete(tx.db.active, tx.id)

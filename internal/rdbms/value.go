@@ -237,6 +237,23 @@ func EncodeTuple(t Tuple) []byte {
 	return buf
 }
 
+// encodedLen returns len(EncodeTuple(t)) without encoding.
+func encodedLen(t Tuple) int {
+	n := 4
+	for _, v := range t {
+		n++ // type tag
+		switch v.Type {
+		case TInt, TFloat:
+			n += 8
+		case TString:
+			n += 4 + len(v.S)
+		case TBool:
+			n++
+		}
+	}
+	return n
+}
+
 // DecodeTuple parses a tuple serialized by EncodeTuple.
 func DecodeTuple(buf []byte) (Tuple, error) {
 	if len(buf) < 4 {

@@ -122,7 +122,11 @@ func TestTupleRoundTripProperty(t *testing.T) {
 			tup = append(tup, NewFloat(fl))
 		}
 		tup = append(tup, Null(), NewBool(true), NewBool(false))
-		dec, err := DecodeTuple(EncodeTuple(tup))
+		enc := EncodeTuple(tup)
+		if encodedLen(tup) != len(enc) {
+			return false
+		}
+		dec, err := DecodeTuple(enc)
 		if err != nil || len(dec) != len(tup) {
 			return false
 		}
