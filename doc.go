@@ -657,4 +657,32 @@
 // guided_hot must show none of it (hit rate 1.0).
 // BenchmarkHotPointReadUnderScan in internal/rdbms reports the hit rate
 // of hot point reads between full-heap sweeps.
+//
+// # Keyword index
+//
+// internal/search keeps the inverted index as flat arrays: a term
+// dictionary (term → term ID), one posting list per term sorted by dense
+// document ordinal (ordinal, tf, offset), every posting's token positions
+// in one shared arena, and per-document tables (DocID, title, indexed
+// text, length, sentence spans with the position of each sentence's first
+// token) indexed by ordinal. Building it walks each text once with
+// internal/doc's allocation-free tokenizer (NextToken, AppendTerm), the
+// same one Tokenize wraps for the extractors and the reformulator;
+// TestTokenizeMatchesReference and FuzzTokenize hold it to the old
+// rune-slice tokenizer.
+//
+// Scores are bit-identical to a per-document sum in query-term order:
+// Search adds into a pooled dense accumulator in that order, keeps the
+// same float64 expressions, and breaks ties by the lower DocID.
+// A snippet is the first sentence holding the most occurrences of the
+// query's distinct terms, counted from the stored positions (a binary
+// search over the sentence starts), never by re-tokenizing; a sentence
+// over 200 bytes is cut at the last rune boundary within them.
+// TestSearchMatchesReference compares hits, scores (==), titles and
+// snippets with the old map-based index, kept in reference_test.go, over
+// every city × month query of the served shapes; FuzzSnippet does the same
+// for arbitrary text. TestSearchAllocBudget, TestBuildIndexAllocBudget and
+// TestIndexHeapBudget hold the cost. RefreshChanged rebuilds the index off
+// to the side and swaps it in under the index's lock (Index.Rebuild), so
+// core.System.Index never changes (TestKeywordSearchBesideRefresh).
 package repro

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/alert"
-	"repro/internal/search"
 	"repro/internal/uql"
 	"repro/internal/vstore"
 )
@@ -85,9 +84,11 @@ func (s *System) RefreshChanged(extractor string) ([]string, error) {
 		}
 	}
 	if len(changed) > 0 {
-		// The inverted index has no in-place update; rebuild it so keyword
-		// search reflects the refreshed text.
-		s.Index = search.BuildIndex(s.Corpus)
+		// The inverted index has no in-place update; rebuild it off to the
+		// side and swap it in, so keyword search reflects the refreshed
+		// text. The index keeps the texts it was built from, so a search
+		// running now never reads a Document this loop rewrote.
+		s.Index.Rebuild(s.Corpus)
 		s.Stats.Inc("core.snapshots.refreshed_docs", int64(len(changed)))
 	}
 	return changed, nil

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/alert"
@@ -101,5 +103,50 @@ func TestRefreshUnknownExtractor(t *testing.T) {
 	s, _ := newSystem(t, 3, 0, 0)
 	if _, err := s.RefreshChanged("ghost"); err == nil {
 		t.Fatal("unknown extractor should error")
+	}
+}
+
+// TestKeywordSearchBesideRefresh searches in a loop while crawls are
+// committed and applied. RefreshChanged rewrites document text and
+// rebuilds the index; each search must see the old index or the new one,
+// and the race detector must find no unsynchronized access to either.
+func TestKeywordSearchBesideRefresh(t *testing.T) {
+	s, _ := newSystem(t, 6, 0, 0)
+	ctx := context.Background()
+	s.PlanIncremental(ctx, "city", []string{"temperature"}, 1)
+	if _, err := s.ExtractPending(ctx, "city", 0); err != nil {
+		t.Fatal(err)
+	}
+	base := s.Corpus.FindByTitle("Madison, Wisconsin").Text
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			hits, err := s.KeywordSearch(ctx, "Madison July temperature", 3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(hits) == 0 || hits[0].Title != "Madison, Wisconsin" {
+				t.Errorf("hits = %+v", hits)
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	for i := 0; i < 5; i++ {
+		s.CommitSnapshot(map[string]string{"Madison, Wisconsin": fmt.Sprintf("%s Revision %d.", base, i)})
+		if changed, err := s.RefreshChanged("city"); err != nil || len(changed) != 1 {
+			t.Fatalf("refresh %d: changed %v, err %v", i, changed, err)
+		}
 	}
 }

@@ -85,8 +85,8 @@ func (v *View) reform() (*catSnap, error) {
 }
 
 // KeywordSearch is the View-scoped exploitation mode 1: ranked document
-// hits. The document index is immutable after build, so keyword results
-// are trivially snapshot-consistent.
+// hits. The document index is not versioned: a search sees the documents
+// of the last RefreshChanged, which swaps the whole index at once.
 func (v *View) KeywordSearch(query string, k int) ([]search.Hit, error) {
 	if err := v.err(); err != nil {
 		return nil, err

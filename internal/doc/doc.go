@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // DocID identifies a document within a corpus. IDs are assigned by the
@@ -73,115 +74,131 @@ type Token struct {
 // Tokenize splits text into word tokens. A token is a maximal run of
 // letters/digits (with embedded '.' or '-' kept when flanked by
 // alphanumerics, so "D. Smith" yields "D." and "Smith", and "70.5" stays
-// whole). Positions refer to byte offsets in the input.
+// whole). Positions refer to byte offsets in the input, and each token's
+// Text is the input sliced at its span.
 func Tokenize(text string) []Token {
 	var toks []Token
-	runes := []rune(text)
-	// Byte offset tracking: iterate bytes since our corpora are ASCII-heavy
-	// but remain correct for multibyte runes.
-	byteOff := make([]int, len(runes)+1)
-	off := 0
-	for i, r := range runes {
-		byteOff[i] = off
-		off += runeLen(r)
-	}
-	byteOff[len(runes)] = off
-
-	isWordRune := func(r rune) bool {
-		return unicode.IsLetter(r) || unicode.IsDigit(r)
-	}
-	i := 0
-	for i < len(runes) {
-		if !isWordRune(runes[i]) {
-			i++
-			continue
-		}
-		start := i
-		for i < len(runes) {
-			r := runes[i]
-			if isWordRune(r) {
-				i++
-				continue
-			}
-			// Keep '.', '-', ',' inside numbers and abbreviations when the
-			// next rune continues the token (e.g. "70.5", "1,024", "D.C").
-			if (r == '.' || r == '-' || r == ',' || r == '\'') && i+1 < len(runes) && isWordRune(runes[i+1]) {
-				i += 2
-				continue
-			}
-			// Trailing period after a single capital letter is an initial
-			// ("D."): keep it attached.
-			if r == '.' && i-start == 1 && unicode.IsUpper(runes[start]) {
-				i++
-			}
-			break
-		}
-		sp := Span{Start: byteOff[start], End: byteOff[i]}
-		toks = append(toks, Token{Text: string(runes[start:i]), Span: sp})
+	for sp, ok := NextToken(text, 0); ok; sp, ok = NextToken(text, sp.End) {
+		toks = append(toks, Token{Text: text[sp.Start:sp.End], Span: sp})
 	}
 	return toks
 }
 
-func runeLen(r rune) int {
-	switch {
-	case r < 0x80:
-		return 1
-	case r < 0x800:
-		return 2
-	case r < 0x10000:
-		return 3
-	default:
-		return 4
+// NextToken returns the span of the first token that starts at or after
+// byte offset from, and false when the rest of text holds none. It is the
+// one tokenizer: Tokenize and the search index both walk text with it,
+//
+//	for sp, ok := NextToken(text, 0); ok; sp, ok = NextToken(text, sp.End) { ... }
+//
+// and it allocates nothing. Invalid UTF-8 bytes separate tokens.
+func NextToken(text string, from int) (Span, bool) {
+	i := from
+	for i < len(text) {
+		r, w := decodeRune(text, i)
+		if isWordRune(r) {
+			break
+		}
+		i += w
 	}
+	if i >= len(text) {
+		return Span{}, false
+	}
+	start := i
+	first, w := decodeRune(text, i)
+	i += w
+	firstEnd := i
+	for i < len(text) {
+		r, w := decodeRune(text, i)
+		if isWordRune(r) {
+			i += w
+			continue
+		}
+		// Keep '.', '-', ',' inside numbers and abbreviations when the
+		// next rune continues the token (e.g. "70.5", "1,024", "D.C").
+		if r == '.' || r == '-' || r == ',' || r == '\'' {
+			if next, nw := decodeRune(text, i+w); isWordRune(next) {
+				i += w + nw
+				continue
+			}
+		}
+		// Trailing period after a single capital letter is an initial
+		// ("D."): keep it attached.
+		if r == '.' && i == firstEnd && unicode.IsUpper(first) {
+			i += w
+		}
+		break
+	}
+	return Span{Start: start, End: i}, true
+}
+
+// decodeRune decodes the rune at byte offset i, with an ASCII fast path.
+// Past the end of text it returns (utf8.RuneError, 0).
+func decodeRune(text string, i int) (rune, int) {
+	if i >= len(text) {
+		return utf8.RuneError, 0
+	}
+	if c := text[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(text[i:])
+}
+
+func isWordRune(r rune) bool {
+	if r < utf8.RuneSelf {
+		return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9'
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 // Sentences splits text into sentence spans using a conservative rule:
 // sentences end at '.', '!', '?' or newline boundaries followed by
 // whitespace and an uppercase letter (or end of text). Abbreviation-like
 // single-capital periods do not terminate sentences.
-func Sentences(text string) []Span {
-	var out []Span
+func Sentences(text string) []Span { return AppendSentences(nil, text) }
+
+// AppendSentences appends text's sentence spans (see Sentences) to dst,
+// so a caller splitting many texts can reuse one buffer.
+func AppendSentences(dst []Span, text string) []Span {
 	start := 0
-	rs := []rune(text)
-	pos := 0 // byte position
-	for i := 0; i < len(rs); i++ {
-		r := rs[i]
-		w := runeLen(r)
+	for i := 0; i < len(text); i++ {
 		terminal := false
-		switch r {
+		switch text[i] {
 		case '.', '!', '?':
 			// "D. Smith" — single capital before the period is an initial.
-			if r == '.' && i >= 1 && unicode.IsUpper(rs[i-1]) && (i < 2 || !unicode.IsLetter(rs[i-2])) {
+			if text[i] == '.' && isInitial(text[:i]) {
 				terminal = false
-			} else if i+1 >= len(rs) {
+			} else if i+1 >= len(text) {
 				terminal = true
-			} else if unicode.IsSpace(rs[i+1]) {
+			} else if r, _ := decodeRune(text, i+1); unicode.IsSpace(r) {
 				terminal = true
 			}
 		case '\n':
-			if i+1 < len(rs) && rs[i+1] == '\n' {
-				terminal = true
-			}
+			terminal = i+1 < len(text) && text[i+1] == '\n'
 		}
 		if terminal {
-			end := pos + w
-			if end > start {
-				sp := trimSpan(text, Span{Start: start, End: end})
-				if sp.Len() > 0 {
-					out = append(out, sp)
-				}
+			if sp := trimSpan(text, Span{Start: start, End: i + 1}); sp.Len() > 0 {
+				dst = append(dst, sp)
 			}
-			start = pos + w
+			start = i + 1
 		}
-		pos += w
 	}
 	if start < len(text) {
-		sp := trimSpan(text, Span{Start: start, End: len(text)})
-		if sp.Len() > 0 {
-			out = append(out, sp)
+		if sp := trimSpan(text, Span{Start: start, End: len(text)}); sp.Len() > 0 {
+			dst = append(dst, sp)
 		}
 	}
-	return out
+	return dst
+}
+
+// isInitial reports whether before ends in a single capital letter that
+// does not follow another letter, so a period after it marks an initial.
+func isInitial(before string) bool {
+	last, w := utf8.DecodeLastRuneInString(before)
+	if w == 0 || !unicode.IsUpper(last) {
+		return false
+	}
+	prev, pw := utf8.DecodeLastRuneInString(before[:len(before)-w])
+	return pw == 0 || !unicode.IsLetter(prev)
 }
 
 func trimSpan(text string, s Span) Span {
@@ -198,14 +215,69 @@ func isSpaceByte(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
 }
 
-// NormalizeTerm lowercases a token and strips trailing punctuation; it is
-// the canonical term form used by the search index and extractors.
+// NormalizeTerm lowercases a token and strips leading and trailing
+// characters that are neither letters nor digits; it is the canonical
+// term form used by the search index and extractors. ASCII input that is
+// already lower case comes back as a substring, without allocating.
 func NormalizeTerm(s string) string {
-	s = strings.ToLower(s)
-	s = strings.TrimFunc(s, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-	return s
+	lo, hi, upper, ok := asciiTerm(s)
+	if !ok {
+		return strings.TrimFunc(strings.ToLower(s), func(r rune) bool {
+			return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+		})
+	}
+	if !upper {
+		return s[lo:hi]
+	}
+	return string(appendLower(make([]byte, 0, hi-lo), s[lo:hi]))
+}
+
+// AppendTerm appends NormalizeTerm(s) to dst. For ASCII input it
+// allocates nothing beyond dst's growth, so an index can look terms up
+// with map[string(buf)] and copy a term only when it is new.
+func AppendTerm(dst []byte, s string) []byte {
+	lo, hi, _, ok := asciiTerm(s)
+	if !ok {
+		return append(dst, NormalizeTerm(s)...)
+	}
+	return appendLower(dst, s[lo:hi])
+}
+
+// asciiTerm trims s to its first and last ASCII letter or digit and
+// reports whether the kept part holds an upper-case letter. ok is false
+// when s is not all ASCII.
+func asciiTerm(s string) (lo, hi int, upper, ok bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return 0, 0, false, false
+		}
+	}
+	lo, hi = 0, len(s)
+	for lo < hi && !isWordRune(rune(s[lo])) {
+		lo++
+	}
+	for hi > lo && !isWordRune(rune(s[hi-1])) {
+		hi--
+	}
+	for i := lo; i < hi; i++ {
+		if 'A' <= s[i] && s[i] <= 'Z' {
+			upper = true
+			break
+		}
+	}
+	return lo, hi, upper, true
+}
+
+// appendLower appends ASCII s to dst in lower case.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // Corpus is an in-memory, ordered collection of documents with stable IDs.

@@ -5,14 +5,23 @@
 // March-September temperature in Madison", and (2) the keyword entry mode
 // of the user layer, from which queries are reformulated into structured
 // ones.
+//
+// The index is a handful of flat arrays. A term dictionary maps each term
+// to a term ID; each term's postings are sorted by dense document ordinal;
+// every posting's token positions live in one shared arena; and the
+// per-document tables (DocID, title, text, length, sentences) are slices
+// indexed by ordinal. A query scores into a pooled dense accumulator and
+// answers each hit's snippet from the stored positions and sentence
+// boundaries, so nothing is tokenized at query time except the query.
 package search
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/doc"
 )
@@ -32,93 +41,192 @@ const (
 	bm25B  = 0.75
 )
 
-// posting records one document's statistics for a term.
+// maxSnippet is the byte length past which a snippet is cut.
+const maxSnippet = 200
+
+// posting is one document's entry in a term's posting list: the document
+// ordinal, the term frequency, and where the tf token positions (ascending)
+// start in Index.positions.
 type posting struct {
-	docID doc.DocID
-	tf    int
-	// positions of the term (token index) for phrase/snippet logic.
-	positions []int
+	ord, tf, off uint32
+}
+
+// docEntry is the per-document table, indexed by ordinal.
+type docEntry struct {
+	id    doc.DocID
+	title string
+	text  string // the text the document was indexed from, for snippets
+	len   uint32 // tokens, title included
+	sents uint32 // the document's sentences start here in tables.sents
+}
+
+// sentence is one body sentence: its byte span in the text and the
+// position of its first token. Positions count the title tokens first, so
+// a document's first sentence starts after them.
+type sentence struct {
+	start, end, firstTok uint32
+}
+
+// tables is everything an index holds; Rebuild swaps it whole.
+type tables struct {
+	dict      map[string]uint32 // term -> term ID
+	postings  [][]posting       // by term ID, each sorted by ordinal
+	positions []uint32          // every posting's positions, addressed by posting.off
+	docs      []docEntry        // by ordinal
+	sents     []sentence        // every document's sentences, in ordinal order
+	totalLen  int
 }
 
 // Index is an inverted index. Build once, then query concurrently.
 type Index struct {
-	mu       sync.RWMutex
-	postings map[string][]posting
-	docLen   map[doc.DocID]int
-	titles   map[doc.DocID]string
-	corpus   *doc.Corpus
-	totalLen int
-	n        int
+	mu sync.RWMutex
+	tables
+	add     addScratch
+	queries sync.Pool // *queryScratch
 }
 
-// NewIndex returns an empty index bound to a corpus (for snippeting).
-func NewIndex(corpus *doc.Corpus) *Index {
-	return &Index{
-		postings: make(map[string][]posting),
-		docLen:   make(map[doc.DocID]int),
-		titles:   make(map[doc.DocID]string),
-		corpus:   corpus,
-	}
+// addScratch is Add's reused working memory.
+type addScratch struct {
+	term     []byte   // normalized form of the current token
+	toks     []uint32 // term ID at each position of the document
+	bodyOffs []uint32 // byte offset of each body token
+	sents    []doc.Span
+	count    []uint32 // by term ID: tf, then the arena write cursor
+	distinct []uint32 // the document's term IDs, first occurrence order
+}
+
+// NewIndex returns an empty index.
+func NewIndex() *Index {
+	return &Index{tables: tables{dict: make(map[string]uint32)}}
 }
 
 // BuildIndex indexes every document in the corpus.
 func BuildIndex(corpus *doc.Corpus) *Index {
-	idx := NewIndex(corpus)
+	idx := NewIndex()
 	for _, d := range corpus.Docs() {
 		idx.Add(d)
 	}
+	idx.add = addScratch{}
 	return idx
 }
 
-// Add indexes one document. Title terms are indexed too (titles matter for
-// entity-style queries like "Madison Wisconsin").
+// Rebuild re-indexes corpus off to the side and then swaps the result in,
+// so a query sees either the old documents or the new ones, and callers
+// holding idx never need a new pointer.
+func (idx *Index) Rebuild(corpus *doc.Corpus) {
+	fresh := BuildIndex(corpus)
+	idx.mu.Lock()
+	idx.tables = fresh.tables
+	idx.mu.Unlock()
+}
+
+// Add indexes one new document. Title terms are indexed too (titles
+// matter for entity-style queries like "Madison Wisconsin"); they take the
+// first positions, ahead of the body.
 func (idx *Index) Add(d *doc.Document) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	terms := map[string][]int{}
-	pos := 0
-	for _, tk := range doc.Tokenize(d.Title) {
-		t := doc.NormalizeTerm(tk.Text)
-		if t != "" {
-			terms[t] = append(terms[t], pos)
-			pos++
+	sc := &idx.add
+	ord := uint32(len(idx.docs))
+	sc.toks = idx.appendTerms(sc.toks[:0], nil, d.Title)
+	titleLen := uint32(len(sc.toks))
+	sc.bodyOffs = sc.bodyOffs[:0]
+	sc.toks = idx.appendTerms(sc.toks, &sc.bodyOffs, d.Text)
+
+	// Sentence boundaries as token positions: a sentence's first token is
+	// the first body token at or after its start.
+	idx.docs = append(idx.docs, docEntry{
+		id: d.ID, title: d.Title, text: d.Text,
+		len: uint32(len(sc.toks)), sents: uint32(len(idx.sents)),
+	})
+	sc.sents = doc.AppendSentences(sc.sents[:0], d.Text)
+	j := 0
+	for _, sp := range sc.sents {
+		for j < len(sc.bodyOffs) && sc.bodyOffs[j] < uint32(sp.Start) {
+			j++
+		}
+		idx.sents = append(idx.sents, sentence{
+			start: uint32(sp.Start), end: uint32(sp.End), firstTok: titleLen + uint32(j),
+		})
+	}
+
+	// Count each term's frequency, give each term's positions a run of the
+	// arena, then drop every position into its term's run.
+	if n := len(idx.postings); len(sc.count) < n {
+		sc.count = append(sc.count, make([]uint32, n-len(sc.count))...)
+	}
+	sc.distinct = sc.distinct[:0]
+	for _, t := range sc.toks {
+		if sc.count[t] == 0 {
+			sc.distinct = append(sc.distinct, t)
+		}
+		sc.count[t]++
+	}
+	next := uint32(len(idx.positions))
+	idx.positions = slices.Grow(idx.positions, len(sc.toks))[:int(next)+len(sc.toks)]
+	for _, t := range sc.distinct {
+		tf := sc.count[t]
+		idx.postings[t] = append(idx.postings[t], posting{ord: ord, tf: tf, off: next})
+		sc.count[t] = next
+		next += tf
+	}
+	for p, t := range sc.toks {
+		idx.positions[sc.count[t]] = uint32(p)
+		sc.count[t]++
+	}
+	for _, t := range sc.distinct {
+		sc.count[t] = 0
+	}
+	idx.totalLen += len(sc.toks)
+}
+
+// appendTerms appends the term ID of each of text's tokens to toks, adding
+// new terms to the dictionary, and the byte offset of each to offs when it
+// is not nil.
+func (idx *Index) appendTerms(toks []uint32, offs *[]uint32, text string) []uint32 {
+	sc := &idx.add
+	for sp, ok := doc.NextToken(text, 0); ok; sp, ok = doc.NextToken(text, sp.End) {
+		sc.term = doc.AppendTerm(sc.term[:0], text[sp.Start:sp.End])
+		if len(sc.term) == 0 {
+			continue
+		}
+		id, ok := idx.dict[string(sc.term)]
+		if !ok {
+			id = uint32(len(idx.postings))
+			idx.dict[string(sc.term)] = id
+			idx.postings = append(idx.postings, nil)
+		}
+		toks = append(toks, id)
+		if offs != nil {
+			*offs = append(*offs, uint32(sp.Start))
 		}
 	}
-	for _, tk := range doc.Tokenize(d.Text) {
-		t := doc.NormalizeTerm(tk.Text)
-		if t != "" {
-			terms[t] = append(terms[t], pos)
-			pos++
-		}
-	}
-	for t, positions := range terms {
-		idx.postings[t] = append(idx.postings[t], posting{docID: d.ID, tf: len(positions), positions: positions})
-	}
-	idx.docLen[d.ID] = pos
-	idx.titles[d.ID] = d.Title
-	idx.totalLen += pos
-	idx.n++
+	return toks
 }
 
 // N returns the number of indexed documents.
 func (idx *Index) N() int {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
-	return idx.n
+	return len(idx.docs)
 }
 
 // Terms returns the number of distinct terms.
 func (idx *Index) Terms() int {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
-	return len(idx.postings)
+	return len(idx.dict)
 }
 
 // DocFreq returns how many documents contain term.
 func (idx *Index) DocFreq(term string) int {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
-	return len(idx.postings[doc.NormalizeTerm(term)])
+	id, ok := idx.dict[doc.NormalizeTerm(term)]
+	if !ok {
+		return 0
+	}
+	return len(idx.postings[id])
 }
 
 // Hit is one ranked search result.
@@ -129,210 +237,294 @@ type Hit struct {
 	Snippet string
 }
 
-// Search ranks documents for a free-text query and returns the top k.
-func (idx *Index) Search(query string, k int, ranking Ranking) []Hit {
-	terms := QueryTerms(query)
-	if len(terms) == 0 || k <= 0 {
-		return nil
+// queryScratch is one query's working memory, pooled per index. scores
+// and seen are indexed by ordinal and are all zero between queries; a
+// query clears the entries it touched.
+type queryScratch struct {
+	term    []byte
+	terms   []uint32 // the query's known term IDs, in query order
+	want    []uint32 // the distinct ones, for snippets
+	scores  []float64
+	seen    []bool   // touched ordinals: a TF-IDF score can stay 0
+	touched []uint32 // ordinals with a score, first-touch order
+	top     []uint32 // min-heap of the best ordinals, worst at the root
+	counts  []uint32 // per-sentence query-term counts of one document
+	docs    []docEntry
+}
+
+func (idx *Index) getScratch() *queryScratch {
+	s, _ := idx.queries.Get().(*queryScratch)
+	if s == nil {
+		s = &queryScratch{}
 	}
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	avgLen := 1.0
-	if idx.n > 0 {
-		avgLen = float64(idx.totalLen) / float64(idx.n)
-	}
-	scores := map[doc.DocID]float64{}
-	for _, term := range terms {
-		plist := idx.postings[term]
-		if len(plist) == 0 {
+	return s
+}
+
+func (idx *Index) putScratch(s *queryScratch) {
+	s.docs = nil
+	idx.queries.Put(s)
+}
+
+// lookup fills s.terms with the term IDs of query's terms that the index
+// knows, in query order and with repeats, and s.want with the distinct
+// ones. It returns the number of terms in the query, known or not.
+func (idx *Index) lookup(s *queryScratch, query string) int {
+	s.terms, s.want = s.terms[:0], s.want[:0]
+	n := 0
+	for sp, ok := doc.NextToken(query, 0); ok; sp, ok = doc.NextToken(query, sp.End) {
+		s.term = doc.AppendTerm(s.term[:0], query[sp.Start:sp.End])
+		if len(s.term) == 0 {
 			continue
 		}
+		n++
+		id, ok := idx.dict[string(s.term)]
+		if !ok {
+			continue
+		}
+		s.terms = append(s.terms, id)
+		if !slices.Contains(s.want, id) {
+			s.want = append(s.want, id)
+		}
+	}
+	return n
+}
+
+// Search ranks documents for a free-text query and returns the top k.
+func (idx *Index) Search(query string, k int, ranking Ranking) []Hit {
+	if k <= 0 {
+		return nil
+	}
+	s := idx.getScratch()
+	defer idx.putScratch(s)
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
+	if idx.lookup(s, query) == 0 {
+		return nil
+	}
+	n := len(idx.docs)
+	avgLen := 1.0
+	if n > 0 {
+		avgLen = float64(idx.totalLen) / float64(n)
+	}
+	if len(s.scores) < n {
+		s.scores = make([]float64, n)
+		s.seen = make([]bool, n)
+	}
+	// Accumulate in query-term order, as a per-document sum, so every score
+	// is bit-identical to summing the same terms one at a time.
+	s.touched = s.touched[:0]
+	for _, t := range s.terms {
+		plist := idx.postings[t]
 		df := float64(len(plist))
 		var idf float64
 		switch ranking {
 		case BM25:
-			idf = math.Log(1 + (float64(idx.n)-df+0.5)/(df+0.5))
+			idf = math.Log(1 + (float64(n)-df+0.5)/(df+0.5))
 		case TFIDF:
-			idf = math.Log(float64(idx.n+1) / (df + 1))
+			idf = math.Log(float64(n+1) / (df + 1))
 		}
 		for _, p := range plist {
 			tf := float64(p.tf)
-			var s float64
+			var sc float64
 			switch ranking {
 			case BM25:
-				dl := float64(idx.docLen[p.docID])
-				s = idf * (tf * (bm25K1 + 1)) / (tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
+				dl := float64(idx.docs[p.ord].len)
+				sc = idf * (tf * (bm25K1 + 1)) / (tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
 			case TFIDF:
-				s = idf * (1 + math.Log(tf))
+				sc = idf * (1 + math.Log(tf))
 			}
-			scores[p.docID] += s
+			if !s.seen[p.ord] {
+				s.seen[p.ord] = true
+				s.touched = append(s.touched, p.ord)
+			}
+			s.scores[p.ord] += sc
 		}
 	}
 	// Bounded top-k selection: a min-heap of the k best hits seen so far
-	// (worst at the root), O(n log k) instead of sorting every scored
-	// document. Tie order matches the previous full sort: higher score
-	// first, then lower DocID.
-	h := make(hitHeap, 0, k)
-	for id, s := range scores {
-		hit := Hit{DocID: id, Score: s}
-		if len(h) < k {
-			hit.Title = idx.titles[id]
-			heap.Push(&h, hit)
-			continue
-		}
-		if hitBeats(hit, h[0]) {
-			hit.Title = idx.titles[id]
-			h[0] = hit
-			heap.Fix(&h, 0)
+	// (worst at the root), O(n log k). Higher score ranks first, then the
+	// lower DocID.
+	s.docs = idx.docs
+	s.top = s.top[:0]
+	for _, ord := range s.touched {
+		if len(s.top) < k {
+			s.top = append(s.top, ord)
+			s.up(len(s.top) - 1)
+		} else if s.beats(ord, s.top[0]) {
+			s.top[0] = ord
+			s.down(0, len(s.top))
 		}
 	}
-	hits := make([]Hit, len(h))
-	for i := len(hits) - 1; i >= 0; i-- {
-		hits[i] = heap.Pop(&h).(Hit)
+	hits := make([]Hit, len(s.top))
+	for i := len(s.top) - 1; i >= 0; i-- {
+		ord := s.top[0]
+		s.top[0] = s.top[i]
+		s.down(0, i)
+		d := &idx.docs[ord]
+		hits[i] = Hit{DocID: d.id, Title: d.title, Score: s.scores[ord], Snippet: idx.snippet(s, ord)}
 	}
-	for i := range hits {
-		hits[i].Snippet = idx.snippet(hits[i].DocID, terms)
+	for _, ord := range s.touched {
+		s.scores[ord], s.seen[ord] = 0, false
 	}
 	return hits
 }
 
-// hitBeats reports whether a outranks b: higher score wins, ties go to the
-// lower DocID (deterministic).
-func hitBeats(a, b Hit) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// beats reports whether ordinal a outranks b: higher score wins, ties go
+// to the lower DocID (deterministic).
+func (s *queryScratch) beats(a, b uint32) bool {
+	if s.scores[a] != s.scores[b] {
+		return s.scores[a] > s.scores[b]
 	}
-	return a.DocID < b.DocID
+	return s.docs[a].id < s.docs[b].id
 }
 
-// hitHeap is a min-heap by rank: the root is the worst of the kept hits.
-type hitHeap []Hit
+// up and down restore the heap order of s.top[:n] (worst at the root)
+// after entry i changed.
+func (s *queryScratch) up(i int) {
+	h := s.top
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.beats(h[p], h[i]) {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
 
-func (h hitHeap) Len() int           { return len(h) }
-func (h hitHeap) Less(i, j int) bool { return hitBeats(h[j], h[i]) }
-func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hitHeap) Push(x any)        { *h = append(*h, x.(Hit)) }
-func (h *hitHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (s *queryScratch) down(i, n int) {
+	h := s.top
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && s.beats(h[c], h[c+1]) {
+			c++
+		}
+		if !s.beats(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // QueryTerms normalizes a free-text query into index terms.
 func QueryTerms(query string) []string {
 	var out []string
 	for _, tk := range doc.Tokenize(query) {
-		t := doc.NormalizeTerm(tk.Text)
-		if t != "" {
+		if t := doc.NormalizeTerm(tk.Text); t != "" {
 			out = append(out, t)
 		}
 	}
 	return out
 }
 
-// snippet extracts a sentence containing the most query terms.
-func (idx *Index) snippet(id doc.DocID, terms []string) string {
-	if idx.corpus == nil {
+// find returns the posting of document ord in plist.
+func find(plist []posting, ord uint32) (posting, bool) {
+	i := sort.Search(len(plist), func(i int) bool { return plist[i].ord >= ord })
+	if i < len(plist) && plist[i].ord == ord {
+		return plist[i], true
+	}
+	return posting{}, false
+}
+
+// snippet returns the document's first sentence holding the most
+// occurrences of the query's terms (s.want). It counts each term's stored
+// positions per sentence; nothing is tokenized.
+func (idx *Index) snippet(s *queryScratch, ord uint32) string {
+	d := &idx.docs[ord]
+	end := uint32(len(idx.sents))
+	if int(ord)+1 < len(idx.docs) {
+		end = idx.docs[ord+1].sents
+	}
+	sents := idx.sents[d.sents:end]
+	if len(sents) == 0 {
 		return ""
 	}
-	d := idx.corpus.Get(id)
-	if d == nil {
-		return ""
-	}
-	want := map[string]bool{}
-	for _, t := range terms {
-		want[t] = true
-	}
-	best := ""
-	bestScore := -1
-	for _, sp := range doc.Sentences(d.Text) {
-		sent := d.Slice(sp)
-		score := 0
-		for _, tk := range doc.Tokenize(sent) {
-			if want[doc.NormalizeTerm(tk.Text)] {
-				score++
+	s.counts = append(s.counts[:0], make([]uint32, len(sents))...)
+	for _, t := range s.want {
+		p, ok := find(idx.postings[t], ord)
+		if !ok {
+			continue
+		}
+		for _, pos := range idx.positions[p.off : p.off+p.tf] {
+			// The sentence holding pos is the last one starting at or
+			// before it; title positions precede every sentence.
+			if i := sort.Search(len(sents), func(i int) bool { return sents[i].firstTok > pos }) - 1; i >= 0 {
+				s.counts[i]++
 			}
 		}
-		if score > bestScore {
-			bestScore = score
-			best = sent
+	}
+	best := 0
+	for i, c := range s.counts {
+		if c > s.counts[best] {
+			best = i
 		}
 	}
-	if len(best) > 200 {
-		best = best[:200] + "..."
+	return truncateSnippet(d.text[sents[best].start:sents[best].end])
+}
+
+// truncateSnippet cuts a sentence longer than maxSnippet bytes at the last
+// rune boundary within the limit and marks the cut with "...".
+func truncateSnippet(sent string) string {
+	if len(sent) > maxSnippet {
+		cut := maxSnippet
+		for cut > maxSnippet-utf8.UTFMax && !utf8.RuneStart(sent[cut]) {
+			cut--
+		}
+		sent = sent[:cut] + "..."
 	}
-	return strings.TrimSpace(best)
+	return strings.TrimSpace(sent)
 }
 
 // PhraseSearch returns documents containing the exact normalized phrase,
 // using positional postings.
 func (idx *Index) PhraseSearch(phrase string, k int) []Hit {
-	terms := QueryTerms(phrase)
-	if len(terms) == 0 {
-		return nil
-	}
+	s := idx.getScratch()
+	defer idx.putScratch(s)
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
-	// Candidate docs: intersection over all terms.
-	candidates := map[doc.DocID][][]int{}
-	for i, term := range terms {
-		plist := idx.postings[term]
-		next := map[doc.DocID][][]int{}
-		for _, p := range plist {
-			if i == 0 {
-				next[p.docID] = [][]int{p.positions}
-				continue
-			}
-			if prev, ok := candidates[p.docID]; ok {
-				next[p.docID] = append(prev, p.positions)
-			}
+	if n := idx.lookup(s, phrase); n == 0 || len(s.terms) < n {
+		return nil
+	}
+	var ords []uint32
+	for _, p := range idx.postings[s.terms[0]] {
+		if idx.phraseIn(p, s.terms) {
+			ords = append(ords, p.ord)
 		}
-		candidates = next
-		if len(candidates) == 0 {
-			return nil
-		}
+	}
+	sort.Slice(ords, func(i, j int) bool { return idx.docs[ords[i]].id < idx.docs[ords[j]].id })
+	if k > 0 && len(ords) > k {
+		ords = ords[:k]
 	}
 	var hits []Hit
-	for id, positionLists := range candidates {
-		if len(positionLists) != len(terms) {
-			continue
-		}
-		if hasConsecutiveRun(positionLists) {
-			hits = append(hits, Hit{DocID: id, Title: idx.titles[id], Score: 1})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].DocID < hits[j].DocID })
-	if k > 0 && len(hits) > k {
-		hits = hits[:k]
-	}
-	for i := range hits {
-		hits[i].Snippet = idx.snippet(hits[i].DocID, terms)
+	for _, ord := range ords {
+		d := &idx.docs[ord]
+		hits = append(hits, Hit{DocID: d.id, Title: d.title, Score: 1, Snippet: idx.snippet(s, ord)})
 	}
 	return hits
 }
 
-// hasConsecutiveRun reports whether there exist positions p0 < p1 < ... with
-// p[i+1] = p[i]+1 across the per-term position lists.
-func hasConsecutiveRun(lists [][]int) bool {
-	starts := lists[0]
-	for _, s := range starts {
+// phraseIn reports whether the document of first, a posting of terms[0],
+// holds terms at consecutive positions.
+func (idx *Index) phraseIn(first posting, terms []uint32) bool {
+	lists := make([][]uint32, len(terms))
+	for i, t := range terms {
+		p, ok := find(idx.postings[t], first.ord)
+		if !ok {
+			return false
+		}
+		lists[i] = idx.positions[p.off : p.off+p.tf]
+	}
+	for _, start := range lists[0] {
 		ok := true
-		for i := 1; i < len(lists); i++ {
-			if !containsInt(lists[i], s+i) {
-				ok = false
-				break
-			}
+		for i := 1; i < len(lists) && ok; i++ {
+			_, ok = slices.BinarySearch(lists[i], start+uint32(i))
 		}
 		if ok {
 			return true
 		}
 	}
 	return false
-}
-
-func containsInt(sorted []int, x int) bool {
-	i := sort.SearchInts(sorted, x)
-	return i < len(sorted) && sorted[i] == x
 }
