@@ -30,8 +30,8 @@
 // Writes driven at the rdbms.DB handle directly are outside this
 // contract; all extracted-table writes must go through System.
 //
-// Streaming scans. rdbms SELECT pushes the WHERE clause into the scan
-// callback for single-table queries: rejected tuples are never retained
+// Streaming scans. rdbms SELECT pushes the WHERE clause into the scan's
+// page loop for single-table queries: rejected tuples are never retained
 // or cloned, and unordered, ungrouped, non-distinct LIMIT queries stop
 // the scan as soon as OFFSET+LIMIT rows qualify. Access paths are chosen
 // cost-based — among several usable equality predicates, the index
@@ -636,8 +636,16 @@
 // no stop-the-world — and recovery walks the manifest's segments in
 // order. The checkpoint horizon math is unchanged: a long-running
 // transaction pins the horizon, and the space-bound test proves garbage
-// below the horizon stays within two segments of slack while prefix
-// segments free as commits advance.
+// below the horizon stays within two segments of slack. Prefix segments
+// free only when a checkpoint truncates the log, not as commits advance.
+// Core used to checkpoint at Close alone (or when a caller invoked
+// System.Checkpoint), so a long-lived writer's whole log waited for
+// Close, whose TruncateTo then unlinked every segment while holding the
+// WAL lock. Now a committed core write starts one background checkpoint
+// once the log spans four segments (System.maybeCheckpoint;
+// TestCorrectionsKeepWALShort), and TruncateTo swaps the manifest under
+// the lock but unlinks the dropped files after releasing it
+// (TestTruncateBlockedRemoveLetsAppendsFlush).
 //
 // The proof harness (largerthanram_test.go, segrotate_test.go): an
 // oracle run with the heap ~15x the pool must render byte-identical
@@ -657,6 +665,37 @@
 // guided_hot must show none of it (hit rate 1.0).
 // BenchmarkHotPointReadUnderScan in internal/rdbms reports the hit rate
 // of hot point reads between full-heap sweeps.
+//
+// # Read path: page runs and encoded predicates
+//
+// A SELECT reads its FROM table through one path shared by Txn and Snap
+// (internal/rdbms/readpath.go); the two differ only in their visibility
+// rule. An index access walks its candidates in index order, and each
+// maximal run of consecutive candidates on one heap page shares one pin
+// and one shared latch (readSource.fetchRun); a sequential scan pins each
+// page once. Under the latch each row is resolved: the heap bytes are
+// read first and then, for a Snap, vs.visible is probed — the lock order
+// is page latch, then vs.mu, the order writers already use, since
+// Txn.noteVersion runs inside the heap mutation's onApply under the
+// page's write latch. Before any decode, the encoded matcher
+// (internal/rdbms/sqlmatch.go), compiled once per statement from the
+// WHERE's top-level `column op literal` conjuncts, reads those columns
+// straight out of the record bytes and rejects a record only when decode
+// would succeed and the WHERE would evaluate to a non-true value without
+// error: conjuncts are decided in evaluation order under Compare's rules,
+// the first false one rejects, and a residual or mismatched-type conjunct
+// lets the record through to decode and evalExpr. A chained row's
+// visible tuple skips the matcher. Survivors are decoded and the full
+// WHERE is evaluated on them as before, so results and row order are
+// unchanged. Snapshot reads of a chain-free table build no per-row maps:
+// IndexLookup and IndexRange dedupe only against a non-empty chain list,
+// and Scan records the rows it read as one slot bitset per page.
+// TestIndexReadMatchesRowAtATime holds page runs and the matcher to the
+// row-at-a-time path (kept in readpath_test.go) under concurrent writers,
+// version chains and batch markers; FuzzEncodedPredicate holds the
+// matcher's equivalence rule on arbitrary, malformed records included;
+// TestSQLAggReadBudget and TestSQLPointReadBudget hold the pin and
+// allocation counts on the served corpus.
 //
 // # Keyword index
 //

@@ -34,10 +34,14 @@ type FacetValue struct {
 }
 
 // Browser supports faceted exploration over a fixed row set with a
-// refinement stack (drill down / back up).
+// refinement stack (drill down / back up). The rows matching the current
+// stack are filtered once and cached until the next Refine or Back, so
+// Rows and Facets on one refinement state share a single pass.
 type Browser struct {
-	all     []Row
-	filters []filter
+	all      []Row
+	filters  []filter
+	filtered []Row // the rows matching filters, valid while cached is set
+	cached   bool
 }
 
 type filter struct {
@@ -50,8 +54,21 @@ func New(rows []Row) *Browser {
 	return &Browser{all: rows}
 }
 
-// Rows returns the rows matching the current refinement stack.
+// Rows returns the rows matching the current refinement stack. The slice
+// is shared by every call until the next Refine or Back: callers must not
+// modify its elements (appending to it is safe).
 func (b *Browser) Rows() []Row {
+	if !b.cached {
+		b.filtered, b.cached = b.filter(), true
+	}
+	return b.filtered
+}
+
+// filter computes the rows matching the current refinement stack.
+func (b *Browser) filter() []Row {
+	if len(b.filters) == 0 {
+		return b.all[:len(b.all):len(b.all)]
+	}
 	var out []Row
 	for _, r := range b.all {
 		if b.matches(r) {
@@ -116,6 +133,7 @@ func (b *Browser) Refine(facet, value string) error {
 	switch facet {
 	case "entity", "attribute", "qualifier":
 		b.filters = append(b.filters, filter{facet: facet, value: value})
+		b.cached = false
 		return nil
 	}
 	return fmt.Errorf("browse: unknown facet %q", facet)
@@ -127,6 +145,7 @@ func (b *Browser) Back() bool {
 		return false
 	}
 	b.filters = b.filters[:len(b.filters)-1]
+	b.cached = false
 	return true
 }
 

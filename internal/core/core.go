@@ -104,6 +104,10 @@ type System struct {
 	closeDone chan struct{} // closed when the winning Close finishes
 	closeErr  error         // its result, readable after closeDone
 
+	// checkpointing is set while the background checkpoint a committed
+	// write started (maybeCheckpoint) runs.
+	checkpointing atomic.Bool
+
 	diskBacked bool   // the DB persists on disk and Close must release it
 	warmDir    string // warm-state directory Close saves into (OpenDir)
 }
@@ -215,6 +219,35 @@ func (s *System) endOp() {
 		s.lifeCond.Broadcast()
 	}
 	s.lifeMu.Unlock()
+}
+
+// checkpointSegments is the live WAL segment count at which a committed
+// write starts a background checkpoint. Without it the WAL is truncated
+// only at Close (or an explicit Checkpoint), which then pays for the
+// whole run's log.
+const checkpointSegments = 4
+
+// maybeCheckpoint runs after a core write commits: once the WAL spans
+// checkpointSegments segments it starts one background DB.Checkpoint,
+// counted as an in-flight operation so Close waits for it. At most one
+// runs at a time, and a closing System starts none.
+func (s *System) maybeCheckpoint() {
+	if s.DB.WALSegments() < checkpointSegments || !s.checkpointing.CompareAndSwap(false, true) {
+		return
+	}
+	if err := s.beginOp(); err != nil {
+		s.checkpointing.Store(false)
+		return
+	}
+	go func() {
+		defer s.checkpointing.Store(false)
+		defer s.endOp()
+		if err := s.DB.Checkpoint(); err != nil {
+			s.Stats.Inc("core.checkpoint_errors", 1)
+			return
+		}
+		s.Stats.Inc("core.background_checkpoints", 1)
+	}()
 }
 
 // InFlightOps reports the number of serving operations currently between
@@ -483,6 +516,7 @@ func (s *System) materialize(rows []uql.Row) error {
 	if err := tx.Commit(); err != nil {
 		return err
 	}
+	s.maybeCheckpoint()
 	// Fold the committed rows into the catalog cache (after Commit, so the
 	// cache never sees rows an abort would retract, and without holding
 	// rdbms locks under s.mu). Each row also folds into the content hash:
@@ -702,13 +736,13 @@ func (s *System) AskGuided(ctx context.Context, query string, k int) (*GuidedAns
 // extracted-table writes must go through System.)
 func (s *System) SQL(ctx context.Context, query string) (*rdbms.ResultSet, error) {
 	if stmt, err := rdbms.ParseSQL(query); err == nil {
-		if _, ok := stmt.(rdbms.SelectStmt); ok {
+		if sel, ok := stmt.(rdbms.SelectStmt); ok {
 			v, verr := s.View(ctx)
 			if verr != nil {
 				return nil, verr
 			}
 			defer v.Close()
-			return v.SQL(query)
+			return v.execSelect(sel)
 		}
 	}
 	if err := s.beginOp(); err != nil {
@@ -722,6 +756,9 @@ func (s *System) SQL(ctx context.Context, query string) (*rdbms.ResultSet, error
 		s.cat.invalidate()
 		s.dropCatSnapLocked()
 		s.mu.Unlock()
+	}
+	if err == nil && rs.Mutated {
+		s.maybeCheckpoint()
 	}
 	return rs, err
 }
@@ -830,7 +867,11 @@ func (s *System) correctRow(ctx context.Context, weight float64, entity, attribu
 		tx.Abort()
 		return err
 	}
-	return tx.Commit()
+	if err := tx.Commit(); err != nil {
+		return err
+	}
+	s.maybeCheckpoint()
+	return nil
 }
 
 // AverageFromRows is a helper for examples/benches: parse-and-average a

@@ -146,3 +146,35 @@ func TestConcurrentCorrectionsSameKey(t *testing.T) {
 		t.Fatalf("final value %s is neither corrector's last write (%s, %s)", got, value(0, rounds-1), value(1, rounds-1))
 	}
 }
+
+// TestCorrectionsKeepWALShort: committed corrections start background
+// checkpoints once the log spans checkpointSegments segments, so 40,000
+// corrections (about nine 1 MiB segments of log, all of which stay live
+// without them) never leave more than five live segments for Close or a
+// restart to walk. The bound is checked after every correction on the
+// segment counter; no clock is involved.
+func TestCorrectionsKeepWALShort(t *testing.T) {
+	s := newCloseTestSystem(t)
+	defer s.Close()
+	entities, quals := temperatureFacts(t, s)
+	ctx := context.Background()
+	most := 0
+	for i := 0; i < 40000; i++ {
+		e := entities[i%len(entities)]
+		q := quals[e][i/len(entities)%len(quals[e])]
+		if err := s.CorrectValue(ctx, "u", e, "temperature", q, fmt.Sprint(i%100)); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.DB.WALSegments(); n > most {
+			most = n
+		}
+	}
+	ran := s.Stats.Counter("core.background_checkpoints")
+	t.Logf("at most %d live WAL segments; %d background checkpoints", most, ran)
+	if most > checkpointSegments+1 {
+		t.Fatalf("%d live WAL segments, want at most %d", most, checkpointSegments+1)
+	}
+	if ran == 0 {
+		t.Fatal("no background checkpoint ran")
+	}
+}

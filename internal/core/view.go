@@ -134,6 +134,16 @@ func (v *View) SQL(query string) (*rdbms.ResultSet, error) {
 	return v.snap.Query(query)
 }
 
+// execSelect runs an already parsed SELECT at the View's snapshot, so
+// System.SQL parses a statement once.
+func (v *View) execSelect(sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
+	if err := v.err(); err != nil {
+		return nil, err
+	}
+	v.s.Stats.Inc("core.queries.sql", 1)
+	return v.snap.ExecSelect(sel)
+}
+
 // Browse is the View-scoped exploitation mode 4: a faceted browser built
 // from one snapshot scan, so its facets describe exactly the structure at
 // the View's LSN.
@@ -141,7 +151,12 @@ func (v *View) Browse() (*browse.Browser, error) {
 	if err := v.err(); err != nil {
 		return nil, err
 	}
+	// The entity index counts the table's rows: a size hint that spares
+	// the scan its slice regrowth.
 	var rows []browse.Row
+	if t := v.s.DB.Table(TableName); t != nil && t.Indexes["entity"] != nil {
+		rows = make([]browse.Row, 0, t.Indexes["entity"].Len())
+	}
 	err := v.snap.Scan(TableName, func(_ rdbms.RID, t rdbms.Tuple) bool {
 		rows = append(rows, browse.Row{
 			Entity: t[0].S, Attribute: t[1].S, Qualifier: t[2].S,

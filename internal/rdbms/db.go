@@ -640,6 +640,10 @@ func (db *DB) BufferStats() BufferStats { return db.bp.Stats() }
 // group-commit amortization diagnostic (commits per sync).
 func (db *DB) WALSyncs() int64 { return db.wal.Syncs() }
 
+// WALSegments returns the number of live WAL segments: the log a restart
+// would walk, which only a checkpoint shortens.
+func (db *DB) WALSegments() int { return db.wal.SegmentCount() }
+
 // Close checkpoints (flushing the WAL and all dirty pages, truncating
 // the log to its end) and releases the storage this DB owns. The
 // database must be quiesced — Close is the one checkpoint entry point

@@ -431,49 +431,57 @@ func (h *HeapFile) TryUpdateInPlace(rid RID, t Tuple, onApply func(RID) LSN) (ne
 }
 
 // Scan calls fn for every live tuple in page-chain order. Each page's
-// rows are copied under its read latch and fn runs outside it, so writers
-// interleave between pages. Returning false stops the scan.
+// rows are decoded under its read latch and fn runs outside it, so
+// writers interleave between pages. Returning false stops the scan.
 func (h *HeapFile) Scan(fn func(rid RID, t Tuple) bool) error {
-	for _, id := range h.chain() {
-		rids, tups, err := h.pageRows(id)
-		if err != nil {
-			return err
-		}
-		for i, rid := range rids {
-			if !fn(rid, tups[i]) {
-				return nil
-			}
-		}
-	}
-	return nil
+	_, err := scanHeap(h, visibility{}, nil, nil, nil, fn)
+	return err
 }
 
-// pageRows decodes page id's live rows under its read latch. Scan-hinted
-// pin: a full sweep recycles one probationary frame per page instead of
-// flushing the protected working set.
-func (h *HeapFile) pageRows(id PageID) ([]RID, []Tuple, error) {
+// readPage hands fn the record bytes of each live slot of page id, in
+// slot order, under one scan-hinted pin and the page's read latch: a full
+// sweep recycles one probationary frame per page instead of flushing the
+// protected working set. fn runs under the latch, so it must not retain
+// rec or pin a page; a non-nil error from fn stops the walk.
+func (h *HeapFile) readPage(id PageID, fn func(slot uint16, rec []byte) error) error {
 	g, err := h.bp.PinScan(id)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	defer g.Release(false)
 	p := newSlottedPage(g.Data())
 	n := p.numSlots()
-	rids := make([]RID, 0, n)
-	tups := make([]Tuple, 0, n)
 	for s := uint16(0); s < n; s++ {
 		rec, ok := p.read(s)
 		if !ok {
 			continue
 		}
-		t, err := DecodeTuple(rec)
-		if err != nil {
-			return nil, nil, err
+		if err := fn(s, rec); err != nil {
+			return err
 		}
-		rids = append(rids, RID{Page: id, Slot: s})
-		tups = append(tups, t)
 	}
-	return rids, tups, nil
+	return nil
+}
+
+// readRun hands fn the record bytes at each rid of run — rids that all
+// lie on one page — in run order, under one pin and the page's read
+// latch (live is false for a dead or absent slot). The pin is an ordinary
+// one, like Get's. fn runs under the latch, so it must not retain rec or
+// pin a page; it returns false to stop the run.
+func (h *HeapFile) readRun(run []RID, fn func(rid RID, rec []byte, live bool) (bool, error)) error {
+	g, err := h.bp.Pin(run[0].Page, LatchShared)
+	if err != nil {
+		return err
+	}
+	defer g.Release(false)
+	p := newSlottedPage(g.Data())
+	for _, rid := range run {
+		rec, live := p.read(rid.Slot)
+		if more, err := fn(rid, rec, live); err != nil || !more {
+			return err
+		}
+	}
+	return nil
 }
 
 // Count returns the number of live tuples (full scan).

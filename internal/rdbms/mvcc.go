@@ -760,6 +760,11 @@ func (sn *Snap) table(name string) (*Table, error) {
 	return t, nil
 }
 
+// visibility returns the snapshot's row-version rule for table.
+func (sn *Snap) visibility(table string) visibility {
+	return visibility{vs: sn.db.vs, table: table, lsn: sn.lsn}
+}
+
 // Get reads one row at the snapshot LSN. Heap first, then chain: a
 // writer creates the chain before touching heap bytes, so "no chain
 // after the heap read" proves the heap value is committed.
@@ -771,20 +776,11 @@ func (sn *Snap) Get(table string, rid RID) (Tuple, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return sn.fetchRow(t, table, rid)
-}
-
-func (sn *Snap) fetchRow(t *Table, table string, rid RID) (Tuple, bool, error) {
-	tup, live, err := t.Heap.Get(rid)
-	if v, ok := sn.db.vs.visible(table, rid, sn.lsn); ok {
-		if v.live && v.tup == nil {
-			// Heap-resident batch version: the heap bytes are the committed
-			// batch content, unchanged since its commit LSN.
-			return tup, live, err
-		}
-		return v.tup, v.live, nil
+	rows, err := resolveRun(t.Heap, sn.visibility(table), []RID{rid}, nil, nil, 1)
+	if err != nil || len(rows) == 0 {
+		return nil, false, err
 	}
-	return tup, live, err
+	return rows[0], true, nil
 }
 
 // visibleTup resolves a chained row's visible tuple at the snapshot,
@@ -810,6 +806,13 @@ func (sn *Snap) visibleTup(t *Table, table string, rid RID) (Tuple, bool) {
 // snapshot (deleted by a later-committed or in-flight writer) follow,
 // in RID order.
 func (sn *Snap) Scan(table string, fn func(rid RID, t Tuple) bool) error {
+	return sn.scanWhere(table, nil, fn)
+}
+
+// scanWhere implements readSource: Scan with f applied in the page loop.
+// The sweep records the heap slots it read in a per-page bitset, so the
+// chained rows it has already covered are skipped at one bit per row.
+func (sn *Snap) scanWhere(table string, f *rowFilter, fn func(rid RID, t Tuple) bool) error {
 	if err := sn.ctxErr(); err != nil {
 		return err
 	}
@@ -817,55 +820,27 @@ func (sn *Snap) Scan(table string, fn func(rid RID, t Tuple) bool) error {
 	if err != nil {
 		return err
 	}
-	vs := sn.db.vs
-	seen := make(map[RID]struct{})
-	stopped := false
-	n := 0
-	var scanErr error
-	err = t.Heap.Scan(func(rid RID, tup Tuple) bool {
-		n++
-		if n%ctxCheckInterval == 0 {
-			if scanErr = sn.ctxErr(); scanErr != nil {
-				return false
-			}
-		}
-		seen[rid] = struct{}{}
-		if v, ok := vs.visible(table, rid, sn.lsn); ok {
-			if !v.live {
-				return true
-			}
-			vt := v.tup
-			if vt == nil {
-				vt = tup // heap-resident batch version
-			}
-			if !fn(rid, vt) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		if !fn(rid, tup) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
-	}
+	var seen slotSet
+	stopped, err := scanHeap(t.Heap, sn.visibility(table), f, sn.ctxErr, &seen, fn)
 	if err != nil || stopped {
 		return err
 	}
 	// Rows that are dead (or reused) in the heap now but were live at
 	// the snapshot exist only in chains.
-	for _, rid := range vs.chainRIDs(table) {
-		if _, ok := seen[rid]; ok {
+	for _, rid := range sn.db.vs.chainRIDs(table) {
+		if seen.has(rid) {
 			continue
 		}
-		if vt, ok := sn.visibleTup(t, table, rid); ok {
-			if !fn(rid, vt) {
-				return nil
-			}
+		vt, ok := sn.visibleTup(t, table, rid)
+		if !ok {
+			continue
+		}
+		keep, err := f.admit(vt)
+		if err != nil {
+			return err
+		}
+		if keep && !fn(rid, vt) {
+			return nil
 		}
 	}
 	return nil
@@ -874,8 +849,9 @@ func (sn *Snap) Scan(table string, fn func(rid RID, t Tuple) bool) error {
 // IndexLookup returns candidate row ids for column = key at the
 // snapshot. The result over-approximates: it adds every chained row of
 // the table whose visible tuple matches, and callers must re-check both
-// liveness (via Get) and the predicate against the visible tuple —
-// exactly what the SELECT executor's index path already does.
+// liveness and the predicate against the visible tuple — exactly what
+// the SELECT executor's fetchRun already does. A table without chains
+// returns the index's posting list as is.
 func (sn *Snap) IndexLookup(table, column string, key Value) ([]RID, error) {
 	if err := sn.ctxErr(); err != nil {
 		return nil, err
@@ -890,17 +866,13 @@ func (sn *Snap) IndexLookup(table, column string, key Value) ([]RID, error) {
 	}
 	ci := t.Schema.ColIndex(column)
 	rids := idx.Lookup(key)
-	out := make([]RID, 0, len(rids))
-	have := make(map[RID]struct{}, len(rids))
-	for _, rid := range rids {
-		if _, ok := have[rid]; ok {
-			continue
-		}
-		have[rid] = struct{}{}
-		out = append(out, rid)
+	chained := sn.db.vs.chainRIDs(table)
+	if len(chained) == 0 {
+		return rids, nil
 	}
-	for _, rid := range sn.db.vs.chainRIDs(table) {
-		if _, ok := have[rid]; ok {
+	listed := chainedListed(chained, rids)
+	for _, rid := range chained {
+		if listed[rid] {
 			continue
 		}
 		vt, ok := sn.visibleTup(t, table, rid)
@@ -908,18 +880,34 @@ func (sn *Snap) IndexLookup(table, column string, key Value) ([]RID, error) {
 			continue
 		}
 		if c, ok := Compare(vt[ci], key); ok && c == 0 {
-			have[rid] = struct{}{}
-			out = append(out, rid)
+			rids = append(rids, rid)
 		}
 	}
-	return out, nil
+	return rids, nil
+}
+
+// chainedListed maps each chained rid to whether the index candidates
+// already name it — the dedupe the snapshot index paths need, sized by
+// the (usually tiny) chain list rather than by the candidates.
+func chainedListed(chained, candidates []RID) map[RID]bool {
+	listed := make(map[RID]bool, len(chained))
+	for _, rid := range chained {
+		listed[rid] = false
+	}
+	for _, rid := range candidates {
+		if _, ok := listed[rid]; ok {
+			listed[rid] = true
+		}
+	}
+	return listed
 }
 
 // IndexRange streams candidate row ids for lo <= column <= hi (nil = an
 // open bound) at the snapshot: first the index entries in key order,
 // then chained rows whose visible tuple falls in range (RID order).
 // Like IndexLookup, candidates over-approximate and callers re-verify
-// against the visible tuple.
+// against the visible tuple. The chain list is read after the index walk
+// (a row a writer moves out of the index mid-walk is chained by then).
 func (sn *Snap) IndexRange(table, column string, lo, hi *Value, fn func(key Value, rid RID) bool) error {
 	if err := sn.ctxErr(); err != nil {
 		return err
@@ -933,18 +921,16 @@ func (sn *Snap) IndexRange(table, column string, lo, hi *Value, fn func(key Valu
 		return fmt.Errorf("rdbms: no index on %s.%s", table, column)
 	}
 	ci := t.Schema.ColIndex(column)
-	have := make(map[RID]struct{})
-	n := 0
+	var streamed []RID
 	var rangeErr error
 	stopped := false
 	idx.Range(lo, hi, func(key Value, rid RID) bool {
-		n++
-		if n%ctxCheckInterval == 0 {
+		streamed = append(streamed, rid)
+		if len(streamed)%ctxCheckInterval == 0 {
 			if rangeErr = sn.ctxErr(); rangeErr != nil {
 				return false
 			}
 		}
-		have[rid] = struct{}{}
 		if !fn(key, rid) {
 			stopped = true
 			return false
@@ -954,7 +940,8 @@ func (sn *Snap) IndexRange(table, column string, lo, hi *Value, fn func(key Valu
 	if rangeErr != nil {
 		return rangeErr
 	}
-	if stopped {
+	chained := sn.db.vs.chainRIDs(table)
+	if stopped || len(chained) == 0 {
 		return nil
 	}
 	inRange := func(v Value) bool {
@@ -970,8 +957,9 @@ func (sn *Snap) IndexRange(table, column string, lo, hi *Value, fn func(key Valu
 		}
 		return true
 	}
-	for _, rid := range sn.db.vs.chainRIDs(table) {
-		if _, ok := have[rid]; ok {
+	listed := chainedListed(chained, streamed)
+	for _, rid := range chained {
+		if listed[rid] {
 			continue
 		}
 		vt, ok := sn.visibleTup(t, table, rid)
@@ -987,16 +975,16 @@ func (sn *Snap) IndexRange(table, column string, lo, hi *Value, fn func(key Valu
 	return nil
 }
 
-// fetch implements readSource: rows resolve through the version store.
-func (sn *Snap) fetch(t *Table, table string, rid RID) (Tuple, bool, error) {
-	return sn.fetchRow(t, table, rid)
+// fetchRun implements readSource: rows resolve through the version store.
+func (sn *Snap) fetchRun(t *Table, table string, run []RID, f *rowFilter, rows []Tuple, limit int) ([]Tuple, error) {
+	return resolveRun(t.Heap, sn.visibility(table), run, f, rows, limit)
 }
 
 // orderRows implements readSource. A snapshot cannot stream rows in
 // index order without holding the snapshot's visibility set against the
 // B-tree's current shape, so it declines and the executor falls back to
 // the sort-based paths (same output, explicit sort).
-func (sn *Snap) orderRows(SelectStmt, *Table, *orderPath, *binding, int) ([]Tuple, bool, error) {
+func (sn *Snap) orderRows(SelectStmt, *Table, *orderPath, *rowFilter, int) ([]Tuple, bool, error) {
 	return nil, false, nil
 }
 

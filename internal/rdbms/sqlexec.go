@@ -136,7 +136,7 @@ func bindingForTable(schema *TableSchema, alias string) *binding {
 	if name == "" {
 		name = schema.Name
 	}
-	b := &binding{}
+	b := &binding{cols: make([]ColumnRef, 0, len(schema.Columns))}
 	for _, c := range schema.Columns {
 		b.cols = append(b.cols, ColumnRef{Table: name, Column: c.Name})
 	}

@@ -11,32 +11,36 @@ import (
 // readSource abstracts the row access a SELECT needs, so the same
 // executor serves both strict-2PL transactions (Txn: shared locks,
 // current state) and MVCC snapshots (Snap: no locks, state at the
-// pinned LSN). Implementations promise that fetch resolves a RID to the
-// tuple THIS source considers current — the index paths rely on it when
-// re-verifying candidates.
+// pinned LSN). Both read heap pages through the one read path in
+// readpath.go and differ only in their visibility rule; the index paths
+// rely on fetchRun resolving each candidate to the row THIS source
+// considers current.
 type readSource interface {
 	table(name string) (*Table, error)
 	ctxErr() error
-	Scan(table string, fn func(rid RID, t Tuple) bool) error
+	// scanWhere visits the rows of table this source sees that pass f (nil
+	// = all), filtering inside the page loop; returning false stops it.
+	scanWhere(table string, f *rowFilter, fn func(rid RID, t Tuple) bool) error
 	IndexLookup(table, column string, key Value) ([]RID, error)
 	IndexRange(table, column string, lo, hi *Value, fn func(key Value, rid RID) bool) error
-	// fetch reads the source-current tuple at rid (live=false for rows
-	// this source cannot see).
-	fetch(t *Table, table string, rid RID) (Tuple, bool, error)
+	// fetchRun resolves run — candidate rids that all lie on one heap page
+	// — under one pin, appending each row this source sees that passes f
+	// to rows, in run order, until rows holds limit (see resolveRun).
+	fetchRun(t *Table, table string, run []RID, f *rowFilter, rows []Tuple, limit int) ([]Tuple, error)
 	// orderRows serves a chooseOrderPath plan: rows already in ORDER BY
 	// order. ok=false declines (the executor falls back to sort paths).
-	orderRows(s SelectStmt, t *Table, op *orderPath, b *binding, stopAfter int) ([]Tuple, bool, error)
+	orderRows(s SelectStmt, t *Table, op *orderPath, f *rowFilter, stopAfter int) ([]Tuple, bool, error)
 }
 
-// fetch implements readSource for Txn: plain heap read — callers hold
-// the table lock taken by the index probe that produced rid.
-func (tx *Txn) fetch(t *Table, _ string, rid RID) (Tuple, bool, error) {
-	return t.Heap.Get(rid)
+// fetchRun implements readSource for Txn: the heap bytes are current —
+// callers hold the table lock taken by the index probe that produced run.
+func (tx *Txn) fetchRun(t *Table, _ string, run []RID, f *rowFilter, rows []Tuple, limit int) ([]Tuple, error) {
+	return resolveRun(t.Heap, visibility{}, run, f, rows, limit)
 }
 
 // orderRows implements readSource for Txn via the index-order scan.
-func (tx *Txn) orderRows(s SelectStmt, t *Table, op *orderPath, b *binding, stopAfter int) ([]Tuple, bool, error) {
-	rows, err := tx.indexOrderRows(s, t, op, b, stopAfter)
+func (tx *Txn) orderRows(s SelectStmt, t *Table, op *orderPath, f *rowFilter, stopAfter int) ([]Tuple, bool, error) {
+	rows, err := tx.indexOrderRows(s, t, op, f, stopAfter)
 	return rows, true, err
 }
 
@@ -50,9 +54,10 @@ func (tx *Txn) execSelect(s SelectStmt) (*ResultSet, error) {
 // grouping/aggregation, projection, DISTINCT, ORDER BY, LIMIT/OFFSET.
 //
 // The base access is streaming: for single-table queries the WHERE clause
-// is evaluated inside the scan callback, so tuples that fail the filter
-// are dropped before they are ever retained, and unordered
-// LIMIT/OFFSET queries stop scanning as soon as enough rows qualify.
+// is evaluated in the read path's page loop (readpath.go), so tuples that
+// fail the filter are dropped before they are ever retained — most of
+// them before they are decoded — and unordered LIMIT/OFFSET queries stop
+// reading as soon as enough rows qualify.
 func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 	t, err := src.table(s.From)
 	if err != nil {
@@ -78,11 +83,13 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 	if s.Join != nil {
 		pushedWhere = nil
 	}
+	// The pushed WHERE is prepared once for the whole statement.
+	f := newRowFilter(pushedWhere, b, fromName)
 	// Ordered LIMIT queries whose single sort key is an indexed column are
 	// served in index order: rows emerge already sorted, OFFSET+LIMIT stops
 	// the scan early, and no sort runs at all.
 	if op := chooseOrderPath(s, t, fromName, b, grouped); op != nil {
-		rows, ok, err := src.orderRows(s, t, op, b, s.Offset+s.Limit)
+		rows, ok, err := src.orderRows(s, t, op, f, s.Offset+s.Limit)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +106,7 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 	// handles them.
 	if s.Join == nil && !grouped && !s.Distinct && len(s.OrderBy) > 0 && s.Limit >= 0 &&
 		chooseAccessPath(s.Where, t, fromName) == nil {
-		rows, err := scanTopKRows(src, s, b)
+		rows, err := scanTopKRows(src, s, b, f)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +122,7 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 		stopAfter = s.Offset + s.Limit
 	}
 
-	rows, plan, err := baseRows(src, s, t, fromName, b, pushedWhere, stopAfter)
+	rows, plan, err := baseRows(src, s, t, fromName, f, stopAfter)
 	if err != nil {
 		return nil, err
 	}
@@ -195,37 +202,28 @@ func applyOffsetLimit(out *ResultSet, offset, limit int) {
 // baseRows produces the qualifying rows for the FROM table, using an index
 // when a WHERE conjunct permits. Access-path choice always inspects the
 // full WHERE (sargable conjuncts reference only the FROM table), while
-// filter — nil for joined queries, whose WHERE may reference join columns
-// — is evaluated against each candidate before it is retained: scan
-// tuples are freshly decoded, so retained rows need no defensive copy and
-// rejected rows cost no allocation. stopAfter >= 0 caps retained rows.
-func baseRows(src readSource, s SelectStmt, t *Table, fromName string, b *binding, filter Expr, stopAfter int) ([]Tuple, string, error) {
+// f — nil for joined queries, whose WHERE may reference join columns —
+// is applied to each candidate under its page latch, before it is
+// retained: retained rows are freshly decoded (or immutable chain
+// versions), so they need no defensive copy, and rows the encoded
+// matcher rejects are never decoded. stopAfter >= 0 caps retained rows.
+func baseRows(src readSource, s SelectStmt, t *Table, fromName string, f *rowFilter, stopAfter int) ([]Tuple, string, error) {
 	if ap := chooseAccessPath(s.Where, t, fromName); ap != nil {
-		rows, err := indexRows(src, s.From, t, ap, b, filter, stopAfter)
+		rids, err := indexCandidates(src, s.From, ap)
+		if err != nil {
+			return nil, "", err
+		}
+		rows, err := fetchCandidates(src, s.From, t, rids, f, stopAfter)
 		if err != nil {
 			return nil, "", err
 		}
 		return rows, ap.describe(), nil
 	}
 	var rows []Tuple
-	var evalErr error
-	err := src.Scan(s.From, func(_ RID, tup Tuple) bool {
-		if filter != nil {
-			v, err := evalExpr(filter, b, tup)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
+	err := src.scanWhere(s.From, f, func(_ RID, tup Tuple) bool {
 		rows = append(rows, tup)
 		return stopAfter < 0 || len(rows) < stopAfter
 	})
-	if evalErr != nil {
-		return nil, "", evalErr
-	}
 	return rows, "seq scan " + s.From, err
 }
 
@@ -238,7 +236,7 @@ type accessPath struct {
 
 func (ap *accessPath) describe() string {
 	if ap.eq != nil {
-		return fmt.Sprintf("index eq scan (%s = %s)", ap.column, ap.eq.String())
+		return "index eq scan (" + ap.column + " = " + ap.eq.String() + ")"
 	}
 	parts := []string{}
 	if ap.lo != nil {
@@ -359,53 +357,36 @@ func splitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// indexRows fetches tuples via the chosen index path, applying the full
-// WHERE clause (the index may cover only some conjuncts, and range paths
-// treat strict bounds as inclusive) and the early-stop cap as it goes.
-func indexRows(src readSource, table string, t *Table, ap *accessPath, b *binding, where Expr, stopAfter int) ([]Tuple, error) {
-	var rids []RID
+// indexCandidates returns the candidate rids of the chosen index path, in
+// index order.
+func indexCandidates(src readSource, table string, ap *accessPath) ([]RID, error) {
 	if ap.eq != nil {
-		var err error
-		rids, err = src.IndexLookup(table, ap.column, *ap.eq)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		err := src.IndexRange(table, ap.column, ap.lo, ap.hi, func(_ Value, rid RID) bool {
-			rids = append(rids, rid)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+		return src.IndexLookup(table, ap.column, *ap.eq)
 	}
+	var rids []RID
+	err := src.IndexRange(table, ap.column, ap.lo, ap.hi, func(_ Value, rid RID) bool {
+		rids = append(rids, rid)
+		return true
+	})
+	return rids, err
+}
+
+// fetchCandidates resolves index candidates in their order, one page run
+// at a time, applying the full WHERE clause (the index may cover only some
+// conjuncts, and range paths treat strict bounds as inclusive) and the
+// early-stop cap as it goes.
+func fetchCandidates(src readSource, table string, t *Table, rids []RID, f *rowFilter, stopAfter int) ([]Tuple, error) {
 	rows := make([]Tuple, 0, len(rids))
-	for i, rid := range rids {
-		if i%ctxCheckInterval == ctxCheckInterval-1 {
-			if err := src.ctxErr(); err != nil {
-				return nil, err
-			}
-		}
-		tup, live, err := src.fetch(t, table, rid)
-		if err != nil {
+	for len(rids) > 0 && !atLimit(rows, stopAfter) {
+		if err := src.ctxErr(); err != nil {
 			return nil, err
 		}
-		if !live {
-			continue
+		n := pageRun(rids)
+		var err error
+		if rows, err = src.fetchRun(t, table, rids[:n], f, rows, stopAfter); err != nil {
+			return nil, err
 		}
-		if where != nil {
-			v, err := evalExpr(where, b, tup)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		rows = append(rows, tup)
-		if stopAfter >= 0 && len(rows) >= stopAfter {
-			break
-		}
+		rids = rids[n:]
 	}
 	return rows, nil
 }
@@ -453,7 +434,7 @@ func hashJoin(src readSource, left []Tuple, lb *binding, j *JoinClause) ([]Tuple
 	// decoded, so they are retained without cloning.
 	build := map[string][]Tuple{}
 	var keyBuf []byte
-	err = src.Scan(j.Table, func(_ RID, tup Tuple) bool {
+	err = src.scanWhere(j.Table, nil, func(_ RID, tup Tuple) bool {
 		keyBuf = appendKey(keyBuf[:0], tup[ri])
 		k := string(keyBuf)
 		build[k] = append(build[k], tup)
@@ -605,12 +586,13 @@ func resolveKeyExprs(s SelectStmt, cols []string, exprs []Expr) []Expr {
 }
 
 // scanTopKRows runs the bounded top-k collector inside the sequential
-// scan: each tuple has its WHERE filter and ORDER BY keys evaluated in
-// the scan callback, and only tuples the heap accepts are ever retained
-// — a rejected row costs no allocation beyond its transient decode.
-// Survivors return in ORDER BY order (ties in scan order, matching the
-// stable full sort). O(k) live memory for any table size.
-func scanTopKRows(src readSource, s SelectStmt, b *binding) ([]Tuple, error) {
+// scan: the WHERE filter f runs in the page loop, each surviving tuple has
+// its ORDER BY keys evaluated in the scan callback, and only tuples the
+// heap accepts are ever retained — a rejected row costs no allocation
+// beyond its transient decode. Survivors return in ORDER BY order (ties
+// in scan order, matching the stable full sort). O(k) live memory for any
+// table size.
+func scanTopKRows(src readSource, s SelectStmt, b *binding, f *rowFilter) ([]Tuple, error) {
 	n := s.Offset + s.Limit
 	if n == 0 {
 		return nil, nil
@@ -621,17 +603,7 @@ func scanTopKRows(src readSource, s SelectStmt, b *binding) ([]Tuple, error) {
 	scratch := make(Tuple, len(keyExprs))
 	seq := 0
 	var evalErr error
-	err := src.Scan(s.From, func(_ RID, tup Tuple) bool {
-		if s.Where != nil {
-			v, err := evalExpr(s.Where, b, tup)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
+	err := src.scanWhere(s.From, f, func(_ RID, tup Tuple) bool {
 		for i, e := range keyExprs {
 			v, err := evalExpr(e, b, tup)
 			if err != nil {

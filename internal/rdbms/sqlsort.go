@@ -195,11 +195,12 @@ func resolveOrderColumn(e Expr, s SelectStmt, b *binding) (ColumnRef, bool) {
 	return cr, true
 }
 
-// indexOrderRows fetches up to stopAfter rows satisfying filter by walking
-// the order path's index in key order. Rows with equal keys are emitted in
+// indexOrderRows fetches up to stopAfter rows passing f by walking the
+// order path's index in key order. Rows with equal keys are emitted in
 // ascending RID order — the order a heap scan feeds them to the stable
-// sort — so the result is byte-for-byte what full-sort produces.
-func (tx *Txn) indexOrderRows(s SelectStmt, t *Table, op *orderPath, b *binding, stopAfter int) ([]Tuple, error) {
+// sort — so the result is byte-for-byte what full-sort produces; each
+// key's candidates are read in page runs.
+func (tx *Txn) indexOrderRows(s SelectStmt, t *Table, op *orderPath, f *rowFilter, stopAfter int) ([]Tuple, error) {
 	if tx.done {
 		return nil, ErrTxnDone
 	}
@@ -223,31 +224,14 @@ func (tx *Txn) indexOrderRows(s SelectStmt, t *Table, op *orderPath, b *binding,
 		}
 		ridBuf = append(ridBuf[:0], rids...)
 		sortRIDs(ridBuf)
-		for _, rid := range ridBuf {
-			tup, live, err := t.Heap.Get(rid)
-			if err != nil {
-				evalErr = err
+		for run := ridBuf; len(run) > 0 && !atLimit(rows, stopAfter); {
+			n := pageRun(run)
+			if rows, evalErr = resolveRun(t.Heap, visibility{}, run[:n], f, rows, stopAfter); evalErr != nil {
 				return false
 			}
-			if !live {
-				continue
-			}
-			if s.Where != nil {
-				v, err := evalExpr(s.Where, b, tup)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if !truthy(v) {
-					continue
-				}
-			}
-			rows = append(rows, tup)
-			if stopAfter >= 0 && len(rows) >= stopAfter {
-				return false
-			}
+			run = run[n:]
 		}
-		return true
+		return !atLimit(rows, stopAfter)
 	})
 	if evalErr != nil {
 		return nil, evalErr

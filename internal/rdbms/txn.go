@@ -341,11 +341,16 @@ func (tx *Txn) fixIndexes(t *Table, oldRID, newRID RID, before, after Tuple) {
 }
 
 // Scan iterates every live tuple in the table under a shared table lock.
-// With a context attached (WithContext), cancellation is polled every
-// ctxCheckInterval rows and the scan stops with the context's error —
-// the deadline check that keeps a slow or abandoned SELECT from holding
-// its shared lock forever.
+// With a context attached (WithContext), cancellation is polled before
+// each heap page and the scan stops with the context's error — the
+// deadline check that keeps a slow or abandoned SELECT from holding its
+// shared lock forever.
 func (tx *Txn) Scan(table string, fn func(rid RID, t Tuple) bool) error {
+	return tx.scanWhere(table, nil, fn)
+}
+
+// scanWhere implements readSource: Scan with f applied in the page loop.
+func (tx *Txn) scanWhere(table string, f *rowFilter, fn func(rid RID, t Tuple) bool) error {
 	if tx.done {
 		return ErrTxnDone
 	}
@@ -359,23 +364,7 @@ func (tx *Txn) Scan(table string, fn func(rid RID, t Tuple) bool) error {
 	if err := tx.db.lm.Acquire(tx.id, TableLock(table), LockShared); err != nil {
 		return err
 	}
-	if tx.ctx == nil {
-		return t.Heap.Scan(fn)
-	}
-	var n int
-	var ctxErr error
-	err = t.Heap.Scan(func(rid RID, tup Tuple) bool {
-		n++
-		if n%ctxCheckInterval == 0 {
-			if ctxErr = tx.ctx.Err(); ctxErr != nil {
-				return false
-			}
-		}
-		return fn(rid, tup)
-	})
-	if ctxErr != nil {
-		return ctxErr
-	}
+	_, err = scanHeap(t.Heap, visibility{}, f, tx.ctxErr, nil, fn)
 	return err
 }
 

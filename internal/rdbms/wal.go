@@ -815,37 +815,17 @@ func (w *WAL) quiesceLocked() {
 // from the catalog's horizon either way. Clean errors are non-poisoning:
 // the in-memory chain only adopts the new shape after the swap is
 // durable, and until then both manifests describe a consistent log.
+//
+// The manifest swap runs under w.mu; the removals and their directory
+// sync run after it is released. By then no segment list names the
+// dropped files, so appends and flushes no longer wait on the WAL lock
+// while the file system unlinks them (hundreds of milliseconds per
+// segment on some) — TestTruncateBlockedRemoveLetsAppendsFlush holds this.
 func (w *WAL) TruncateTo(horizon LSN) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.quiesceLocked()
-	if w.poisoned {
-		return ErrWALPoisoned
-	}
-	if horizon > w.flushed {
-		horizon = w.flushed
-	}
-	drop := 0
-	for drop < len(w.segs)-1 && w.segs[drop+1].start <= horizon {
-		drop++
-	}
-	if drop == 0 {
-		return nil
-	}
-	survivors := w.segs[drop:]
-	entries := make([]walManifestEntry, 0, len(survivors))
-	for _, s := range survivors {
-		entries = append(entries, walManifestEntry{seq: s.seq, start: s.start})
-	}
-	if err := w.store.WriteManifest(encodeWALManifest(entries)); err != nil {
+	dropped, err := w.swapOutPrefix(horizon)
+	if err != nil || len(dropped) == 0 {
 		return err
 	}
-	if err := w.store.SyncDir(); err != nil {
-		return err
-	}
-	dropped := append([]walSegment(nil), w.segs[:drop]...)
-	w.segs = append([]walSegment(nil), survivors...)
-	w.base = w.segs[0].start
 	for _, s := range dropped {
 		s.dev.Close()
 		if err := w.store.RemoveSegment(s.seq); err != nil {
@@ -859,6 +839,43 @@ func (w *WAL) TruncateTo(horizon LSN) error {
 	// collected at open.
 	w.store.SyncDir()
 	return nil
+}
+
+// swapOutPrefix is TruncateTo's part under w.mu: it makes the manifest
+// name only the segments the horizon keeps, adopts that chain, and
+// returns the segments it dropped.
+func (w *WAL) swapOutPrefix(horizon LSN) ([]walSegment, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.quiesceLocked()
+	if w.poisoned {
+		return nil, ErrWALPoisoned
+	}
+	if horizon > w.flushed {
+		horizon = w.flushed
+	}
+	drop := 0
+	for drop < len(w.segs)-1 && w.segs[drop+1].start <= horizon {
+		drop++
+	}
+	if drop == 0 {
+		return nil, nil
+	}
+	survivors := w.segs[drop:]
+	entries := make([]walManifestEntry, 0, len(survivors))
+	for _, s := range survivors {
+		entries = append(entries, walManifestEntry{seq: s.seq, start: s.start})
+	}
+	if err := w.store.WriteManifest(encodeWALManifest(entries)); err != nil {
+		return nil, err
+	}
+	if err := w.store.SyncDir(); err != nil {
+		return nil, err
+	}
+	dropped := append([]walSegment(nil), w.segs[:drop]...)
+	w.segs = append([]walSegment(nil), survivors...)
+	w.base = w.segs[0].start
+	return dropped, nil
 }
 
 // Base returns the logical LSN of the log's oldest byte still on the
