@@ -205,7 +205,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		if p := b.Path(); p != "" {
 			fmt.Fprintf(out, "path: %s\n", p)
 		}
-		fmt.Fprintf(out, "rows: %d\n", len(b.Rows()))
+		fmt.Fprintf(out, "rows: %d\n", b.Count())
 		for _, f := range b.Facets() {
 			fmt.Fprintf(out, "facet %s:\n", f.Name)
 			for i, v := range f.Values {

@@ -697,6 +697,50 @@
 // TestSQLAggReadBudget and TestSQLPointReadBudget hold the pin and
 // allocation counts on the served corpus.
 //
+// One page loop and one visibility rule serve every sweep: scanHeap asks
+// visibility.row whether the reader sees each row, and gets back either
+// the heap record or a chained row's visible tuple, which it hands to a
+// rowSink. tupleSink filters and decodes for Scan and SELECT; recordSink
+// serves Snap.ScanRecords, which passes each visible row on as its
+// encoded record. A chained tuple is re-encoded, records are copied out
+// of the page into one reused buffer, and the consumer runs after the
+// latch is released. Row order is Scan's: heap order, then chain-only
+// rows in RID order. The encoding has one reader, SplitRecord, which
+// validates a record exactly as DecodeTuple does (same errors) and
+// slices it into Fields read in place: DecodeTuple decodes them, the
+// matcher decides its conjuncts on them, and ScanRecords' consumers read
+// strings and floats from them without a decode. FuzzRecordColumns holds
+// SplitRecord and DecodeTuple to the old decoder (kept in
+// columns_test.go).
+//
+// # Browse
+//
+// internal/browse keeps a Browser's rows by column: one string
+// dictionary, a uint32 code per row for each of entity, attribute,
+// qualifier and value, and a []float64 for conf. A Builder interns the
+// string columns; a value already in the dictionary allocates nothing,
+// and a column that repeats the previous row's value (an entity's run)
+// skips the lookup. Refine resolves its value to a code once (an unknown
+// value selects nothing); the rows matching the refinement stack are
+// selected once per refinement state by comparing codes; Count is the
+// selection's size; Rows materializes Row values for the selected rows
+// only; Facets counts codes in a dense per-code array and reads back the
+// codes it touched, ordered by count descending, then value, with ""
+// left out. core.View.Browse builds its Browser straight from
+// Snap.ScanRecords, so no row is decoded or copied into a Row: a
+// non-string column 0–3 reads as "" and a non-float conf as 0, as a
+// decoded row's t[i].S and t[5].F do. ShardedView.Browse merges the
+// shards' Browsers with browse.Merge: a k-way merge on entity (a tie
+// goes to the lower shard) that remaps each shard's codes through the
+// merged dictionary. TestBrowseMatchesReference (core and shard, 1, 2
+// and 4 shards) holds both to the decode-and-copy browse and the []Row
+// merge they replaced, under version chains and a concurrent writer;
+// TestBrowserMatchesReference and TestMergeMatchesReference hold the
+// Browser to the re-filtering reference browser; TestBrowseReadBudget
+// holds one browse to one pin per heap page and 20,000 allocations. On
+// scan_cold, core.call_us.browse, server.handler_self_us.browse and
+// proc.allocs_per_op watch it.
+//
 // # Keyword index
 //
 // internal/search keeps the inverted index as flat arrays: a term

@@ -146,3 +146,79 @@ func TestBrowserMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refMerge is the []Row entity merge ShardedView.Browse ran before
+// Merge: a k-way merge of the row streams on ascending entity, a tie
+// going to the earlier stream.
+func refMerge(streams [][]Row) []Row {
+	var all []Row
+	cursors := make([]int, len(streams))
+	for {
+		best := -1
+		for i, s := range streams {
+			if cursors[i] >= len(s) {
+				continue
+			}
+			if best < 0 || s[cursors[i]].Entity < streams[best][cursors[best]].Entity {
+				best = i
+			}
+		}
+		if best < 0 {
+			return all
+		}
+		all = append(all, streams[best][cursors[best]])
+		cursors[best]++
+	}
+}
+
+// TestMergeMatchesReference: Merge over per-part browsers — entity-sorted
+// streams sharing entities, so heads tie — answers Rows, Count and Facets
+// exactly as the reference browser over the []Row merge, at every step of
+// a random Refine/Back sequence.
+func TestMergeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	pick := func(vals ...string) string { return vals[rng.Intn(len(vals))] }
+	for trial := 0; trial < 50; trial++ {
+		streams := make([][]Row, 1+rng.Intn(4))
+		parts := make([]*Browser, len(streams))
+		for i := range streams {
+			for n := rng.Intn(30); n > 0; n-- {
+				streams[i] = append(streams[i], Row{
+					Entity:    pick("", "a", "b", "c", "d"),
+					Attribute: pick("temperature", "population", ""),
+					Qualifier: pick("", "May", "June"),
+					Value:     fmt.Sprint(i, rng.Intn(5)),
+					Conf:      float64(rng.Intn(3)),
+				})
+			}
+			sort.SliceStable(streams[i], func(x, y int) bool { return streams[i][x].Entity < streams[i][y].Entity })
+			parts[i] = New(streams[i])
+			// Merge reads the unrefined rows.
+			if err := parts[i].Refine("attribute", "population"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := Merge(parts), &refBrowser{all: refMerge(streams)}
+		for step := 0; step < 20; step++ {
+			switch rng.Intn(3) {
+			case 0:
+				facet := pick("entity", "attribute", "qualifier")
+				value := pick("a", "b", "temperature", "May", "", "zzz")
+				if err := got.Refine(facet, value); err != nil {
+					t.Fatal(err)
+				}
+				want.Refine(facet, value)
+			case 1:
+				if g, w := got.Back(), want.Back(); g != w {
+					t.Fatalf("trial %d step %d: Back %v, reference %v", trial, step, g, w)
+				}
+			}
+			if g, w := got.Rows(), want.Rows(); !sameRows(g, w) || got.Count() != len(w) {
+				t.Fatalf("trial %d step %d: Rows (Count %d)\n got %v\nwant %v", trial, step, got.Count(), g, w)
+			}
+			if g, w := got.Facets(), want.Facets(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("trial %d step %d: Facets\n got %v\nwant %v", trial, step, g, w)
+			}
+		}
+	}
+}

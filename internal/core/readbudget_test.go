@@ -95,3 +95,39 @@ func TestSQLPointReadBudget(t *testing.T) {
 		t.Errorf("sql_point allocated %.0f times, budget 160", allocs)
 	}
 }
+
+// TestBrowseReadBudget: a browse reads the heap once, as encoded records,
+// and interns the string columns through one dictionary, so it decodes
+// and allocates nothing per row. One browse + refine + Facets, measured:
+// 1,316 pins (one per heap page, as before) and ~12,200 allocations
+// (307,097 when every row was decoded and copied into a browse.Row).
+func TestBrowseReadBudget(t *testing.T) {
+	sys, _ := budgetSystem(t)
+	ctx := context.Background()
+	pages := sys.DB.Table(TableName).Heap.Pages()
+	run := func() {
+		b, err := sys.Browse(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Refine("attribute", "population"); err != nil {
+			t.Fatal(err)
+		}
+		if b.Count() == 0 || len(b.Facets()[0].Values) == 0 {
+			t.Fatal("browse found no population facts")
+		}
+	}
+	run() // warm the pool
+	before := sys.DB.BufferStats()
+	run()
+	after := sys.DB.BufferStats()
+	pins := (after.Hits + after.Misses) - (before.Hits + before.Misses)
+	allocs := testing.AllocsPerRun(3, run)
+	t.Logf("browse: %d pins over %d heap pages, %.0f allocs", pins, pages, allocs)
+	if limit := int64(pages) * 11 / 10; pins > limit {
+		t.Errorf("browse pinned %d pages, budget %d (1.1 x %d heap pages)", pins, limit, pages)
+	}
+	if allocs > 20000 {
+		t.Errorf("browse allocated %.0f times, budget 20,000", allocs)
+	}
+}

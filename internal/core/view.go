@@ -146,29 +146,48 @@ func (v *View) execSelect(sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
 
 // Browse is the View-scoped exploitation mode 4: a faceted browser built
 // from one snapshot scan, so its facets describe exactly the structure at
-// the View's LSN.
+// the View's LSN. The scan hands over encoded records, and the Builder
+// interns their string columns straight from the record bytes: no row is
+// decoded. As with a decoded row's t[i].S and t[5].F, a non-string
+// entity, attribute, qualifier or value reads as "" and a non-float conf
+// as 0.
 func (v *View) Browse() (*browse.Browser, error) {
 	if err := v.err(); err != nil {
 		return nil, err
 	}
+	var bd browse.Builder
 	// The entity index counts the table's rows: a size hint that spares
-	// the scan its slice regrowth.
-	var rows []browse.Row
+	// the builder its column regrowth.
 	if t := v.s.DB.Table(TableName); t != nil && t.Indexes["entity"] != nil {
-		rows = make([]browse.Row, 0, t.Indexes["entity"].Len())
+		bd.Grow(t.Indexes["entity"].Len())
 	}
-	err := v.snap.Scan(TableName, func(_ rdbms.RID, t rdbms.Tuple) bool {
-		rows = append(rows, browse.Row{
-			Entity: t[0].S, Attribute: t[1].S, Qualifier: t[2].S,
-			Value: t[3].S, Conf: t[5].F,
-		})
+	var recErr error
+	err := v.snap.ScanRecords(TableName, func(_ rdbms.RID, rec []byte) bool {
+		var scratch [8]rdbms.Field
+		fields, err := rdbms.SplitRecord(rec, scratch[:0])
+		if err != nil {
+			recErr = err
+			return false
+		}
+		var str [4][]byte
+		for i := 0; i < len(str) && i < len(fields); i++ {
+			str[i] = fields[i].Str()
+		}
+		conf := 0.0
+		if len(fields) > 5 {
+			conf = fields[5].Float()
+		}
+		bd.Add(str[0], str[1], str[2], str[3], conf)
 		return true
 	})
+	if err == nil {
+		err = recErr
+	}
 	if err != nil {
 		return nil, err
 	}
 	v.s.Stats.Inc("core.queries.browse", 1)
-	return browse.New(rows), nil
+	return bd.Browser(), nil
 }
 
 // ExplainFact renders the lineage of an extracted fact (see

@@ -434,7 +434,7 @@ func (h *HeapFile) TryUpdateInPlace(rid RID, t Tuple, onApply func(RID) LSN) (ne
 // rows are decoded under its read latch and fn runs outside it, so
 // writers interleave between pages. Returning false stops the scan.
 func (h *HeapFile) Scan(fn func(rid RID, t Tuple) bool) error {
-	_, err := scanHeap(h, visibility{}, nil, nil, nil, fn)
+	_, err := scanHeap(h, visibility{}, nil, nil, &tupleSink{fn: fn})
 	return err
 }
 

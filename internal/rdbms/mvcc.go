@@ -809,10 +809,27 @@ func (sn *Snap) Scan(table string, fn func(rid RID, t Tuple) bool) error {
 	return sn.scanWhere(table, nil, fn)
 }
 
+// ScanRecords visits every row live at the snapshot LSN, in Scan's
+// order, as its encoded record (EncodeTuple's format; read it with
+// SplitRecord) rather than a decoded Tuple. A row whose visible version
+// lives in a version chain is re-encoded, so fn sees one shape. Records
+// are copied out of each page into a reused buffer and fn runs after the
+// page's latch is released: rec is valid only until fn returns.
+// Returning false stops the scan.
+func (sn *Snap) ScanRecords(table string, fn func(rid RID, rec []byte) bool) error {
+	return sn.sweep(table, &recordSink{fn: fn})
+}
+
 // scanWhere implements readSource: Scan with f applied in the page loop.
-// The sweep records the heap slots it read in a per-page bitset, so the
-// chained rows it has already covered are skipped at one bit per row.
 func (sn *Snap) scanWhere(table string, f *rowFilter, fn func(rid RID, t Tuple) bool) error {
+	return sn.sweep(table, &tupleSink{f: f, fn: fn})
+}
+
+// sweep hands sink every row live at the snapshot LSN: the heap sweep,
+// then the rows that exist only in chains, in RID order. The sweep
+// records the heap slots it read in a per-page bitset, so the chained
+// rows it has already covered are skipped at one bit per row.
+func (sn *Snap) sweep(table string, sink rowSink) error {
 	if err := sn.ctxErr(); err != nil {
 		return err
 	}
@@ -821,7 +838,7 @@ func (sn *Snap) scanWhere(table string, f *rowFilter, fn func(rid RID, t Tuple) 
 		return err
 	}
 	var seen slotSet
-	stopped, err := scanHeap(t.Heap, sn.visibility(table), f, sn.ctxErr, &seen, fn)
+	stopped, err := scanHeap(t.Heap, sn.visibility(table), sn.ctxErr, &seen, sink)
 	if err != nil || stopped {
 		return err
 	}
@@ -835,12 +852,9 @@ func (sn *Snap) scanWhere(table string, f *rowFilter, fn func(rid RID, t Tuple) 
 		if !ok {
 			continue
 		}
-		keep, err := f.admit(vt)
-		if err != nil {
+		err := sink.take(rid, vt, nil)
+		if !sink.flush() || err != nil {
 			return err
-		}
-		if keep && !fn(rid, vt) {
-			return nil
 		}
 	}
 	return nil

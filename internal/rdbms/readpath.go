@@ -7,14 +7,20 @@ package rdbms
 // pinned once and read under its shared latch, and every row on it is
 // resolved there in three steps:
 //
-//  1. Visibility. A Snap asks its version store whether the row is
-//     chained (vs.visible); a Txn's locks make the heap bytes current.
-//     The heap bytes are read before the chain is probed, the order
-//     MVCC's "no chain after the heap read" argument needs.
+//  1. Visibility (visibility.row). A Snap asks its version store whether
+//     the row is chained (vs.visible); a Txn's locks make the heap bytes
+//     current. The heap bytes are read before the chain is probed, the
+//     order MVCC's "no chain after the heap read" argument needs. A row
+//     the reader sees is either the heap record or a chained row's
+//     visible tuple.
 //  2. The encoded matcher (encMatcher) rejects a heap record that fails a
 //     sargable WHERE conjunct without decoding it. A chained row's
 //     visible tuple skips it.
 //  3. Survivors are decoded and the full WHERE is evaluated on them.
+//
+// A sweep hands each visible row to a rowSink: tupleSink runs steps 2
+// and 3 for a SELECT or Scan, recordSink passes the encoded record on
+// for Snap.ScanRecords.
 //
 // Lock order: page latch, then vs.mu. Writers already take them in this
 // order (Txn.noteVersion runs inside the heap mutation's onApply, under
@@ -75,27 +81,45 @@ func (f *rowFilter) admitRecord(rec []byte) (Tuple, bool, error) {
 	return tup, keep, err
 }
 
+// admitRow filters one visible row: a chained row's tuple when tup is
+// non-nil, else the heap record rec.
+func (f *rowFilter) admitRow(tup Tuple, rec []byte) (Tuple, bool, error) {
+	if tup == nil {
+		return f.admitRecord(rec)
+	}
+	keep, err := f.admit(tup)
+	return tup, keep, err
+}
+
+// row is the visibility step for one heap row, under its page's read
+// latch (live is false for a dead slot). seen reports whether the reader
+// sees the row; if so, tup is a chained row's visible tuple, or nil when
+// the heap record is the row's content.
+func (vis visibility) row(rid RID, live bool) (tup Tuple, seen bool) {
+	if vis.vs != nil {
+		if v, chained := vis.vs.visible(vis.table, rid, vis.lsn); chained {
+			if !v.live {
+				return nil, false
+			}
+			if v.tup != nil {
+				return v.tup, true
+			}
+			// A heap-resident batch version: the heap bytes are its content.
+		}
+	}
+	return nil, live
+}
+
 // resolveRow decides one heap row for a reader, under its page's read
 // latch: the visibility rule, then f, applied to rid's record bytes (live
 // is false for a dead slot). It returns the row the reader sees when that
 // row passes.
 func resolveRow(vis visibility, f *rowFilter, rid RID, rec []byte, live bool) (Tuple, bool, error) {
-	if vis.vs != nil {
-		if v, chained := vis.vs.visible(vis.table, rid, vis.lsn); chained {
-			if !v.live {
-				return nil, false, nil
-			}
-			if v.tup != nil {
-				keep, err := f.admit(v.tup)
-				return v.tup, keep, err
-			}
-			// A heap-resident batch version: the heap bytes are its content.
-		}
-	}
-	if !live {
+	tup, seen := vis.row(rid, live)
+	if !seen {
 		return nil, false, nil
 	}
-	return f.admitRecord(rec)
+	return f.admitRow(tup, rec)
 }
 
 // resolveRun resolves run — candidate rids that all lie on one heap page
@@ -128,39 +152,105 @@ func pageRun(rids []RID) int {
 	return n
 }
 
-// scanHeap sweeps h in page-chain order and calls fn with each row vis
-// sees that passes f. Each page is resolved under one scan-hinted pin and
-// its read latch; fn runs on the page's kept rows after the latch is
-// released, so it may read the table itself. poll (nil = never) is
-// checked before each page. seen, when non-nil, records every live heap
-// slot the sweep read. stopped reports that fn returned false.
-func scanHeap(h *HeapFile, vis visibility, f *rowFilter, poll func() error, seen *slotSet, fn func(RID, Tuple) bool) (stopped bool, err error) {
-	var rids []RID
-	var tups []Tuple
+// rowSink takes the rows a sweep sees. take runs under the row's page
+// read latch, with tup a chained row's visible tuple or nil for the heap
+// record rec, which it must not retain; flush runs once the latch is
+// released and hands on the rows taken since the last flush. A take error
+// stops the sweep after that flush; flush returns false to stop it.
+type rowSink interface {
+	take(rid RID, tup Tuple, rec []byte) error
+	flush() bool
+}
+
+// tupleSink filters each row through f, decoding the heap records the
+// matcher lets through, and calls fn with the rows kept.
+type tupleSink struct {
+	f    *rowFilter
+	fn   func(RID, Tuple) bool
+	rids []RID
+	tups []Tuple
+}
+
+func (s *tupleSink) take(rid RID, tup Tuple, rec []byte) error {
+	tup, keep, err := s.f.admitRow(tup, rec)
+	if keep {
+		s.rids = append(s.rids, rid)
+		s.tups = append(s.tups, tup)
+	}
+	return err
+}
+
+func (s *tupleSink) flush() bool {
+	for i, rid := range s.rids {
+		if !s.fn(rid, s.tups[i]) {
+			return false
+		}
+	}
+	s.rids, s.tups = s.rids[:0], s.tups[:0]
+	return true
+}
+
+// recordSink copies each row's encoded record out of the page into one
+// reused buffer, re-encoding a chained row's tuple so fn sees one shape,
+// and calls fn with the records after the latch is released.
+type recordSink struct {
+	fn   func(RID, []byte) bool
+	rids []RID
+	ends []int // ends[i] is where rids[i]'s record ends in buf
+	buf  []byte
+}
+
+func (s *recordSink) take(rid RID, tup Tuple, rec []byte) error {
+	if tup != nil {
+		s.buf = appendTuple(s.buf, tup)
+	} else {
+		s.buf = append(s.buf, rec...)
+	}
+	s.rids = append(s.rids, rid)
+	s.ends = append(s.ends, len(s.buf))
+	return nil
+}
+
+func (s *recordSink) flush() bool {
+	start := 0
+	for i, rid := range s.rids {
+		end := s.ends[i]
+		if !s.fn(rid, s.buf[start:end:end]) {
+			return false
+		}
+		start = end
+	}
+	s.rids, s.ends, s.buf = s.rids[:0], s.ends[:0], s.buf[:0]
+	return true
+}
+
+// scanHeap sweeps h in page-chain order and hands sink each row vis
+// sees. Each page is read under one scan-hinted pin and its read latch,
+// and the sink is flushed after the latch is released, so its consumer
+// may read the table itself. poll (nil = never) is checked before each
+// page. seen, when non-nil, records every live heap slot the sweep read.
+// stopped reports that the sink's flush returned false.
+func scanHeap(h *HeapFile, vis visibility, poll func() error, seen *slotSet, sink rowSink) (stopped bool, err error) {
 	for _, id := range h.chain() {
 		if poll != nil {
 			if err := poll(); err != nil {
 				return false, err
 			}
 		}
-		rids, tups = rids[:0], tups[:0]
 		seen.startPage(id)
 		err := h.readPage(id, func(slot uint16, rec []byte) error {
 			rid := RID{Page: id, Slot: slot}
 			seen.add(slot)
-			tup, keep, err := resolveRow(vis, f, rid, rec, true)
-			if keep {
-				rids = append(rids, rid)
-				tups = append(tups, tup)
+			tup, visible := vis.row(rid, true)
+			if !visible {
+				return nil
 			}
-			return err
+			return sink.take(rid, tup, rec)
 		})
-		// The rows kept before a failing row reach fn first, as they would
-		// row at a time.
-		for i, rid := range rids {
-			if !fn(rid, tups[i]) {
-				return true, nil
-			}
+		// The rows taken before a failing row reach the consumer first, as
+		// they would row at a time.
+		if !sink.flush() {
+			return true, nil
 		}
 		if err != nil {
 			return false, err

@@ -321,12 +321,27 @@ func checkReadPath(t *testing.T, rng *rand.Rand, src readSource, scan bool) {
 		})
 		want, werr := refScanRows(src, tbl, "r", b, where, stopAfter)
 		same("seq scan", got, want, gerr, werr)
+		if sn, ok := src.(*Snap); ok {
+			// ScanRecords hands over the same rows, unfiltered, encoded.
+			got = nil
+			gerr = sn.ScanRecords("r", func(_ RID, rec []byte) bool {
+				tup, err := DecodeTuple(rec)
+				if err != nil {
+					t.Fatalf("ScanRecords handed over a record DecodeTuple refuses (%v): %x", err, rec)
+				}
+				got = append(got, tup)
+				return stopAfter < 0 || len(got) < stopAfter
+			})
+			want, werr = refScanRows(src, tbl, "r", b, nil, stopAfter)
+			same("record scan", got, want, gerr, werr)
+		}
 	}
 }
 
 // TestIndexReadMatchesRowAtATime: page runs with encoded-predicate
-// filtering return exactly the rows, in exactly the order, of the
-// row-at-a-time path they replaced — for random tables with string, int,
+// filtering (and, for a snapshot, ScanRecords' encoded rows) return
+// exactly the rows, in exactly the order, of the row-at-a-time path they
+// replaced — for random tables with string, int,
 // float and NULL columns and random WHERE clauses (= < > AND OR NOT,
 // mixed-type literals, non-sargable residuals), through a Txn and through
 // snapshots whose rows carry version chains, batch markers and an

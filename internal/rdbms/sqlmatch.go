@@ -97,54 +97,32 @@ const (
 )
 
 // rejects reports whether the WHERE cannot hold for rec (see
-// encMatcher). One walk validates rec exactly as DecodeTuple would and
-// decides each compiled conjunct at its column; the outcomes are then
+// encMatcher). SplitRecord validates rec as DecodeTuple would; each
+// compiled conjunct is decided at its column, and the outcomes are then
 // read in conjunct order.
 func (m *encMatcher) rejects(rec []byte) bool {
 	if len(m.conj) == 0 || len(rec) < 4 || binary.LittleEndian.Uint32(rec[:4]) != uint32(m.ncols) {
 		return false
 	}
+	var scratch [16]Field
+	fields, err := SplitRecord(rec, scratch[:0])
+	if err != nil {
+		return false
+	}
 	var falses, nulls, undecided uint64 // bit j: conjunct j's outcome
-	off := 4
-	for col := 0; col < m.ncols; col++ {
-		if off >= len(rec) {
-			return false
+	for j := range m.conj {
+		c := &m.conj[j]
+		if !c.compiled {
+			continue
 		}
-		rest := len(rec) - off
-		var n int
-		switch Type(rec[off]) {
-		case TNull:
-			n = 1
-		case TInt, TFloat:
-			n = 9
-		case TString:
-			if rest < 5 {
-				return false
-			}
-			n = 5 + int(binary.LittleEndian.Uint32(rec[off+1:off+5]))
-		case TBool:
-			n = 2
-		default:
-			return false
+		switch c.decide(fields[c.col]) {
+		case conjFalse:
+			falses |= 1 << j
+		case conjNull:
+			nulls |= 1 << j
+		case conjUndecided:
+			undecided |= 1 << j
 		}
-		if rest < n || n < 1 {
-			return false
-		}
-		for j := range m.conj {
-			c := &m.conj[j]
-			if !c.compiled || c.col != col {
-				continue
-			}
-			switch c.decide(rec[off : off+n]) {
-			case conjFalse:
-				falses |= 1 << j
-			case conjNull:
-				nulls |= 1 << j
-			case conjUndecided:
-				undecided |= 1 << j
-			}
-		}
-		off += n
 	}
 	for j := range m.conj {
 		bit := uint64(1) << j

@@ -364,7 +364,7 @@ func (tx *Txn) scanWhere(table string, f *rowFilter, fn func(rid RID, t Tuple) b
 	if err := tx.db.lm.Acquire(tx.id, TableLock(table), LockShared); err != nil {
 		return err
 	}
-	_, err = scanHeap(t.Heap, visibility{}, f, tx.ctxErr, nil, fn)
+	_, err = scanHeap(t.Heap, visibility{}, tx.ctxErr, nil, &tupleSink{f: f, fn: fn})
 	return err
 }
 

@@ -187,50 +187,84 @@ func encodeValue(buf []byte, v Value) []byte {
 
 // decodeValue reads one value from buf, returning it and the bytes consumed.
 func decodeValue(buf []byte) (Value, int, error) {
-	if len(buf) < 1 {
-		return Value{}, 0, fmt.Errorf("rdbms: empty value encoding")
+	n := valueLen(buf)
+	if n == 0 {
+		return Value{}, 0, valueErr(buf)
 	}
-	t := Type(buf[0])
-	switch t {
+	return valueOf(buf[:n]), n, nil
+}
+
+// valueLen returns the length, tag included, of the encoded value that
+// starts buf, or 0 if it is malformed (valueErr says how).
+func valueLen(buf []byte) int {
+	if len(buf) == 0 {
+		return 0
+	}
+	n := 0
+	switch Type(buf[0]) {
 	case TNull:
-		return Null(), 1, nil
+		n = 1
+	case TInt, TFloat:
+		n = 9
+	case TString:
+		if len(buf) < 5 || uint64(binary.LittleEndian.Uint32(buf[1:5])) > uint64(len(buf)-5) {
+			return 0
+		}
+		return 5 + int(binary.LittleEndian.Uint32(buf[1:5]))
+	case TBool:
+		n = 2
+	}
+	if n > len(buf) {
+		return 0
+	}
+	return n
+}
+
+// valueErr describes why valueLen refused buf.
+func valueErr(buf []byte) error {
+	if len(buf) == 0 {
+		return fmt.Errorf("rdbms: empty value encoding")
+	}
+	switch Type(buf[0]) {
 	case TInt:
-		if len(buf) < 9 {
-			return Value{}, 0, fmt.Errorf("rdbms: short int encoding")
-		}
-		return NewInt(int64(binary.LittleEndian.Uint64(buf[1:9]))), 9, nil
+		return fmt.Errorf("rdbms: short int encoding")
 	case TFloat:
-		if len(buf) < 9 {
-			return Value{}, 0, fmt.Errorf("rdbms: short float encoding")
-		}
-		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[1:9]))), 9, nil
+		return fmt.Errorf("rdbms: short float encoding")
 	case TString:
 		if len(buf) < 5 {
-			return Value{}, 0, fmt.Errorf("rdbms: short string header")
+			return fmt.Errorf("rdbms: short string header")
 		}
-		n := int(binary.LittleEndian.Uint32(buf[1:5]))
-		if len(buf) < 5+n {
-			return Value{}, 0, fmt.Errorf("rdbms: short string body")
-		}
-		return NewString(string(buf[5 : 5+n])), 5 + n, nil
+		return fmt.Errorf("rdbms: short string body")
 	case TBool:
-		if len(buf) < 2 {
-			return Value{}, 0, fmt.Errorf("rdbms: short bool encoding")
-		}
-		return NewBool(buf[1] == 1), 2, nil
+		return fmt.Errorf("rdbms: short bool encoding")
 	}
-	return Value{}, 0, fmt.Errorf("rdbms: bad type tag %d", buf[0])
+	return fmt.Errorf("rdbms: bad type tag %d", buf[0])
+}
+
+// valueOf decodes one validated value encoding.
+func valueOf(enc []byte) Value {
+	switch Type(enc[0]) {
+	case TInt:
+		return Value{Type: TInt, I: int64(binary.LittleEndian.Uint64(enc[1:]))}
+	case TFloat:
+		return Value{Type: TFloat, F: math.Float64frombits(binary.LittleEndian.Uint64(enc[1:]))}
+	case TString:
+		return Value{Type: TString, S: string(enc[5:])}
+	case TBool:
+		return Value{Type: TBool, B: enc[1] == 1}
+	}
+	return Value{} // NULL
 }
 
 // Tuple is an ordered list of values conforming to a table schema.
 type Tuple []Value
 
 // EncodeTuple serializes a tuple.
-func EncodeTuple(t Tuple) []byte {
-	var buf []byte
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(t)))
-	buf = append(buf, hdr[:]...)
+func EncodeTuple(t Tuple) []byte { return appendTuple(nil, t) }
+
+// appendTuple appends t's encoding to buf.
+func appendTuple(buf []byte, t Tuple) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t)))
 	for _, v := range t {
 		buf = encodeValue(buf, v)
 	}
@@ -256,24 +290,71 @@ func encodedLen(t Tuple) int {
 
 // DecodeTuple parses a tuple serialized by EncodeTuple.
 func DecodeTuple(buf []byte) (Tuple, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("rdbms: short tuple header")
+	var scratch [16]Field
+	fields, err := SplitRecord(buf, scratch[:0])
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(buf[:4]))
-	if n > 1<<20 {
-		return nil, fmt.Errorf("rdbms: implausible tuple arity %d", n)
-	}
-	out := make(Tuple, 0, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		v, used, err := decodeValue(buf[off:])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		off += used
+	out := make(Tuple, len(fields))
+	for i, f := range fields {
+		out[i] = f.Value()
 	}
 	return out, nil
+}
+
+// Field is one value of an encoded record, read in place: its encoding,
+// type tag first, aliasing the record.
+type Field []byte
+
+// SplitRecord is the one reader of the record encoding (EncodeTuple's
+// format): DecodeTuple decodes the fields it returns, the encoded matcher
+// decides its conjuncts on them, and ScanRecords' consumers read their
+// columns through them without decoding the row. It validates rec exactly
+// as DecodeTuple does, reporting the same error, and appends each value's
+// Field to fields in column order.
+func SplitRecord(rec []byte, fields []Field) ([]Field, error) {
+	if len(rec) < 4 || binary.LittleEndian.Uint32(rec[:4]) > 1<<20 {
+		return fields, headerErr(rec)
+	}
+	n := int(binary.LittleEndian.Uint32(rec[:4]))
+	off := 4
+	for i := 0; i < n; i++ {
+		w := valueLen(rec[off:])
+		if w == 0 {
+			return fields, valueErr(rec[off:])
+		}
+		fields = append(fields, Field(rec[off:off+w]))
+		off += w
+	}
+	return fields, nil
+}
+
+// headerErr describes why SplitRecord refused rec's header.
+func headerErr(rec []byte) error {
+	if len(rec) < 4 {
+		return fmt.Errorf("rdbms: short tuple header")
+	}
+	return fmt.Errorf("rdbms: implausible tuple arity %d", binary.LittleEndian.Uint32(rec[:4]))
+}
+
+// Value decodes the value.
+func (f Field) Value() Value { return valueOf(f) }
+
+// Str returns the value's string bytes, aliasing the record, or nil if it
+// is not a string: Value.S's reading without the copy.
+func (f Field) Str() []byte {
+	if Type(f[0]) != TString {
+		return nil
+	}
+	return f[5:]
+}
+
+// Float returns the value if it is a float, else 0: Value.F's reading.
+func (f Field) Float() float64 {
+	if Type(f[0]) != TFloat {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(f[1:9]))
 }
 
 // Clone returns a deep copy of the tuple.

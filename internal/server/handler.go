@@ -92,11 +92,14 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 				return badRequest(err.Error())
 			}
 		}
-		out := &Browse{Path: b.Path(), Rows: len(b.Rows())}
+		out := &Browse{Path: b.Path(), Rows: b.Count()}
 		for _, f := range b.Facets() {
 			wf := Facet{Name: f.Name}
-			for _, v := range f.Values {
-				wf.Values = append(wf.Values, FacetValue{Value: v.Value, Count: v.Count})
+			if len(f.Values) > 0 {
+				wf.Values = make([]FacetValue, len(f.Values))
+			}
+			for i, v := range f.Values {
+				wf.Values[i] = FacetValue{Value: v.Value, Count: v.Count}
 			}
 			out.Facets = append(out.Facets, wf)
 		}

@@ -163,12 +163,13 @@ func (sv *ShardedView) SQL(query string) (*rdbms.ResultSet, error) {
 	})
 }
 
-// Browse merges every live shard's snapshot scan on ascending entity —
+// Browse merges every live shard's browser on ascending entity —
 // reconstructing the single-engine scan order, since the ingest stream
-// is entity-sorted and entities never span shards — and builds one
-// faceted browser over the union.
+// is entity-sorted and entities never span shards — into one faceted
+// browser over the union (browse.Merge remaps each shard's dictionary
+// codes; no row is materialized).
 func (sv *ShardedView) Browse() (*browse.Browser, error) {
-	var streams [][]browse.Row
+	var parts []*browse.Browser
 	var extra []int
 	for i, v := range sv.views {
 		if v == nil {
@@ -183,34 +184,12 @@ func (sv *ShardedView) Browse() (*browse.Browser, error) {
 			}
 			return nil, err
 		}
-		streams = append(streams, b.Rows())
+		parts = append(parts, b)
 	}
-	if len(streams) == 0 {
+	if len(parts) == 0 {
 		return nil, core.ErrClosed
 	}
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	all := make([]browse.Row, 0, total)
-	cursors := make([]int, len(streams))
-	for {
-		best := -1
-		for i, s := range streams {
-			if cursors[i] >= len(s) {
-				continue
-			}
-			if best < 0 || s[cursors[i]].Entity < streams[best][cursors[best]].Entity {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		all = append(all, streams[best][cursors[best]])
-		cursors[best]++
-	}
-	return browse.New(all), degradedOrNil(sv.gapError(extra))
+	return browse.Merge(parts), degradedOrNil(sv.gapError(extra))
 }
 
 // ExplainFact routes to the owning shard's view; a gap there is a
