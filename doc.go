@@ -622,12 +622,25 @@
 // concurrency: every frame has a read/write latch, and page bytes are
 // reachable only through the PageGuard that Pin, PinScan and NewPage
 // return, holding the pin and the latch (shared for reads, exclusive for
-// writes) until Release. A heap holds at most one chain page's latch at
-// a time and never latches under the pool mutex; HeapFile.mu guards only
-// the page chain. Row locks protect rows, the latch protects the page
-// header they share. TestHeapPageLatchReadersVsWriters holds the rule
-// (readers and writers on shared pages, clean under -race), and CI runs
-// `go test -race -cpu 1,2,4 ./...` plus the benchmark under -race.
+// writes) until Release. Data is dead after Release: the frame's buffer
+// may next hold another page. A heap holds at most one chain page's latch
+// at a time and never latches under the pool mutex; HeapFile.mu guards
+// only the page chain. Row locks protect rows, the latch protects the
+// page header they share. TestHeapPageLatchReadersVsWriters holds the
+// rule (readers and writers on shared pages, clean under -race), and CI
+// runs `go test -race -cpu 1,2,4 ./...` plus the benchmark under -race.
+// The pool does no I/O under its mutex (Flush's per-frame write of an
+// unpinned frame aside). A miss installs its frame in the table pinned
+// and exclusively latched (reading), then reads without the mutex; a
+// second pinner of the page waits on that latch, and a failed read takes
+// the frame out and hands its error to every waiter. A dirty victim is
+// written back (writing back) under a pool pin and its shared latch, and
+// reclaimed only if still clean and unpinned afterwards. Evicted frames
+// are recycled, buffer included, and frames are allocated lazily up to
+// capacity (free frames wait for the next miss), so a steady-state miss
+// allocates nothing. TestHitDuringBlockedMiss and
+// TestHitDuringBlockedWriteBack hold the rule; TestMissAllocatesNothing
+// and TestPoolAllocatesLazily the allocation budget.
 //
 // Segmented WAL (internal/rdbms/wal.go, walstore.go). The log is now a
 // sequence of fixed-size segments under a manifest (temp + fsync +

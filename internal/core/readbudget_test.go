@@ -63,7 +63,8 @@ func statementCost(t *testing.T, sys *System, query string) (pins int64, allocs 
 // TestSQLAggReadBudget: the served aggregate's 48,000 index candidates
 // are read in page runs and filtered on their encoded bytes. Measured:
 // 1,367 pins (1,316 heap pages; one pin per candidate, 48,000, before
-// page runs) and ~26,900 allocations (252,374 when every candidate was
+// page runs) and ~20,100 allocations (~26,900 when each buffer miss
+// allocated a fresh page and frame; 252,374 when every candidate was
 // decoded).
 func TestSQLAggReadBudget(t *testing.T) {
 	sys, _ := budgetSystem(t)
@@ -99,8 +100,9 @@ func TestSQLPointReadBudget(t *testing.T) {
 // TestBrowseReadBudget: a browse reads the heap once, as encoded records,
 // and interns the string columns through one dictionary, so it decodes
 // and allocates nothing per row. One browse + refine + Facets, measured:
-// 1,316 pins (one per heap page, as before) and ~12,200 allocations
-// (307,097 when every row was decoded and copied into a browse.Row).
+// 1,316 pins (one per heap page, as before) and ~9,300 allocations
+// (~12,200 when each buffer miss allocated a fresh page and frame;
+// 307,097 when every row was decoded and copied into a browse.Row).
 func TestBrowseReadBudget(t *testing.T) {
 	sys, _ := budgetSystem(t)
 	ctx := context.Background()

@@ -1,7 +1,6 @@
 package rdbms
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -65,16 +64,41 @@ var ErrPoolExhausted = errors.New("rdbms: buffer pool exhausted")
 // read/write latch, and the only way to reach page bytes is a PageGuard:
 // Pin, PinScan and NewPage return one holding the pin and the frame's
 // latch (shared for readers, exclusive for NewPage and writers), and its
-// Release drops the latch, then the pin. The latch order:
+// Release drops the latch, then the pin. Data is dead after Release: the
+// frame's buffer may next hold another page. The latch order:
 //
 //   - Hold at most one chain-reachable page latch at a time. Fresh pages
 //     that no chain links to yet are the only exception: they may stay
 //     latched while another page (the tail that will link them) is
 //     latched.
 //   - Never wait on a latch while holding bp.mu: pin takes the pin under
-//     bp.mu and the latch after releasing it.
-//   - Write-back touches only frames with pins == 0. A latch holder always
-//     holds a pin, so such a frame has no latch holder and no waiter.
+//     bp.mu and the latch after releasing it. Taking bp.mu while holding
+//     a latch is allowed (Release and the write-back below do).
+//   - No I/O under bp.mu, except Flush's per-frame write of an unpinned
+//     frame. A miss and a dirty victim's write-back do their I/O outside
+//     it, holding a pin and the frame's latch instead. A write-back only
+//     tries its victim's latch, so eviction never waits on a latch.
+//
+// A frame is in one of four states:
+//
+//   - resident: in the table and on a queue, holding its page's bytes;
+//   - reading: a miss installed it in the table, pinned and exclusively
+//     latched, and is filling it from the pager without bp.mu. A second
+//     pinner of the page finds it and waits on its latch, not on the
+//     pool. A failed read takes it out of the table and its queue and
+//     leaves the error in it; each waiter returns that error and drops
+//     its pin, and the last pin out frees it;
+//   - writing back: a dirty resident victim the pool pinned and holds
+//     shared-latched while it flushes the WAL and writes the page, so
+//     readers may share it and no writer mutates it mid-write. The pool
+//     reclaims it afterwards only if it is by then clean and unpinned;
+//   - free: out of the table, unpinned, its buffer kept for the next
+//     miss or NewPage.
+//
+// Frames are allocated lazily, one per miss or NewPage, until capacity
+// exist; from then on a miss recycles a free frame or its victim's frame,
+// buffer included, so a steady-state miss allocates nothing and the pool
+// never holds more than capacity buffers.
 type BufferPool struct {
 	mu           sync.Mutex
 	pager        Pager
@@ -83,14 +107,18 @@ type BufferPool struct {
 	protectedCap int  // max protected frames; 0 in flat mode
 	flat         bool // single-queue LRU, scan hints ignored (oracle baseline)
 	frames       map[PageID]*frame
-	probation    *list.List // of PageID; front = most recently used
-	protected    *list.List // of PageID; front = most recently used (empty in flat mode)
+	probation    frameList
+	protected    frameList // empty in flat mode
+
+	// nframes counts the frames allocated so far (never above capacity);
+	// free holds those out of the table and unpinned.
+	nframes int
+	free    []*frame
 
 	// ghost remembers recently evicted non-scan page IDs (no data): a
 	// miss on one is proven reuse and admits the page straight to
-	// protected. Bounded at the pool capacity; nil in flat mode.
-	ghost    *list.List
-	ghostMap map[PageID]*list.Element
+	// protected. Bounded at the pool capacity; unused in flat mode.
+	ghost ghostRing
 
 	// unsynced holds the recLSN of every frame written back since the
 	// last pager sync: written is not durable, so those records must
@@ -124,11 +152,15 @@ const (
 type frame struct {
 	id    PageID
 	data  []byte
-	latch sync.RWMutex // guards data; held only by a PageGuard
+	latch sync.RWMutex // guards data; held only by a PageGuard, a miss or a write-back
 	pins  int
 	dirty bool
-	elem  *list.Element
-	queue bufQueue
+	// err is a failed read's error, set before the reader drops the
+	// latch: a waiter that then gets the latch returns it.
+	err error
+
+	prev, next *frame // links on the queue named by queue
+	queue      bufQueue
 	// scanAdmit marks a frame admitted by a scan-hinted miss: on
 	// eviction it is forgotten outright instead of entering the ghost
 	// list. Cleared by any normal hit (which promotes anyway).
@@ -141,6 +173,122 @@ type frame struct {
 	// record covering the frame's unwritten changes.
 	pinLSN LSN
 	recLSN LSN
+}
+
+// frameList is an intrusive recency queue; front = most recently used.
+type frameList struct {
+	front, back *frame
+	n           int
+}
+
+func (l *frameList) pushFront(f *frame) {
+	f.prev, f.next = nil, l.front
+	if l.front != nil {
+		l.front.prev = f
+	} else {
+		l.back = f
+	}
+	l.front = f
+	l.n++
+}
+
+func (l *frameList) pushBack(f *frame) {
+	f.prev, f.next = l.back, nil
+	if l.back != nil {
+		l.back.next = f
+	} else {
+		l.front = f
+	}
+	l.back = f
+	l.n++
+}
+
+func (l *frameList) remove(f *frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		l.front = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		l.back = f.prev
+	}
+	f.prev, f.next = nil, nil
+	l.n--
+}
+
+func (l *frameList) moveToFront(f *frame) {
+	if l.front != f {
+		l.remove(f)
+		l.pushFront(f)
+	}
+}
+
+// ghostRing is the ghost list: page IDs in eviction order, oldest first,
+// at most max of them. A readmitted ID is forgotten in place (its slot
+// becomes InvalidPage, which no evicted page carries); remembering past
+// max drops the oldest. The ring has 2*max slots and is compacted when
+// full, so each operation is amortized O(1) and allocation-free.
+type ghostRing struct {
+	ids        []PageID
+	at         map[PageID]uint64 // id -> sequence number of its newest slot
+	head, tail uint64            // slots [tail, head) are in use
+	n, max     int               // n: slots in use that are not forgotten
+}
+
+func newGhostRing(max int) ghostRing {
+	return ghostRing{ids: make([]PageID, 2*max), at: make(map[PageID]uint64), max: max}
+}
+
+func (g *ghostRing) slot(seq uint64) *PageID { return &g.ids[seq%uint64(len(g.ids))] }
+
+// forget removes id, reporting whether it was remembered.
+func (g *ghostRing) forget(id PageID) bool {
+	seq, ok := g.at[id]
+	if !ok {
+		return false
+	}
+	*g.slot(seq) = InvalidPage
+	delete(g.at, id)
+	g.n--
+	return true
+}
+
+// remember appends id as the newest entry, dropping the oldest past max.
+func (g *ghostRing) remember(id PageID) {
+	if g.head-g.tail == uint64(len(g.ids)) {
+		g.compact()
+	}
+	*g.slot(g.head) = id
+	g.at[id] = g.head
+	g.head++
+	g.n++
+	for g.n > g.max {
+		for *g.slot(g.tail) == InvalidPage {
+			g.tail++
+		}
+		delete(g.at, *g.slot(g.tail))
+		g.tail++
+		g.n--
+	}
+}
+
+// compact squeezes the forgotten slots out of [tail, head), keeping order.
+func (g *ghostRing) compact() {
+	w := g.tail
+	for r := g.tail; r < g.head; r++ {
+		id := *g.slot(r)
+		if id == InvalidPage {
+			continue
+		}
+		if seq, ok := g.at[id]; ok && seq == r {
+			g.at[id] = w
+		}
+		*g.slot(w) = id
+		w++
+	}
+	g.head = w
 }
 
 // BufferStats is a consistent snapshot of the pool's counters and
@@ -196,20 +344,17 @@ func newBufferPool(pager Pager, wal *WAL, capacity int, flat bool) *BufferPool {
 		protectedCap: protectedCap,
 		flat:         flat,
 		frames:       make(map[PageID]*frame),
-		probation:    list.New(),
-		protected:    list.New(),
-		ghost:        list.New(),
-		ghostMap:     make(map[PageID]*list.Element),
+		ghost:        newGhostRing(capacity),
 		unsynced:     make(map[PageID]unsyncedRec),
 	}
 }
 
-// queueOf returns the list a frame's elem lives on.
-func (bp *BufferPool) queueOf(f *frame) *list.List {
+// queueOf returns the queue a frame is on.
+func (bp *BufferPool) queueOf(f *frame) *frameList {
 	if f.queue == qProtected {
-		return bp.protected
+		return &bp.protected
 	}
-	return bp.probation
+	return &bp.probation
 }
 
 // touchLocked applies the replacement policy to a hit on f. Normal hits
@@ -218,7 +363,7 @@ func (bp *BufferPool) queueOf(f *frame) *list.List {
 // queue position untouched so a sweep cannot manufacture recency.
 func (bp *BufferPool) touchLocked(f *frame, scan bool) {
 	if bp.flat {
-		bp.probation.MoveToFront(f.elem)
+		bp.probation.moveToFront(f)
 		return
 	}
 	if scan {
@@ -226,13 +371,13 @@ func (bp *BufferPool) touchLocked(f *frame, scan bool) {
 	}
 	f.scanAdmit = false
 	if f.queue == qProtected {
-		bp.protected.MoveToFront(f.elem)
+		bp.protected.moveToFront(f)
 		return
 	}
 	// Re-referenced on probation: proven reuse, promote.
-	bp.probation.Remove(f.elem)
+	bp.probation.remove(f)
 	f.queue = qProtected
-	f.elem = bp.protected.PushFront(f.id)
+	bp.protected.pushFront(f)
 	bp.promotions++
 	bp.demoteOverflowLocked()
 }
@@ -241,14 +386,13 @@ func (bp *BufferPool) touchLocked(f *frame, scan bool) {
 // promotion: its coldest page moves back to the warm end of probation
 // (a second chance) rather than the queue growing.
 func (bp *BufferPool) demoteOverflowLocked() {
-	if bp.protected.Len() <= bp.protectedCap {
+	if bp.protected.n <= bp.protectedCap {
 		return
 	}
-	tail := bp.protected.Back()
-	d := bp.frames[tail.Value.(PageID)]
-	bp.protected.Remove(tail)
+	d := bp.protected.back
+	bp.protected.remove(d)
 	d.queue = qProbation
-	d.elem = bp.probation.PushFront(d.id)
+	bp.probation.pushFront(d)
 }
 
 // insertLocked places a newly admitted frame according to the policy:
@@ -257,19 +401,18 @@ func (bp *BufferPool) demoteOverflowLocked() {
 // the re-reference the frame cap hid), everything else enters at the
 // warm end of probation.
 func (bp *BufferPool) insertLocked(f *frame, scan bool) {
+	f.scanAdmit = false
 	if !bp.flat {
 		if scan {
 			f.queue = qProbation
 			f.scanAdmit = true
-			f.elem = bp.probation.PushBack(f.id)
+			bp.probation.pushBack(f)
 			bp.scanBypass++
 			return
 		}
-		if e, ok := bp.ghostMap[f.id]; ok {
-			bp.ghost.Remove(e)
-			delete(bp.ghostMap, f.id)
+		if bp.ghost.forget(f.id) {
 			f.queue = qProtected
-			f.elem = bp.protected.PushFront(f.id)
+			bp.protected.pushFront(f)
 			bp.promotions++
 			bp.ghostHits++
 			bp.demoteOverflowLocked()
@@ -277,29 +420,43 @@ func (bp *BufferPool) insertLocked(f *frame, scan bool) {
 		}
 	}
 	f.queue = qProbation
-	f.elem = bp.probation.PushFront(f.id)
+	bp.probation.pushFront(f)
 }
 
-// rememberGhostLocked records an evicted frame's ID for later
-// readmission. Scan-admitted frames are forgotten outright — a sweep
-// must not be able to fake reuse through the ghost list.
-func (bp *BufferPool) rememberGhostLocked(f *frame) {
-	if bp.flat || f.scanAdmit {
-		return
+// installLocked makes f, a frame no one else can reach, id's entry:
+// pinned once, placed by the policy, and exclusively latched (which
+// cannot wait: no one else holds f).
+func (bp *BufferPool) installLocked(f *frame, id PageID, scan bool) {
+	f.id, f.pins, f.dirty, f.err, f.pinLSN, f.recLSN = id, 1, false, nil, 0, 0
+	if bp.wal != nil {
+		f.pinLSN = bp.wal.NextLSN()
 	}
-	bp.ghostMap[f.id] = bp.ghost.PushFront(f.id)
-	if bp.ghost.Len() > bp.capacity {
-		tail := bp.ghost.Back()
-		bp.ghost.Remove(tail)
-		delete(bp.ghostMap, tail.Value.(PageID))
+	f.latch.Lock()
+	bp.insertLocked(f, scan)
+	bp.frames[id] = f
+}
+
+// pinLocked adds a pin to a frame in the table.
+func (bp *BufferPool) pinLocked(f *frame) {
+	if f.pins == 0 && bp.wal != nil {
+		f.pinLSN = bp.wal.NextLSN()
+	}
+	f.pins++
+}
+
+// unpinLocked drops a pin; the last pin out of a frame a failed read
+// took out of the table frees it.
+func (bp *BufferPool) unpinLocked(f *frame) {
+	f.pins--
+	if f.pins == 0 && f.err != nil {
+		bp.free = append(bp.free, f)
 	}
 }
 
-// writeBack enforces the WAL rule and writes one frame to the pager. The
-// caller holds bp.mu and f is unpinned, so no latch holder can be writing
-// f.data; the frame's recLSN moves to the unsynced set (the write is not
-// durable until the next pager sync).
-func (bp *BufferPool) writeBack(f *frame) error {
+// writeOut enforces the WAL rule and writes f's bytes to the pager. The
+// caller keeps writers off f.data: it holds bp.mu with f unpinned, or
+// f's latch.
+func (bp *BufferPool) writeOut(f *frame) error {
 	if bp.wal != nil {
 		// Flush the log only up to the page's last stamped record: +1 so
 		// the record STARTING at pageLSN is covered whole (flush targets
@@ -309,16 +466,19 @@ func (bp *BufferPool) writeBack(f *frame) error {
 			return err
 		}
 	}
-	if err := bp.pager.WritePage(f.id, f.data); err != nil {
-		return err
-	}
+	return bp.pager.WritePage(f.id, f.data)
+}
+
+// cleanedLocked marks f clean after writeOut: its recLSN moves to the
+// unsynced set, since the write is not durable until the next pager sync.
+func (bp *BufferPool) cleanedLocked(f *frame) {
 	rec := unsyncedRec{lsn: f.recLSN, epoch: bp.syncEpoch}
 	if prev, ok := bp.unsynced[f.id]; ok && prev.lsn < rec.lsn {
 		rec.lsn = prev.lsn // keep the older (more conservative) bound
 	}
 	bp.unsynced[f.id] = rec
+	f.dirty = false
 	f.recLSN = 0
-	return nil
 }
 
 // LatchMode selects the latch a PageGuard holds on its frame.
@@ -329,35 +489,49 @@ const (
 	LatchExclusive                  // writers; alone on the page
 )
 
+func (f *frame) lock(mode LatchMode) {
+	if mode == LatchExclusive {
+		f.latch.Lock()
+	} else {
+		f.latch.RLock()
+	}
+}
+
+func (f *frame) unlock(mode LatchMode) {
+	if mode == LatchExclusive {
+		f.latch.Unlock()
+	} else {
+		f.latch.RUnlock()
+	}
+}
+
 // PageGuard is a pinned page holding its frame's latch. Data aliases the
-// cached frame and is valid until Release; only an exclusive guard may
-// modify it.
+// cached frame and is valid until Release — after it the buffer may hold
+// another page; only an exclusive guard may modify it. ID stays valid
+// after Release.
 type PageGuard struct {
 	bp   *BufferPool
 	f    *frame
+	id   PageID
 	mode LatchMode
 }
 
 // ID returns the guarded page's id.
-func (g PageGuard) ID() PageID { return g.f.id }
+func (g PageGuard) ID() PageID { return g.id }
 
 // Data returns the guarded page's bytes.
 func (g PageGuard) Data() []byte { return g.f.data }
 
 // Release drops the latch, then the pin; dirty marks the frame modified.
 func (g PageGuard) Release(dirty bool) {
-	if g.mode == LatchExclusive {
-		g.f.latch.Unlock()
-	} else {
-		g.f.latch.RUnlock()
-	}
+	g.f.unlock(g.mode)
 	g.bp.mu.Lock()
-	defer g.bp.mu.Unlock()
 	g.f.pins--
 	if dirty && !g.f.dirty {
 		g.f.dirty = true
 		g.f.recLSN = g.f.pinLSN
 	}
+	g.bp.mu.Unlock()
 }
 
 // Pin fetches a page into the pool, pins it, and latches it in mode.
@@ -374,100 +548,189 @@ func (bp *BufferPool) PinScan(id PageID) (PageGuard, error) {
 }
 
 func (bp *BufferPool) pin(id PageID, mode LatchMode, scan bool) (PageGuard, error) {
-	f, err := bp.pinFrame(id, scan)
-	if err != nil {
-		return PageGuard{}, err
+	bp.mu.Lock()
+	for {
+		if f, ok := bp.frames[id]; ok {
+			bp.pinLocked(f)
+			bp.touchLocked(f, scan)
+			bp.hits++
+			bp.mu.Unlock()
+			// The pin keeps f resident; the latch is taken outside bp.mu,
+			// and waits out a miss still reading f.
+			f.lock(mode)
+			if f.err != nil {
+				f.unlock(mode)
+				bp.mu.Lock()
+				bp.unpinLocked(f)
+				bp.mu.Unlock()
+				return PageGuard{}, f.err
+			}
+			return PageGuard{bp: bp, f: f, id: id, mode: mode}, nil
+		}
+		f, err := bp.takeFrameLocked()
+		if err != nil {
+			bp.misses++
+			bp.mu.Unlock()
+			return PageGuard{}, err
+		}
+		if _, ok := bp.frames[id]; ok {
+			// A write-back dropped bp.mu and another pinner read id in
+			// meanwhile: keep the frame for later and pin theirs.
+			bp.free = append(bp.free, f)
+			continue
+		}
+		bp.misses++
+		bp.installLocked(f, id, scan)
+		bp.mu.Unlock()
+		if err := bp.read(f); err != nil {
+			return PageGuard{}, err
+		}
+		if mode == LatchShared {
+			f.latch.Unlock()
+			f.latch.RLock()
+		}
+		return PageGuard{bp: bp, f: f, id: id, mode: mode}, nil
 	}
-	// The pin keeps f resident; the latch is taken outside bp.mu.
-	if mode == LatchExclusive {
-		f.latch.Lock()
-	} else {
-		f.latch.RLock()
-	}
-	return PageGuard{bp: bp, f: f, mode: mode}, nil
 }
 
-func (bp *BufferPool) pinFrame(id PageID, scan bool) (*frame, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if f, ok := bp.frames[id]; ok {
-		if f.pins == 0 && bp.wal != nil {
-			f.pinLSN = bp.wal.NextLSN()
+// errReadAbandoned is what a miss's waiters get when the pager panicked
+// mid-read (the fault harness's simulated crash).
+var errReadAbandoned = errors.New("rdbms: page read abandoned")
+
+// read fills f, which a miss installed pinned and exclusively latched,
+// from the pager, without bp.mu. On success f stays latched for the
+// caller. On failure — a panic included — f leaves the table and its
+// queue carrying the error, the latch and the reader's pin are dropped,
+// and waiters wake to the error.
+func (bp *BufferPool) read(f *frame) (err error) {
+	err = errReadAbandoned
+	defer func() {
+		if err == nil {
+			return
 		}
-		f.pins++
-		bp.touchLocked(f, scan)
-		bp.hits++
-		return f, nil
-	}
-	bp.misses++
-	if err := bp.evictIfFullLocked(); err != nil {
-		return nil, err
-	}
-	data := make([]byte, PageSize)
-	if err := bp.pager.ReadPage(id, data); err != nil {
-		return nil, err
-	}
-	f := &frame{id: id, data: data, pins: 1}
-	if bp.wal != nil {
-		f.pinLSN = bp.wal.NextLSN()
-	}
-	bp.insertLocked(f, scan)
-	bp.frames[id] = f
-	return f, nil
+		bp.mu.Lock()
+		f.err = err
+		delete(bp.frames, f.id)
+		bp.queueOf(f).remove(f)
+		bp.mu.Unlock()
+		f.latch.Unlock()
+		bp.mu.Lock()
+		bp.unpinLocked(f)
+		bp.mu.Unlock()
+	}()
+	err = bp.pager.ReadPage(f.id, f.data)
+	return err
 }
 
 // NewPage allocates a fresh page and returns it pinned and exclusively
-// latched.
+// latched. It takes the frame before allocating, so a pool that cannot
+// admit the page leaves the pager unchanged.
 func (bp *BufferPool) NewPage() (PageGuard, error) {
-	id, err := bp.pager.Allocate()
+	bp.mu.Lock()
+	f, err := bp.takeFrameLocked()
+	bp.mu.Unlock()
 	if err != nil {
 		return PageGuard{}, err
 	}
+	id, err := bp.pager.Allocate()
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if err := bp.evictIfFullLocked(); err != nil {
+	if err != nil {
+		bp.free = append(bp.free, f)
 		return PageGuard{}, err
 	}
-	f := &frame{id: id, data: make([]byte, PageSize), pins: 1, dirty: true}
-	if bp.wal != nil {
-		f.pinLSN = bp.wal.NextLSN()
-		f.recLSN = f.pinLSN
+	clear(f.data) // slotted pages read zero bytes as empty
+	bp.installLocked(f, id, false)
+	f.dirty = true
+	f.recLSN = f.pinLSN
+	return PageGuard{bp: bp, f: f, id: id, mode: LatchExclusive}, nil
+}
+
+// takeFrameLocked returns a frame no one else can reach, out of the
+// table and unpinned: a free one, a new one while fewer than capacity
+// exist, or else the coldest unpinned frame, evicted. A dirty victim is
+// written back first without bp.mu (which takeFrameLocked drops and
+// retakes), and the search starts over: the written frame is reclaimed
+// only if it is still the coldest candidate, clean and unpinned.
+func (bp *BufferPool) takeFrameLocked() (*frame, error) {
+	for {
+		if n := len(bp.free); n > 0 {
+			f := bp.free[n-1]
+			bp.free = bp.free[:n-1]
+			return f, nil
+		}
+		if bp.nframes < bp.capacity {
+			bp.nframes++
+			return &frame{data: make([]byte, PageSize)}, nil
+		}
+		v := bp.victimLocked()
+		if v == nil {
+			return nil, fmt.Errorf("%w (%d frames all pinned)", ErrPoolExhausted, bp.capacity)
+		}
+		if v.dirty {
+			if err := bp.writeBackLocked(v); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		bp.queueOf(v).remove(v)
+		delete(bp.frames, v.id)
+		if !bp.flat && !v.scanAdmit {
+			// Scan-admitted frames are forgotten outright: a sweep must not
+			// be able to fake reuse through the ghost list.
+			bp.ghost.remember(v.id)
+		}
+		bp.evictions++
+		return v, nil
 	}
-	f.latch.Lock() // unpublished frame: cannot wait
-	bp.insertLocked(f, false)
-	bp.frames[id] = f
-	return PageGuard{bp: bp, f: f, mode: LatchExclusive}, nil
+}
+
+// writeBackLocked writes dirty victim v back with bp.mu released, holding
+// a pin and v's shared latch: readers may pin and read v meanwhile, a
+// writer waits. The pool never waits on a victim's latch: if a writer
+// pinned v since it was picked and holds or awaits the latch, v is left
+// to it (that writer's pin keeps it from being picked again). v is marked
+// clean under bp.mu while still latched, so every change the write missed
+// comes from a writer yet to Release, which marks v dirty again. Called
+// and returns with bp.mu held; if the I/O panics, it unwinds with bp.mu
+// released and v's pin and latch dropped.
+func (bp *BufferPool) writeBackLocked(v *frame) error {
+	bp.pinLocked(v)
+	bp.mu.Unlock()
+	if !v.latch.TryRLock() {
+		bp.mu.Lock()
+		bp.unpinLocked(v)
+		return nil
+	}
+	locked := false
+	defer func() {
+		if !locked {
+			v.latch.RUnlock()
+			bp.mu.Lock()
+			bp.unpinLocked(v)
+			bp.mu.Unlock()
+		}
+	}()
+	err := bp.writeOut(v)
+	bp.mu.Lock()
+	locked = true
+	if err == nil {
+		bp.cleanedLocked(v)
+	}
+	v.latch.RUnlock()
+	bp.unpinLocked(v)
+	return err
 }
 
 // victimLocked finds the coldest unpinned frame: probation tail first,
 // protected tail only when probation holds no candidate.
 func (bp *BufferPool) victimLocked() *frame {
-	for _, q := range [...]*list.List{bp.probation, bp.protected} {
-		for e := q.Back(); e != nil; e = e.Prev() {
-			f := bp.frames[e.Value.(PageID)]
+	for _, q := range [...]*frameList{&bp.probation, &bp.protected} {
+		for f := q.back; f != nil; f = f.prev {
 			if f.pins == 0 {
 				return f
 			}
 		}
-	}
-	return nil
-}
-
-func (bp *BufferPool) evictIfFullLocked() error {
-	for len(bp.frames) >= bp.capacity {
-		victim := bp.victimLocked()
-		if victim == nil {
-			return fmt.Errorf("%w (%d frames all pinned)", ErrPoolExhausted, len(bp.frames))
-		}
-		if victim.dirty {
-			if err := bp.writeBack(victim); err != nil {
-				return err
-			}
-		}
-		bp.queueOf(victim).Remove(victim.elem)
-		delete(bp.frames, victim.id)
-		bp.rememberGhostLocked(victim)
-		bp.evictions++
 	}
 	return nil
 }
@@ -500,10 +763,10 @@ func (bp *BufferPool) Flush() error {
 			if !ok || !f.dirty || f.pins > 0 {
 				return nil
 			}
-			if err := bp.writeBack(f); err != nil {
+			if err := bp.writeOut(f); err != nil {
 				return err
 			}
-			f.dirty = false
+			bp.cleanedLocked(f)
 			return nil
 		}()
 		if err != nil {
@@ -605,7 +868,7 @@ func (bp *BufferPool) Stats() BufferStats {
 		GhostHits:  bp.ghostHits,
 		Capacity:   bp.capacity,
 		Resident:   len(bp.frames),
-		Protected:  bp.protected.Len(),
+		Protected:  bp.protected.n,
 	}
 	for _, f := range bp.frames {
 		if f.dirty {
