@@ -73,7 +73,7 @@ var ErrPoolExhausted = errors.New("rdbms: buffer pool exhausted")
 //     latched.
 //   - Never wait on a latch while holding bp.mu: pin takes the pin under
 //     bp.mu and the latch after releasing it. Taking bp.mu while holding
-//     a latch is allowed (Release and the write-back below do).
+//     a latch is allowed (a write-back and a failed read do).
 //   - No I/O under bp.mu, except Flush's per-frame write of an unpinned
 //     frame. A miss and a dirty victim's write-back do their I/O outside
 //     it, holding a pin and the frame's latch instead. A write-back only
