@@ -65,7 +65,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	seed := fs.Int64("seed", 1, "corpus seed")
 	workers := fs.Int("workers", 4, "cluster workers")
 	corrupt := fs.Float64("corrupt", 0, "fraction of corrupted city articles")
-	dataDir := fs.String("data", "", "persist the database under this directory: the extracted structure survives across invocations (crash-safe rdbms + warm snapshots)")
+	dataDir := fs.String("data", "", "persist the database under this directory: the extracted structure survives across invocations (crash-safe rdbms)")
 	timeout := fs.Duration("timeout", 0, "per-command deadline (0 = none); expired deadlines abort queries mid-scan")
 	remote := fs.String("remote", "", "address of a unidbd server to run the command against (host:port)")
 	if err := fs.Parse(args); err != nil {
@@ -100,7 +100,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		}
 		sys = s
 		if rep.Reopened {
-			fmt.Fprintf(out, "(reopened database under %s, warm=%v)\n", *dataDir, rep.Warm)
+			fmt.Fprintf(out, "(reopened database under %s)\n", *dataDir)
 		}
 		defer func() {
 			if err := sys.Close(); err != nil && retErr == nil {

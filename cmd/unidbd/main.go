@@ -14,7 +14,7 @@
 //     honors mid-scan.
 //   - Graceful drain: SIGTERM/SIGINT stops accepting, finishes in-flight
 //     requests under -drain-timeout, then closes the system — so the next
-//     open of the same -data directory is a zero-write warm start.
+//     open of the same -data directory is a zero-write clean reopen.
 //   - Sharding: -shards N partitions the extracted table by entity hash
 //     across N engines behind the same protocol; reads fan out and merge
 //     byte-identically to a single engine, and shard loss degrades to

@@ -54,8 +54,8 @@
 //
 // # Sorted queries and warm start (PR2)
 //
-// The sorted-query path was rebuilt end to end, and the warm structures
-// PR1 introduced now survive process restarts:
+// The sorted-query path was rebuilt end to end, and the incremental
+// extraction plan now survives process restarts:
 //
 // Top-k ORDER BY. An ORDER BY with a LIMIT no longer materializes,
 // projects, and stable-sorts every row. Projection keeps a bounded
@@ -80,18 +80,23 @@
 // beats walking the whole index); a range predicate on the sort column
 // folds into the scan bounds. The plan string reports "index order scan".
 //
-// Warm start. SaveWarmState persists the catalog cache (entities,
-// attributes, qualifier vocabularies) and the pending task queue
-// (priorities, partitions, documents by title) as one checksummed JSON
-// record in the filestore segment store; repeated saves append. Open /
-// LoadWarmState restores the newest snapshot so a reopened system serves
-// AskGuided with zero table scans and resumes incremental extraction
-// where it left off. Staleness is decided by two cheap checks: the
-// snapshot's extracted-table row count must match the live table (read
-// O(1) from the entity index), and the snapshot's invalidation epoch —
-// advanced by every cache change or invalidation — must not be older than
-// the live cache's. A refused snapshot just means a cold open: the next
-// Catalog() rebuilds by scan.
+// Persisted state. A System persists only through its engine files
+// (Config.Dir; dir/db under OpenDir), so ARIES recovery is the one
+// mechanism that makes every piece of it crash-consistent. Besides the
+// extracted table, the engine holds the incremental extraction plan in
+// the tasks table: one row per task (attribute, part, priority, document
+// titles, done). PlanIncremental inserts a plan in one transaction, and
+// ExtractPending marks a task done in the transaction that inserts its
+// rows — even when it yields none — so a kill can neither lose a
+// completed task's progress nor run it twice, and a task whose
+// transaction aborts stays pending. New rebuilds the queue and the
+// coverage counters from the table. Demand's boosts stay in memory,
+// because AskGuided raises them on every ask; Close writes the changed
+// priorities of pending tasks back in one transaction, so a crash loses
+// only boosts. The catalog cache has no persisted form: its first read
+// after a reopen rebuilds it with one snapshot scan of the extracted
+// table's encoded records, interning entity, attribute and qualifier
+// from the record bytes without decoding a row.
 //
 // Incremental reformulator. The reformulator's entity-token index is no
 // longer rebuilt whenever the catalog changes: materialized rows feed it
@@ -101,7 +106,7 @@
 // answers identically to one rebuilt from the same catalog.
 //
 // In bench/, scan_cold's sql_topk_p50_us watches the top-k path and
-// restart_s, on every workload, the warm start.
+// restart_s, on every workload, the reopen and its first catalog read.
 //
 // # Crash-safe durability and recovery (PR3)
 //
@@ -160,16 +165,14 @@
 // checksums clean, state stable across a further close/reopen; every
 // fourth point also crashes recovery itself mid-flight first. core
 // builds on the same machinery: Config.Dir / core.OpenDir root the
-// database and the warm-state snapshots (now guarded by an
-// order-independent (entity, attribute, qualifier) content checksum that
-// refuses same-row-count divergence) under one directory, and
-// System.Close checkpoints both — see examples/quickstart for the full
-// close→reopen walkthrough.
+// database, the only state a System persists, and System.Close
+// checkpoints it — see examples/quickstart for the full close→reopen
+// walkthrough.
 //
 // In bench/, restart_s and disk_bytes_per_row watch the on-disk
 // lifecycle on every workload.
 //
-// # Disk-path performance: group commit, index checkpoints, O(1) warm verify (PR4)
+// # Disk-path performance: group commit and index checkpoints
 //
 // PR3 made the disk path safe; PR4 makes it fast without weakening any
 // of its guarantees — the fault harness re-proves every one of them at
@@ -210,23 +213,12 @@
 // indexes_rebuilt watch it).
 //
 // Checkpoints now write the catalog twice: once before the WAL reset
-// (pointing checkpointLSN at the old log's end, with the fresh stamps
-// and content hashes) and once after (LSN 0). The fault harness caught
-// the gap this closes: a crash between the reset and the single
-// post-reset catalog write left the previous catalog's derived metadata
-// (content hash, chain stamps) describing an older state, with the log
-// that would have reconciled them already empty.
-//
-// O(1) warm verification. A table can carry an order-independent
-// multiset content hash over chosen columns (EnableContentHash):
-// committed transactions fold per-row digests in with wrapping
-// addition after their commit record is durable (aborts discard their
-// delta; physical restores make that exact), checkpoints persist the
-// accumulator in the catalog, and recovery adjusts it from the WAL
-// tail's before/after images. core enables it over (entity, attribute,
-// qualifier), so a fresh process validates a warm-start snapshot
-// against the live table in O(1) — LoadWarmState no longer rescans the
-// extracted table on disk reopen.
+// (pointing checkpointLSN at the old log's end, with the fresh stamps)
+// and once after (LSN 0). The fault harness caught the gap this closes:
+// a crash between the reset and the single post-reset catalog write left
+// the previous catalog's derived metadata (chain stamps) describing an
+// older state, with the log that would have reconciled them already
+// empty.
 //
 // Also in PR4: the ORDER BY + LIMIT bounded top-k heap now runs inside
 // the sequential scan callback (rows it rejects are never retained —
@@ -281,8 +273,8 @@
 // nothing (TestRedoIdempotent). Losers (no verdict record) are then
 // undone by forcing each slot they touched back to its oldest
 // before-image — state-idempotent, so recovery crashing mid-undo and
-// re-running converges. The delta feed for loaded index chains and
-// persisted content hashes comes from the same walk: redo records each
+// re-running converges. The delta feed for loaded index chains comes
+// from the same walk: redo records each
 // slot's first tail record as its prior, and after undo the heap holds
 // each touched slot's final state.
 //
@@ -310,18 +302,16 @@
 // the horizon back — and writes the catalog with the horizon as the new
 // replay origin BEFORE truncating, so every crash window recovers from
 // a catalog whose origin the surviving log still covers. Derived state
-// is the subtle part: index checkpoint chains and content hashes are
-// only trustworthy if captured at a moment no transaction was active,
+// is the subtle part: index checkpoint chains are only trustworthy if captured at a moment no transaction was active,
 // so each table tracks a mutation counter against its last consistent
 // capture (catMut/snapLSN). An idle checkpoint holds the transaction
 // admission gate for the brief in-memory serialization and re-captures
 // changed tables; a mid-traffic checkpoint instead marks changed
 // tables' derived state invalid (chain stamps bumped away from their
-// chains, hash flagged) — recovery then rebuilds those by scan, while
-// untouched tables keep their loadable chains and O(1)-verifiable
-// hashes. The clean close path is unchanged: Close still quiesces, so
-// the indexed bulk-load reopen and LoadWarmState's O(1) verify keep
-// working as PR4 left them. core exposes System.Checkpoint so a
+// chains) — recovery then rebuilds those by scan, while untouched
+// tables keep their loadable chains. The clean close path is unchanged:
+// Close still quiesces, so the indexed bulk-load reopen keeps working.
+// core exposes System.Checkpoint so a
 // long-running system can bound its log mid-traffic
 // (TestCheckpointDoesNotStallWriters drives corrections and catalog
 // reads under a continuous checkpointer).
@@ -336,7 +326,7 @@
 // dying), then a clean reopen is checked against a per-transaction
 // oracle (acked commits fully visible; unacked transactions atomic;
 // deleted rows never resurface; no invented rows) plus the
-// index-vs-heap and content-hash oracles, under -race. Together with
+// index-vs-heap oracle, under -race. Together with
 // the single-threaded property suite (now 776 enumerated kill points,
 // >= 700 asserted) the fault suites run 1040+ injection runs. A
 // seed-reproducible soak (TestSoakCheckpointerReopen) runs a randomized
@@ -379,11 +369,11 @@
 //     now idempotent and concurrent-safe: the first closer drains
 //     in-flight operations (late arrivals get core.ErrClosed) and
 //     tears down; every other caller shares its verdict. The close
-//     checkpoints and snapshots, so the daemon's next life on the same
-//     -data directory is the PR5 zero-write warm start — proven by
+//     checkpoints, so the daemon's next life on the same -data
+//     directory is the zero-write clean reopen — proven by
 //     TestDaemonSIGTERMDrain, which SIGTERMs a real re-exec'd daemon
-//     process mid-traffic and asserts exit 0 plus byte-identical
-//     database files across the warm second life.
+//     process mid-traffic and asserts exit 0 plus a byte-identical
+//     data directory across the second life.
 //
 //   - Connection robustness. Per-connection read/write deadlines, a
 //     frame size cap (oversized frames get a typed refusal, then the
@@ -404,7 +394,7 @@
 // correction identity under concurrent corrections. bench/ drives every
 // workload through this front end (server.wire_self_us.<op>,
 // server.shed), and CI runs a server smoke job: real binaries, mixed
-// remote workload, SIGTERM, clean-drain and warm-reopen assertions.
+// remote workload, SIGTERM, clean-drain and reopen assertions.
 //
 // # MVCC snapshot reads behind the View API (PR7)
 //
@@ -516,9 +506,8 @@
 // (the PR4 bottom-up builder), and the result swaps in under the index
 // latch. Snap readers compensate the not-yet-built indexes through the
 // version chains, which the loader's own snapshot pin keeps alive.
-// Non-empty indexes are maintained incrementally per chunk. The per-batch
-// content-hash delta folds once per chunk (O(1) warm-start verification
-// holds), and Commit ends with a checkpoint fence. Also in PR8: the
+// Non-empty indexes are maintained incrementally per chunk, and Commit
+// ends with a checkpoint fence. Alongside it, the
 // precise version-chain retention sweep gained a size trigger
 // (sweepTriggerVersions) with geometric re-arm, bounding hot-chain growth
 // between checkpoints; cmd/unidb grew an `ingest` subcommand.
@@ -586,7 +575,7 @@
 // Degraded{down, shards} marker, result-less shard loss maps to the
 // typed "degraded" code (client sentinel ErrDegraded), and health
 // reports shard topology. The sharded daemon bulk-ingests on first open
-// and warm-reopens per-shard subdirectories; a manifest refuses a reopen
+// and reopens per-shard subdirectories; a manifest refuses a reopen
 // with a different shard count, since entity ownership would silently
 // move. The fault suite drives all of it over real sockets with
 // concurrent healthy traffic under admission-control deadlines.

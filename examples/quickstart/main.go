@@ -1,8 +1,8 @@
 // Quickstart: the minimal end-to-end loop — generate a corpus, run a
 // declarative extraction program over a crash-safe on-disk database,
 // move from keyword search to a structured answer, then close and
-// reopen the same directory to show the extracted structure (and the
-// warm catalog over it) surviving a real process-style restart.
+// reopen the same directory to show the extracted structure surviving a
+// real process-style restart.
 package main
 
 import (
@@ -21,9 +21,8 @@ func main() {
 	corpus, _ := synth.Generate(synth.DefaultConfig(1))
 	fmt.Printf("corpus: %d documents, %d KiB\n", corpus.Len(), corpus.Bytes()/1024)
 
-	// 2. A durable root: dir/db holds the checksummed page file and WAL,
-	// dir/warm the catalog/queue snapshots. Everything below survives in
-	// this directory across Close → OpenDir.
+	// 2. A durable root: dir/db holds the checksummed page file and WAL.
+	// Everything below survives in this directory across Close → OpenDir.
 	dir, err := os.MkdirTemp("", "quickstart-*")
 	if err != nil {
 		log.Fatal(err)
@@ -48,8 +47,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("first open: reopened=%v warm=%v, rows materialized: %d\n",
-		rep.Reopened, rep.Warm, sys.Stats.Counter("uql.store.rows"))
+	fmt.Printf("first open: reopened=%v, rows materialized: %d\n",
+		rep.Reopened, sys.Stats.Counter("uql.store.rows"))
 
 	// 4. Exploitation, mode 1: plain keyword search (the IR baseline).
 	fmt.Println("\nkeyword search: 'average temperature Madison Wisconsin'")
@@ -75,17 +74,16 @@ func main() {
 		fmt.Printf("\nanswer: the average temperature in Madison is %.1f degrees F\n", avg)
 	}
 
-	// 6. Close: checkpoint the database (all pages durable, WAL truncated)
-	// and save a warm snapshot. This is the full shutdown a real
-	// deployment would run.
+	// 6. Close: checkpoint the database (all pages durable, WAL
+	// truncated). This is the full shutdown a real deployment would run.
 	if err := sys.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nclosed: database checkpointed to disk, warm snapshot saved")
+	fmt.Println("\nclosed: database checkpointed to disk")
 
 	// 7. Second life: reopen the same directory. The extracted table
-	// recovers from the data file — no re-extraction — and the warm
-	// snapshot restores the catalog without a rebuild scan.
+	// recovers from the data file — no re-extraction — and the first
+	// catalog read rebuilds the catalog with one scan of it.
 	sys2, rep2, err := core.OpenDir(dir, core.Config{Corpus: corpus, Workers: 4}, func(s *core.System) error {
 		log.Fatal("setup ran on reopen — the database was not recovered")
 		return nil
@@ -93,8 +91,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reopened: reopened=%v warm=%v (extraction skipped, structure recovered from %s)\n",
-		rep2.Reopened, rep2.Warm, dir)
+	fmt.Printf("reopened: reopened=%v (extraction skipped, structure recovered from %s)\n",
+		rep2.Reopened, dir)
 
 	// 8. Exploitation, mode 3: direct SQL for sophisticated users — served
 	// from the recovered on-disk structure.

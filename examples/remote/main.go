@@ -3,7 +3,7 @@
 // data directory, drive it over TCP with the protocol client that backs
 // `unidb -remote`, watch the admission controller shed a request past
 // its deadline, then SIGTERM the daemon and observe the graceful-drain
-// contract: exit without error, and a warm zero-rebuild second life.
+// contract: exit without error, and a zero-write second life.
 //
 // The equivalent shell session against real binaries:
 //
@@ -87,14 +87,13 @@ func main() {
 	fmt.Printf("health: %d rows, served %d, shed %d\n", h.ExtractedRows, h.Served, h.Shed)
 
 	// 4. Graceful drain: SIGTERM (what an orchestrator sends) makes the
-	// daemon stop accepting, finish in-flight work, checkpoint, and
-	// snapshot warm state.
+	// daemon stop accepting, finish in-flight work, and checkpoint.
 	syscall.Kill(os.Getpid(), syscall.SIGTERM)
 	if err := <-done; err != nil {
 		log.Fatal(err)
 	}
 
-	// 5. Second life: same directory, warm zero-rebuild reopen.
+	// 5. Second life: same directory, zero-write reopen.
 	go func() { done <- server.RunDaemon(cfg) }()
 	addr = (<-addrCh).String()
 	cli2, err := server.Dial(addr, 10*time.Second)

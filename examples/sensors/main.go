@@ -105,7 +105,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nafter close + reopen from %s (reopened=%v warm=%v):\n", dir, rep.Reopened, rep.Warm)
+	fmt.Printf("\nafter close + reopen from %s (reopened=%v, reading coverage %.0f%%):\n",
+		dir, rep.Reopened, 100*sys2.Coverage("reading"))
 	fmt.Printf("readings recovered from disk: %s\n", rs2.Rows[0][0].String())
 	if err := sys2.Close(); err != nil {
 		log.Fatal(err)

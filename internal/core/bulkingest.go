@@ -18,8 +18,7 @@ import (
 // entity-contiguous runs — and the extracted rows then load through the
 // engine's COPY-style batch path: one logged batch record per chunk
 // instead of per-row WAL records, deferred sorted index builds on a
-// fresh table, per-batch content-hash folding, and a closing checkpoint
-// fence. This is the route a large corpus takes instead of the per-row
+// fresh table, and a closing checkpoint fence. This is the route a large corpus takes instead of the per-row
 // materialize path ExtractPending uses for incremental demand.
 //
 // PR9 splits the run into ExtractAll (cluster extraction producing the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -88,11 +89,11 @@ func TestBulkIngestEndToEnd(t *testing.T) {
 
 // TestBulkIngestEquivalenceOracle checks the ingested table against two
 // independent derivations: the sequential ExtractAll reference (row
-// count and the folded content hash over the identity columns must
-// match exactly), and a second system ingesting the same corpus with a
-// different worker and partition count (the content hash — order
-// independent by construction — must be identical, so the shuffle plan
-// cannot change what was loaded).
+// count and the multiset digest over the identity columns must match
+// exactly), and a second system ingesting the same corpus with a
+// different worker and partition count (the digest over whole rows —
+// order independent by construction — must be identical, so the shuffle
+// plan cannot change what was loaded).
 func TestBulkIngestEquivalenceOracle(t *testing.T) {
 	ctx := context.Background()
 	sysA := newBulkIngestSystem(t, 4)
@@ -101,23 +102,18 @@ func TestBulkIngestEquivalenceOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: the same pipeline run sequentially, folded by hand with
-	// the engine's public hash over the entity/attribute/qualifier cols.
+	// Reference: the same pipeline run sequentially, digested by hand
+	// over the entity/attribute/qualifier columns.
 	fields := extract.DefaultCityPipeline().ExtractAll(sysA.Corpus.Docs())
 	if len(fields) != repA.Rows {
 		t.Fatalf("bulk ingest loaded %d rows, sequential extraction yields %d", repA.Rows, len(fields))
 	}
 	var want uint64
 	for _, f := range fields {
-		want += rdbms.ContentHashValues(
-			rdbms.NewString(f.Entity), rdbms.NewString(f.Attribute), rdbms.NewString(f.Qualifier))
+		want += identityDigest(f.Entity, f.Attribute, f.Qualifier)
 	}
-	got, ok := sysA.DB.ContentHash(TableName)
-	if !ok {
-		t.Fatal("content hash disabled on the extracted table")
-	}
-	if got != want {
-		t.Fatalf("content hash %x after bulk ingest, sequential reference %x", got, want)
+	if got, _ := tableDigests(t, sysA.DB); got != want {
+		t.Fatalf("identity digest %x after bulk ingest, sequential reference %x", got, want)
 	}
 
 	// Different parallelism, same corpus: identical table content.
@@ -129,9 +125,9 @@ func TestBulkIngestEquivalenceOracle(t *testing.T) {
 	if repB.Rows != repA.Rows {
 		t.Fatalf("1-way ingest loaded %d rows, 8-way loaded %d", repB.Rows, repA.Rows)
 	}
-	gotB, _ := sysB.DB.ContentHash(TableName)
-	if gotB != got {
-		t.Fatalf("content hash differs across partition plans: %x vs %x", gotB, got)
+	_, rowsA := tableDigests(t, sysA.DB)
+	if _, rowsB := tableDigests(t, sysB.DB); rowsB != rowsA {
+		t.Fatalf("row digest differs across partition plans: %x vs %x", rowsB, rowsA)
 	}
 
 	// And the query surface agrees byte for byte on an ordered stream
@@ -149,4 +145,32 @@ func TestBulkIngestEquivalenceOracle(t *testing.T) {
 	if rsA.String() != rsB.String() {
 		t.Fatalf("ordered streams differ:\n%s\nvs\n%s", rsA.String(), rsB.String())
 	}
+}
+
+// identityDigest is one row's contribution to the identity digest: the
+// FNV-1a hash of its entity, attribute and qualifier.
+func identityDigest(entity, attribute, qualifier string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(entity + "\x00" + attribute + "\x00" + qualifier))
+	return h.Sum64()
+}
+
+// tableDigests reads the extracted table through one snapshot scan and
+// returns two order-independent multiset digests (per-row hashes summed
+// with wrapping addition): over the identity columns, and over whole
+// encoded rows.
+func tableDigests(t *testing.T, db *rdbms.DB) (identity, rows uint64) {
+	t.Helper()
+	sn := db.BeginSnapshot()
+	defer sn.Close()
+	if err := sn.Scan(TableName, func(_ rdbms.RID, tup rdbms.Tuple) bool {
+		identity += identityDigest(tup[0].S, tup[1].S, tup[2].S)
+		h := fnv.New64a()
+		h.Write(rdbms.EncodeTuple(tup))
+		rows += h.Sum64()
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return identity, rows
 }

@@ -32,21 +32,9 @@ type catalogCache struct {
 	qualOrder map[string][]string // first-seen qualifier order per attribute
 
 	// epoch is the invalidation epoch: it advances on every content
-	// change and every invalidation, versioning the cache for warm-start
-	// persistence — a persisted snapshot is stale if the live cache has
-	// moved past the epoch it was saved at.
+	// change and every invalidation, versioning whatever is built over the
+	// catalog (System.CatalogEpoch).
 	epoch int64
-
-	// hash is an order-independent multiset hash over every extracted
-	// row's (entity, attribute, qualifier): per-row FNV-1a digests summed
-	// with wrapping addition, so insertion order is irrelevant but
-	// multiplicity counts. It is the warm-start content validator — two
-	// table states with equal row counts but different content (the
-	// divergence row counts cannot see) hash differently. Maintained by
-	// rebuilds and by materialize's per-row folds; CorrectValue rewrites
-	// a row's value in place without touching its (entity, attribute,
-	// qualifier), so it leaves the hash alone.
-	hash uint64
 
 	// built memoizes the assembled (sorted) catalog between writes; it is
 	// cleared whenever the cache content changes. reform is the
@@ -74,27 +62,7 @@ func (c *catalogCache) invalidate() {
 	c.qualSeen = nil
 	c.qualOrder = nil
 	c.reform = nil
-	c.hash = 0
 	c.markDirty()
-}
-
-// rowContentHash digests one row's catalog-relevant identity. It is
-// rdbms.ContentHashValues over the same three columns the database's
-// incremental table hash covers (see System setup), so the cache-side
-// hash and the engine-maintained one are directly comparable: warm-start
-// validation can use whichever is cheapest.
-func rowContentHash(entity, attribute, qualifier string) uint64 {
-	return rdbms.ContentHashValues(
-		rdbms.NewString(entity), rdbms.NewString(attribute), rdbms.NewString(qualifier))
-}
-
-// foldRowHash adds one materialized row into the content hash. No-op
-// while invalid: the next rebuild recomputes the hash from the table.
-func (c *catalogCache) foldRowHash(entity, attribute, qualifier string) {
-	if !c.valid {
-		return
-	}
-	c.hash += rowContentHash(entity, attribute, qualifier)
 }
 
 // reset prepares empty-but-valid state for a rebuild.
@@ -105,7 +73,6 @@ func (c *catalogCache) reset() {
 	c.qualSeen = map[string]map[string]bool{}
 	c.qualOrder = map[string][]string{}
 	c.reform = nil
-	c.hash = 0
 	c.markDirty()
 }
 
@@ -147,31 +114,14 @@ func (c *catalogCache) addRow(entity, attribute, qualifier string) {
 	}
 }
 
-// installWarm replaces the cache content with a persisted warm snapshot,
-// adopting its epoch and content hash. Qualifier vocabularies keep the
-// persisted order.
-func (c *catalogCache) installWarm(entities, attrs []string, quals map[string][]string, epoch int64, hash uint64) {
-	c.reset()
-	for _, e := range entities {
-		c.entities[e] = true
+// addRecord is addRow over a record's column bytes: a row whose values
+// the cache already holds costs three map lookups and allocates nothing.
+func (c *catalogCache) addRecord(entity, attribute, qualifier []byte) {
+	if c.entities[string(entity)] && c.attrs[string(attribute)] &&
+		(len(qualifier) == 0 || c.qualSeen[string(attribute)][string(qualifier)]) {
+		return
 	}
-	for _, a := range attrs {
-		c.attrs[a] = true
-	}
-	for a, vocab := range quals {
-		seen := map[string]bool{}
-		order := make([]string, 0, len(vocab))
-		for _, q := range vocab {
-			if !seen[q] {
-				seen[q] = true
-				order = append(order, q)
-			}
-		}
-		c.qualSeen[a] = seen
-		c.qualOrder[a] = order
-	}
-	c.epoch = epoch
-	c.hash = hash
+	c.addRow(string(entity), string(attribute), string(qualifier))
 }
 
 // snapshot assembles the reformulate.Catalog from the cache. The result
@@ -215,16 +165,32 @@ func (c *catalogCache) reformulator(table string) *reformulate.Reformulator {
 // table. The scan runs through an MVCC snapshot: it sees exactly the
 // committed state at one LSN, takes zero lock-manager acquisitions, and
 // cannot deadlock against concurrent writers — important because the
-// caller holds System.mu for the duration. Caller holds System.mu.
+// caller holds System.mu for the duration. It reads encoded records and
+// interns columns 0–2 from their bytes, as View.Browse does: no row is
+// decoded, and a non-string entity, attribute or qualifier reads as "",
+// as a decoded row's t[i].S would. Caller holds System.mu.
 func (c *catalogCache) rebuildFrom(db *rdbms.DB, table string) error {
 	c.reset()
 	sn := db.BeginSnapshot()
 	defer sn.Close()
-	err := sn.Scan(table, func(_ rdbms.RID, t rdbms.Tuple) bool {
-		c.addRow(t[0].S, t[1].S, t[2].S)
-		c.hash += rowContentHash(t[0].S, t[1].S, t[2].S)
+	var recErr error
+	err := sn.ScanRecords(table, func(_ rdbms.RID, rec []byte) bool {
+		var scratch [8]rdbms.Field
+		fields, err := rdbms.SplitRecord(rec, scratch[:0])
+		if err != nil {
+			recErr = err
+			return false
+		}
+		var str [3][]byte
+		for i := 0; i < len(str) && i < len(fields); i++ {
+			str[i] = fields[i].Str()
+		}
+		c.addRecord(str[0], str[1], str[2])
 		return true
 	})
+	if err == nil {
+		err = recErr
+	}
 	if err != nil {
 		c.invalidate()
 		return err

@@ -3,12 +3,21 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/rdbms"
+	"repro/internal/reformulate"
 	"repro/internal/uql"
 )
+
+const warmGenProgram = `
+	EXTRACT temperature FROM docs USING city KIND city INTO temps;
+	STORE temps INTO TABLE extracted;
+`
 
 // assertCatalogFresh checks that the cached Catalog() equals a fresh
 // full-scan rebuild (CatalogScan), the cache-correctness invariant.
@@ -212,4 +221,226 @@ func TestCatalogCacheConcurrentQueryAndExtract(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertCatalogFresh(t, s, "after concurrent query+extract")
+}
+
+// TestCatalogSnapshotImmuneToLaterDeltas: a Catalog() snapshot handed to
+// a caller is read-only; later incremental writes (which now feed the
+// memoized reformulator deltas in place) must not add keys to the
+// snapshot's Qualifiers map (regression for a review finding).
+func TestCatalogSnapshotImmuneToLaterDeltas(t *testing.T) {
+	s, _ := newSystem(t, 8, 2, 0)
+	if _, err := s.Generate(context.Background(), warmGenProgram, uql.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the memoized reformulator so later addRow calls mutate it in
+	// place, then hold a snapshot.
+	if _, err := s.AskGuided(context.Background(), "average temperature Madison Wisconsin", 3); err != nil {
+		t.Fatal(err)
+	}
+	held, err := s.Catalog(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldAttrs := len(held.Qualifiers)
+
+	// A new attribute with a qualifier lands through the cache-maintained
+	// path (materialize, NOT System.SQL — that would invalidate the cache
+	// and sidestep the in-place delta this test guards).
+	s.Env.Relations["inject"] = []uql.Row{{
+		Entity: "Gotham", Attribute: "rainfall", Qualifier: "March",
+		Value: "12", Conf: 0.9,
+	}}
+	if err := s.MaterializeRelation(context.Background(), "inject"); err != nil {
+		t.Fatal(err)
+	}
+	if len(held.Qualifiers) != heldAttrs {
+		t.Fatalf("held snapshot's Qualifiers map grew from %d to %d attributes", heldAttrs, len(held.Qualifiers))
+	}
+	// The live catalog, in contrast, must see the delta.
+	cur, err := s.Catalog(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cur.Qualifiers["rainfall"]; !ok {
+		t.Fatal("live catalog missed the rainfall qualifier delta")
+	}
+	assertCatalogFresh(t, s, "after deltas behind a held snapshot")
+}
+
+// referenceCatalog is the catalog rebuild the record scan replaced:
+// decode every row through a snapshot Scan and fold its t[0..2].S with
+// addRow. TestCatalogRebuildMatchesReference holds rebuildFrom to it.
+func referenceCatalog(db *rdbms.DB, table string) (reformulate.Catalog, error) {
+	var c catalogCache
+	c.reset()
+	sn := db.BeginSnapshot()
+	defer sn.Close()
+	if err := sn.Scan(table, func(_ rdbms.RID, t rdbms.Tuple) bool {
+		c.addRow(t[0].S, t[1].S, t[2].S)
+		return true
+	}); err != nil {
+		return reformulate.Catalog{}, err
+	}
+	return c.snapshot(table), nil
+}
+
+// rebuiltCatalog runs rebuildFrom into a fresh cache.
+func rebuiltCatalog(db *rdbms.DB, table string) (reformulate.Catalog, error) {
+	var c catalogCache
+	if err := c.rebuildFrom(db, table); err != nil {
+		return reformulate.Catalog{}, err
+	}
+	return c.snapshot(table), nil
+}
+
+// TestCatalogRebuildMatchesReference: the record-scan rebuild yields
+// exactly the decoded rebuild's catalog — same entities, attributes and
+// qualifier vocabularies in the same first-seen order — on random tables
+// whose first three columns hold strings, ints and NULLs (both read a
+// non-string as ""), with uncommitted writers in flight, and beside a
+// concurrent same-length corrector. The sharded case is
+// TestShardedCatalogRebuildMatchesReference.
+func TestCatalogRebuildMatchesReference(t *testing.T) {
+	t.Run("random-tables", func(t *testing.T) {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			db, err := rdbms.Open(rdbms.NewMemPager(), rdbms.NewMemWAL(), rdbms.Options{BufferPages: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			schema := rdbms.TableSchema{Name: "rnd"}
+			for i, name := range []string{"entity", "attribute", "qualifier", "value", "num", "conf"} {
+				typ := rdbms.TString
+				if i < 3 && rng.Intn(4) == 0 || i >= 4 {
+					typ = rdbms.TInt
+				}
+				schema.Columns = append(schema.Columns, rdbms.ColumnDef{Name: name, Type: typ})
+			}
+			if err := db.CreateTable(schema); err != nil {
+				t.Fatal(err)
+			}
+			value := func(i int) rdbms.Value {
+				switch {
+				case rng.Intn(8) == 0:
+					return rdbms.Value{}
+				case schema.Columns[i].Type == rdbms.TInt:
+					return rdbms.NewInt(int64(rng.Intn(5)))
+				case i == 2 && rng.Intn(3) == 0:
+					return rdbms.NewString("")
+				default:
+					// Long values make some rows span most of a page.
+					return rdbms.NewString(fmt.Sprintf("%c%d", 'a'+i, rng.Intn(12)) + strings.Repeat("x", rng.Intn(3)*400))
+				}
+			}
+			row := func() rdbms.Tuple {
+				tup := make(rdbms.Tuple, len(schema.Columns))
+				for i := range tup {
+					tup[i] = value(i)
+				}
+				return tup
+			}
+			var rids []rdbms.RID
+			for b := 0; b < 4; b++ {
+				tx := db.Begin()
+				for i := 0; i < 40; i++ {
+					rid, err := tx.Insert("rnd", row())
+					if err != nil {
+						t.Fatal(err)
+					}
+					rids = append(rids, rid)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// An uncommitted writer rewrites and deletes rows while both
+			// rebuilds scan: both must read the committed versions.
+			w := db.Begin()
+			for _, rid := range rids[:20] {
+				if rng.Intn(2) == 0 {
+					err = w.Delete("rnd", rid)
+				} else {
+					_, err = w.Update("rnd", rid, row())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := referenceCatalog(db, "rnd")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rebuiltCatalog(db, "rnd")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: record rebuild differs from the decoded rebuild\ngot  %+v\nwant %+v", seed, got, want)
+			}
+			if err := w.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
+	t.Run("concurrent-corrector", func(t *testing.T) {
+		s, _ := newSystem(t, 10, 2, 0)
+		if _, err := s.Generate(context.Background(), warmGenProgram, uql.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceCatalog(s.DB, TableName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := s.SQL(context.Background(), "SELECT entity, attribute, qualifier, value FROM extracted")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		errs := make(chan error, 1)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := rs.Rows[i%len(rs.Rows)]
+				// Same length, so the row is rewritten in place.
+				v := []byte(r[3].S)
+				v[len(v)-1] = '0' + byte(i%10)
+				if err := s.CorrectValue(context.Background(), "fixer", r[0].S, r[1].S, r[2].S, string(v)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		for i := 0; i < 30; i++ {
+			got, err := s.RefreshCatalog(context.Background())
+			if err == nil && !reflect.DeepEqual(got, want) {
+				err = fmt.Errorf("rebuild %d beside the corrector differs\ngot  %+v\nwant %+v", i, got, want)
+			}
+			if err == nil {
+				var ref reformulate.Catalog
+				if ref, err = referenceCatalog(s.DB, TableName); err == nil && !reflect.DeepEqual(ref, want) {
+					err = fmt.Errorf("reference rebuild %d beside the corrector differs", i)
+				}
+			}
+			if err != nil {
+				close(stop)
+				wg.Wait()
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
+	})
 }

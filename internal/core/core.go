@@ -108,22 +108,13 @@ type System struct {
 	// write started (maybeCheckpoint) runs.
 	checkpointing atomic.Bool
 
-	diskBacked bool   // the DB persists on disk and Close must release it
-	warmDir    string // warm-state directory Close saves into (OpenDir)
-}
-
-// task is one unit of incremental best-effort extraction: one attribute
-// over one partition of the corpus.
-type task struct {
-	attribute string
-	docs      []*doc.Document
-	priority  float64
-	part      int
+	diskBacked bool // the DB persists on disk and Close must release it
 }
 
 // New builds a system over a corpus. With cfg.Dir set the database opens
 // from (or creates) crash-safe on-disk storage; an existing directory
-// reopens with its extracted table and indexes already in place.
+// reopens with its extracted table and indexes already in place, and the
+// task queue and its progress are rebuilt from the tasks table.
 func New(cfg Config) (*System, error) {
 	if cfg.Corpus == nil {
 		return nil, fmt.Errorf("core: corpus required")
@@ -138,9 +129,11 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t := db.Table(TableName); t == nil {
-		if err := db.CreateTable(uql.StoreSchema(TableName)); err != nil {
-			return nil, err
+	for _, schema := range []rdbms.TableSchema{uql.StoreSchema(TableName), tasksSchema} {
+		if db.Table(schema.Name) == nil {
+			if err := db.CreateTable(schema); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for _, col := range []string{"entity", "attribute"} {
@@ -149,14 +142,6 @@ func New(cfg Config) (*System, error) {
 				return nil, err
 			}
 		}
-	}
-	// The engine maintains the (entity, attribute, qualifier) multiset
-	// hash incrementally and persists it with every checkpoint, so a
-	// fresh process verifies warm-start snapshots in O(1) instead of
-	// rescanning the table (a no-op on reopen: the spec is already in the
-	// on-disk catalog and the recovered digest is kept).
-	if err := db.EnableContentHash(TableName, []string{"entity", "attribute", "qualifier"}); err != nil {
-		return nil, err
 	}
 	env := uql.NewEnv()
 	env.Sources["docs"] = cfg.Corpus
@@ -196,6 +181,9 @@ func New(cfg Config) (*System, error) {
 		total:      map[string]int{},
 	}
 	s.lifeCond = sync.NewCond(&s.lifeMu)
+	if err := s.loadTasks(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -273,7 +261,7 @@ func (s *System) Closing() bool {
 // points at is the cache's live one, which is internally synchronized and
 // absorbs incremental addRow deltas in place — so a published snapshot
 // stays current across materialize writes and only full
-// invalidations (UQL STORE, direct SQL writes, warm installs, rebuilds)
+// invalidations (UQL STORE, direct SQL writes, rebuilds)
 // force a new generation.
 type catSnap struct {
 	reform *reformulate.Reformulator
@@ -358,9 +346,11 @@ func (s *System) Generate(ctx context.Context, program string, opts uql.Options)
 
 // PlanIncremental enqueues best-effort extraction tasks for the given
 // attributes using the named extractor, partitioning the corpus into
-// parts chunks. Nothing is extracted until ExtractPending runs; queries
-// meanwhile see whatever has been materialized (Section 3.2's
-// "incremental, best-effort fashion").
+// parts chunks (a partition too large for one task row becomes several
+// tasks). The plan is inserted into the tasks table in one transaction.
+// Nothing is extracted until ExtractPending runs; queries meanwhile see
+// whatever has been materialized (Section 3.2's "incremental,
+// best-effort fashion").
 func (s *System) PlanIncremental(ctx context.Context, extractor string, attributes []string, parts int) error {
 	if err := s.beginOp(); err != nil {
 		return err
@@ -369,22 +359,34 @@ func (s *System) PlanIncremental(ctx context.Context, extractor string, attribut
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	reg, ok := s.Env.Extractors[extractor]
-	if !ok {
+	if _, ok := s.Env.Extractors[extractor]; !ok {
 		return fmt.Errorf("core: unknown extractor %q", extractor)
 	}
-	_ = reg
-	partitions := s.Corpus.Partition(parts)
+	var plan []task
+	for _, attr := range attributes {
+		for pi, p := range s.Corpus.Partition(parts) {
+			plan = append(plan, planTasks(attr, pi, p)...)
+		}
+	}
+	tx := s.DB.Begin()
+	for i := range plan {
+		rid, err := tx.Insert(tasksTable, plan[i].row(false))
+		if err != nil {
+			tx.Abort()
+			return err
+		}
+		plan[i].rid = rid
+	}
+	if err := tx.Commit(); err != nil {
+		tx.Abort()
+		return err
+	}
+	s.maybeCheckpoint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, attr := range attributes {
-		for pi, p := range partitions {
-			s.queue.push(task{
-				attribute: attr, docs: p, part: pi,
-				priority: 0,
-			})
-			s.total[attr]++
-		}
+	for _, tk := range plan {
+		s.queue.push(tk)
+		s.total[tk.attribute]++
 	}
 	return nil
 }
@@ -428,8 +430,10 @@ func (s *System) Coverage(attribute string) float64 {
 }
 
 // ExtractPending runs up to budget queued tasks (highest priority first),
-// materializing results into the extracted table. It returns the number
-// of tasks executed.
+// materializing each task's rows into the extracted table in the
+// transaction that marks the task done. It returns the number of tasks
+// executed; a task that fails or is not reached (an error or ctx ends
+// the run) stays queued.
 func (s *System) ExtractPending(ctx context.Context, extractor string, budget int) (int, error) {
 	if err := s.beginOp(); err != nil {
 		return 0, err
@@ -457,23 +461,39 @@ func (s *System) ExtractPending(ctx context.Context, extractor string, budget in
 	}
 	s.mu.Unlock()
 
-	for done, tk := range batch {
+	ran := 0
+	for i, tk := range batch {
 		// Honor cancellation between tasks: completed tasks stay
 		// materialized (incremental extraction is resumable by design) and
 		// the count reports how many ran.
-		if err := ctx.Err(); err != nil {
-			return done, err
+		err := ctx.Err()
+		if err == nil {
+			err = s.materialize(s.extractTask(reg, tk), &tk)
 		}
-		rows := s.extractTask(reg, tk)
-		if err := s.materialize(rows); err != nil {
-			return done, err
+		if errors.Is(err, errTaskGone) {
+			// The plan no longer holds the task: it leaves the queue and
+			// the coverage total, as it would at the next open.
+			s.mu.Lock()
+			s.total[tk.attribute]--
+			s.mu.Unlock()
+			s.Stats.Inc("core.tasks.dropped", 1)
+			continue
+		}
+		if err != nil {
+			s.mu.Lock()
+			for _, rest := range batch[i:] {
+				s.queue.push(rest)
+			}
+			s.mu.Unlock()
+			return ran, err
 		}
 		s.mu.Lock()
 		s.done[tk.attribute]++
 		s.mu.Unlock()
 		s.Stats.Inc("core.incremental.tasks", 1)
+		ran++
 	}
-	return len(batch), nil
+	return ran, nil
 }
 
 func (s *System) extractTask(reg uql.RegisteredExtractor, tk task) []uql.Row {
@@ -501,9 +521,10 @@ func (s *System) extractTask(reg uql.RegisteredExtractor, tk task) []uql.Row {
 }
 
 // materialize appends rows to the extracted table in one transaction and
-// evaluates alert subscriptions against them.
-func (s *System) materialize(rows []uql.Row) error {
-	if len(rows) == 0 {
+// evaluates alert subscriptions against them. With done set, the same
+// transaction marks that task's row done, even when rows is empty.
+func (s *System) materialize(rows []uql.Row, done *task) error {
+	if len(rows) == 0 && done == nil {
 		return nil
 	}
 	tx := s.DB.Begin()
@@ -513,20 +534,28 @@ func (s *System) materialize(rows []uql.Row) error {
 			return err
 		}
 	}
+	if done != nil {
+		if err := updateTask(tx, done, true); err != nil {
+			tx.Abort()
+			return err
+		}
+	}
 	if err := tx.Commit(); err != nil {
+		// In doubt until aborted: the abort settles it, so the rows and the
+		// done mark are durably absent.
+		tx.Abort()
 		return err
 	}
 	s.maybeCheckpoint()
+	if len(rows) == 0 {
+		return nil
+	}
 	// Fold the committed rows into the catalog cache (after Commit, so the
 	// cache never sees rows an abort would retract, and without holding
-	// rdbms locks under s.mu). Each row also folds into the content hash:
-	// materialize is the only path that adds rows while the cache stays
-	// valid, so the hash tracks the table's (entity, attribute,
-	// qualifier) multiset exactly.
+	// rdbms locks under s.mu).
 	s.mu.Lock()
 	for _, r := range rows {
 		s.cat.addRow(r.Entity, r.Attribute, r.Qualifier)
-		s.cat.foldRowHash(r.Entity, r.Attribute, r.Qualifier)
 	}
 	s.mu.Unlock()
 	s.Stats.Inc("core.materialized.rows", int64(len(rows)))
@@ -558,7 +587,7 @@ func (s *System) MaterializeRelation(ctx context.Context, name string) error {
 	if !ok {
 		return fmt.Errorf("core: unknown relation %q", name)
 	}
-	return s.materialize(rows)
+	return s.materialize(rows, nil)
 }
 
 // evolveSchema registers newly seen attributes in the logical schema with

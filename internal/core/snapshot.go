@@ -79,7 +79,7 @@ func (s *System) RefreshChanged(extractor string) ([]string, error) {
 				Qualifier: f.Qualifier, Value: f.Value, Conf: f.Conf,
 			})
 		}
-		if err := s.materialize(rows); err != nil {
+		if err := s.materialize(rows, nil); err != nil {
 			return nil, err
 		}
 	}

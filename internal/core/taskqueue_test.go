@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"repro/internal/doc"
+	"repro/internal/synth"
+)
 
 func TestTaskQueueOrdering(t *testing.T) {
 	var q taskQueue
@@ -87,4 +93,72 @@ func TestTaskQueueCumulativeBoosts(t *testing.T) {
 	if order[0] != "b" || order[1] != "c" || order[2] != "a" {
 		t.Fatalf("order = %v", order)
 	}
+}
+
+// TestPlanSplitsOversizedPartition: a task row carries its documents'
+// titles and must fit in a heap page, so a partition whose titles exceed
+// taskTitlesBudget is planned as several consecutive tasks under one part
+// number — together covering the partition once, in corpus order — and
+// the plan persists and drains like any other.
+func TestPlanSplitsOversizedPartition(t *testing.T) {
+	corpus, _ := synth.Generate(synth.Config{Seed: 2, Cities: 250, People: 80, Filler: 150, MentionsPerPerson: 1})
+	titles := 0
+	for _, d := range corpus.Docs() {
+		titles += len(d.Title) + 1
+	}
+	if titles <= 2*taskTitlesBudget {
+		t.Fatalf("corpus titles take %d bytes; the test needs more than two task rows' worth", titles)
+	}
+	dir := t.TempDir()
+	s, _, err := OpenDir(dir, Config{Corpus: corpus}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PlanIncremental(context.Background(), "city", []string{"population"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	tasks := queueTasks(s)
+	if len(tasks) < 3 {
+		t.Fatalf("one %d-byte partition planned as %d tasks, want at least 3", titles, len(tasks))
+	}
+	var covered []*doc.Document
+	for _, tk := range tasks {
+		if tk.part != 0 {
+			t.Fatalf("split task has part %d, want 0", tk.part)
+		}
+		covered = append(covered, tk.docs...)
+	}
+	if len(covered) != corpus.Len() {
+		t.Fatalf("split tasks cover %d documents, corpus has %d", len(covered), corpus.Len())
+	}
+	for i, d := range corpus.Docs() {
+		if covered[i] != d {
+			t.Fatalf("split tasks cover document %d out of corpus order", i)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, _, err = OpenDir(dir, Config{Corpus: corpus}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := len(queueTasks(s)); got != len(tasks) {
+		t.Fatalf("reopened queue has %d tasks, want %d", got, len(tasks))
+	}
+	if _, err := s.ExtractPending(context.Background(), "city", 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.PendingTasks() != 0 || s.Coverage("population") != 1 {
+		t.Fatalf("after the drain: %d pending, coverage %v", s.PendingTasks(), s.Coverage("population"))
+	}
+}
+
+// queueTasks returns the pending tasks in pop order.
+func queueTasks(s *System) []task {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queue.snapshot()
 }

@@ -21,10 +21,9 @@ import (
 // covering the chunk's pages is registered in one lock acquisition
 // (beginBatch) before the link — O(pages) state standing in for what
 // used to be O(rows) per-row version chains — the commit record is
-// group-flushed, the content-hash delta folds once per chunk, and
-// publication (publishBatch) stamps the marker with the commit LSN in
-// O(1). Crash anywhere before the chunk's
-// commit record is durable and recovery rolls the WHOLE chunk back
+// group-flushed, and publication (publishBatch) stamps the marker with
+// the commit LSN in O(1). Crash anywhere before the chunk's commit record
+// is durable and recovery rolls the WHOLE chunk back
 // (all-or-nothing batch semantics); after, redo replays it whole —
 // recovery normalizes batch records into per-row records stamped with
 // the batch LSN, so the existing gated-redo/undo machinery applies
@@ -390,16 +389,8 @@ func (bl *BulkLoader) loadChunk(rows []Tuple) (int, error) {
 		bl.rollbackChunk(chunk, marker, rids, chunkRecs)
 		return 0, err
 	}
-	// Durable: fold the chunk's content-hash delta, then index, then
-	// publish — entries must exist before a snapshot can see the rows
-	// live, and the hash must cover what admitted readers can see.
-	if t.hashCols != nil {
-		var d uint64
-		for _, row := range rows[:consumed] {
-			d += t.rowHash(row)
-		}
-		t.hash.Add(d)
-	}
+	// Durable: index, then publish — entries must exist before a
+	// snapshot can see the rows live.
 	for col, idx := range t.Indexes {
 		ci := t.Schema.ColIndex(col)
 		if bl.deferred {
@@ -488,8 +479,8 @@ func (bl *BulkLoader) finishIndexes() {
 
 // Commit installs deferred indexes, ends the session, and fences the
 // load with a full checkpoint: every batch becomes durable in the data
-// pages, the catalog captures the new derived state (indexes, content
-// hash), and the WAL the load grew truncates away.
+// pages, the catalog captures the new derived state (indexes), and the
+// WAL the load grew truncates away.
 func (bl *BulkLoader) Commit(ctx context.Context) (BulkLoadStats, error) {
 	if bl.done {
 		return bl.stats, ErrTxnDone

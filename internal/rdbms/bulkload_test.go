@@ -3,6 +3,7 @@ package rdbms
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"strconv"
@@ -12,7 +13,7 @@ import (
 
 // The bulk-load suite: functional coverage of the COPY-style batch path
 // (deferred and incremental index maintenance, snapshot atomicity), the
-// bulk-vs-incremental equivalence oracle (identical content hashes and
+// bulk-vs-incremental equivalence oracle (identical row multisets and
 // byte-identical ORDER BY streams across all three sort paths), and the
 // batch crash suite (a kill at every mutating I/O of a bulk-load
 // workload must recover to a whole-chunk prefix — all-or-nothing batch
@@ -21,13 +22,43 @@ import (
 func bulkRows(n int) []Tuple {
 	rows := make([]Tuple, n)
 	for i := range rows {
-		rows[i] = Tuple{
-			NewInt(int64(i)),
-			NewString(fmt.Sprintf("grp-%d", i%7)),
-			NewString(strings.Repeat("v", 40+i%60) + fmt.Sprintf("-%d", i)),
-		}
+		rows[i] = bulkRow(i)
 	}
 	return rows
+}
+
+// bulkRow is row i of every bulk-load workload.
+func bulkRow(i int) Tuple {
+	return Tuple{
+		NewInt(int64(i)),
+		NewString(fmt.Sprintf("grp-%d", i%7)),
+		NewString(strings.Repeat("v", 40+i%60) + fmt.Sprintf("-%d", i)),
+	}
+}
+
+// snapDigest is an order-independent multiset digest of a table's rows,
+// read through one snapshot scan: each row contributes the FNV-1a hash of
+// its encoding, summed with wrapping addition, so insertion order and
+// placement are irrelevant but multiplicity counts.
+func snapDigest(t testing.TB, db *DB, table string) uint64 {
+	t.Helper()
+	sn := db.BeginSnapshot()
+	defer sn.Close()
+	var sum uint64
+	if err := sn.ScanRecords(table, func(_ RID, rec []byte) bool {
+		sum += rowDigest(rec)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// rowDigest is one encoded row's contribution to snapDigest.
+func rowDigest(rec []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(rec)
+	return h.Sum64()
 }
 
 func mustCreateBulk(t *testing.T, db *DB) {
@@ -45,9 +76,6 @@ func TestBulkLoadBatchBasic(t *testing.T) {
 	db := newTestDB(t)
 	mustCreateBulk(t, db)
 	if err := db.CreateIndex("bulk", "id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.EnableContentHash("bulk", []string{"id", "grp", "val"}); err != nil {
 		t.Fatal(err)
 	}
 	rows := bulkRows(1000)
@@ -93,19 +121,6 @@ func TestBulkLoadBatchBasic(t *testing.T) {
 	rs := mustExec(t, db, "SELECT val FROM bulk WHERE id = 417")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].S != rows[417][2].S {
 		t.Fatalf("index lookup after bulk load: %v", rs.Rows)
-	}
-
-	// The folded content hash equals a full recompute.
-	var want uint64
-	tbl := db.Table("bulk")
-	if err := tbl.Heap.Scan(func(_ RID, tup Tuple) bool {
-		want += contentHashCols(tup, tbl.hashCols)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := db.ContentHash("bulk"); !ok || got != want {
-		t.Fatalf("content hash %x (ok=%v), recompute %x", got, ok, want)
 	}
 
 	// The fence checkpointed: the load's WAL growth is truncated and the
@@ -208,16 +223,13 @@ func TestBulkLoadBatchSnapshotAtomicity(t *testing.T) {
 // TestBulkLoadBatchEquivalenceOracle is the bulk-vs-incremental
 // equivalence property: the same logical content loaded through the
 // batch path and through row-at-a-time transactions must produce equal
-// content hashes and byte-identical ORDER BY result streams across all
+// row multisets (snapDigest) and byte-identical ORDER BY result streams across all
 // three sort paths (full stable sort, bounded top-k, index-order scan).
 func TestBulkLoadBatchEquivalenceOracle(t *testing.T) {
 	build := func(bulk bool) *DB {
 		db := newTestDB(t)
 		mustCreateBulk(t, db)
 		if err := db.CreateIndex("bulk", "id"); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.EnableContentHash("bulk", []string{"id", "grp", "val"}); err != nil {
 			t.Fatal(err)
 		}
 		rows := bulkRows(600)
@@ -248,10 +260,8 @@ func TestBulkLoadBatchEquivalenceOracle(t *testing.T) {
 	}
 	bulkDB, rowDB := build(true), build(false)
 
-	bh, ok1 := bulkDB.ContentHash("bulk")
-	rh, ok2 := rowDB.ContentHash("bulk")
-	if !ok1 || !ok2 || bh != rh {
-		t.Fatalf("content hashes diverge: bulk %x (ok=%v) vs row %x (ok=%v)", bh, ok1, rh, ok2)
+	if bh, rh := snapDigest(t, bulkDB, "bulk"), snapDigest(t, rowDB, "bulk"); bh != rh {
+		t.Fatalf("row multisets diverge: bulk digest %x vs row digest %x", bh, rh)
 	}
 
 	queries := []struct {
@@ -481,7 +491,7 @@ type bulkFaultRun struct {
 	boundaries []int // cumulative row count after each chunk commit
 }
 
-// runBulkFaultWorkload creates the table, index, and hash spec, then
+// runBulkFaultWorkload creates the table and index, then
 // drives the bulk load chunk by chunk (so the oracle learns the durable
 // whole-chunk boundaries) and fences with Commit. A scheduled crash is
 // recovered and recorded.
@@ -523,10 +533,6 @@ func runBulkFaultWorkload(pageDev Device, walDev WALStore, inj *FaultInjector, r
 		res.stopErr = err
 		return
 	}
-	if err := db.EnableContentHash("bulk", []string{"id", "grp", "val"}); err != nil {
-		res.stopErr = err
-		return
-	}
 	bl, err := db.BeginBulkLoad("bulk")
 	if err != nil {
 		res.stopErr = err
@@ -558,7 +564,7 @@ func runBulkFaultWorkload(pageDev Device, walDev WALStore, inj *FaultInjector, r
 // verifyBulkFaultRun reopens cleanly and asserts all-or-nothing batch
 // visibility: the recovered rows must be exactly the ids 0..n-1 for an n
 // that is a whole-chunk boundary, covering at least every acknowledged
-// chunk; derived state (index, content hash) must agree with the heap.
+// chunk, each row exactly as loaded; the index must agree with the heap.
 func verifyBulkFaultRun(t *testing.T, res bulkFaultRun, wantBoundaries []int, pageDev Device, walDev WALStore) {
 	t.Helper()
 	db, pager := reopenClean(t, pageDev, walDev)
@@ -580,6 +586,9 @@ func verifyBulkFaultRun(t *testing.T, res bulkFaultRun, wantBoundaries []int, pa
 			t.Fatalf("duplicate id %d after recovery", tup[0].I)
 		}
 		seen[tup[0].I] = true
+		if want := bulkRow(int(tup[0].I)); !tupleEqual(tup, want) {
+			t.Fatalf("row id %d after recovery is %v, loaded as %v", tup[0].I, tup, want)
+		}
 		return true
 	}); err != nil {
 		t.Fatalf("scan after recovery: %v", err)
@@ -605,8 +614,8 @@ func verifyBulkFaultRun(t *testing.T, res bulkFaultRun, wantBoundaries []int, pa
 		t.Fatalf("recovered %d rows, not a whole-chunk boundary %v: batch visibility was not all-or-nothing", n, wantBoundaries)
 	}
 
-	// Derived state: index (if its creation was durable) and hash agree
-	// with the heap.
+	// Derived state: the index (if its creation was durable) agrees with
+	// the heap.
 	if idx := tbl.Indexes["id"]; idx != nil {
 		if err := idx.CheckInvariants(); err != nil {
 			t.Fatalf("index invariants after recovery: %v", err)
@@ -614,13 +623,7 @@ func verifyBulkFaultRun(t *testing.T, res bulkFaultRun, wantBoundaries []int, pa
 		if idx.Len() != n {
 			t.Fatalf("index has %d entries for %d heap rows", idx.Len(), n)
 		}
-		rows := 0
-		var wantHash uint64
 		if err := tbl.Heap.Scan(func(rid RID, tup Tuple) bool {
-			rows++
-			if tbl.hashCols != nil {
-				wantHash += contentHashCols(tup, tbl.hashCols)
-			}
 			got := idx.Lookup(tup[0])
 			found := false
 			for _, r := range got {
@@ -634,9 +637,6 @@ func verifyBulkFaultRun(t *testing.T, res bulkFaultRun, wantBoundaries []int, pa
 			return true
 		}); err != nil {
 			t.Fatal(err)
-		}
-		if got, ok := db.ContentHash("bulk"); ok && got != wantHash {
-			t.Fatalf("content hash after recovery %x != recomputed %x", got, wantHash)
 		}
 	}
 }
@@ -694,7 +694,7 @@ func TestBulkLoadBatchCrashSuite(t *testing.T) {
 
 // BenchmarkBulkLoad prices the COPY-style batch load against durable
 // row-at-a-time commits, each on a fresh on-disk table shaped like core's
-// extracted table (both indexes and the content hash enabled). Compare
+// extracted table (both indexes). Compare
 // the rows/s metric of the two sub-benchmarks; the batch side loads 1M
 // rows per iteration in 50k-row slices.
 func BenchmarkBulkLoad(b *testing.B) {
@@ -750,7 +750,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 }
 
 // openExtractedDB opens an on-disk database holding an empty table with
-// core's extracted-table columns, indexes and content hash.
+// core's extracted-table columns and indexes.
 func openExtractedDB(b *testing.B, dir string) *DB {
 	b.Helper()
 	db, err := OpenDir(dir, Options{BufferPages: 2048})
@@ -768,9 +768,6 @@ func openExtractedDB(b *testing.B, dir string) *DB {
 		if err := db.CreateIndex("extracted", col); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := db.EnableContentHash("extracted", []string{"entity", "attribute", "qualifier"}); err != nil {
-		b.Fatal(err)
 	}
 	return db
 }

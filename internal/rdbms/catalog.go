@@ -70,17 +70,6 @@ type Table struct {
 	Heap    *HeapFile
 	Indexes map[string]*BTree // column name -> index
 
-	// Content-hash maintenance (EnableContentHash): hashCols are the
-	// column positions folded into the order-independent multiset hash,
-	// hashColNames their catalog-persisted names, and hash the live
-	// accumulator (atomic: committers fold their deltas in concurrently).
-	// The hash is persisted in the catalog at checkpoint and adjusted by
-	// recovery from the WAL tail, so a fresh process reads the table's
-	// content digest in O(1).
-	hashCols     []int
-	hashColNames []string
-	hash         atomic.Uint64
-
 	// idx tracks each index's on-disk checkpoint chain (see
 	// idxcheckpoint.go): where the serialized B+tree lives, the
 	// checkpoint stamp it carries, and the tree's mutation count when it
@@ -91,26 +80,22 @@ type Table struct {
 	// mutation applied through a transaction (including abort
 	// compensations); catMut is mut's value at the last CONSISTENT
 	// derived-state capture — a checkpoint that serialized this table's
-	// index chains and content hash while no transaction was active, at
-	// log position snapLSN. mut == catMut therefore means "the persisted
-	// chains and hash still describe this table exactly as of snapLSN,
-	// and every later record for it in the log is >= snapLSN" — the
-	// condition under which a crash recovery may bulk-load the chains and
-	// delta-adjust the hash from the WAL tail. A fuzzy checkpoint taken
-	// while the table is mid-change instead marks the persisted state
-	// invalid (hashValid=false, chain stamps bumped), and recovery falls
-	// back to rebuild/recompute by scan.
+	// index chains while no transaction was active, at log position
+	// snapLSN. mut == catMut therefore means "the persisted chains still
+	// describe this table exactly as of snapLSN, and every later record
+	// for it in the log is >= snapLSN" — the condition under which a
+	// crash recovery may bulk-load the chains and delta-adjust them from
+	// the WAL tail. A fuzzy checkpoint taken while the table is
+	// mid-change instead marks the persisted state invalid
+	// (derivedValid=false, chain stamps bumped), and recovery falls back
+	// to rebuilding by scan.
 	mut    atomic.Int64
 	catMut int64
-	// snapLSN / derivedValid / catHash are what the catalog persists for
-	// this table: the log position of the last consistent capture,
-	// whether that capture is trustworthy, and the hash value frozen at
-	// it (never the live accumulator — a committer folding its delta
-	// mid-catalog-write must not leak into a snapshot claiming an older
-	// log position).
+	// snapLSN / derivedValid are what the catalog persists for this
+	// table: the log position of the last consistent capture, and whether
+	// that capture is trustworthy.
 	snapLSN      LSN
 	derivedValid bool
-	catHash      uint64
 
 	// bornLSN is the log position at which this table incarnation was
 	// created (persisted in the catalog). Recovery ignores any WAL record
@@ -123,13 +108,8 @@ type Table struct {
 }
 
 // noteMutation records that a transaction mutated this table's heap (and
-// therefore its indexes and content hash).
+// therefore its indexes).
 func (t *Table) noteMutation() { t.mut.Add(1) }
-
-// rowHash digests the content-hashed columns of one tuple.
-func (t *Table) rowHash(tup Tuple) uint64 {
-	return contentHashCols(tup, t.hashCols)
-}
 
 // idxPersist is one index's checkpoint-chain bookkeeping.
 type idxPersist struct {
@@ -152,20 +132,19 @@ func (t *Table) idxState(col string) *idxPersist {
 }
 
 // catalog page layout (page 0):
-//   magic "UDB3" | checkpointLSN u64 | checkpointID u64 | numTables u32 |
+//   magic "UDB4" | checkpointLSN u64 | checkpointID u64 | numTables u32 |
 //   per table: name | ncols u32 | (colName, typeByte)* | firstPage u32 |
 //              snapLSN u64 | bornLSN u64 |
 //              flags u8 (bit0: derived state valid) |
-//              hashFlag u8 [ nHashCols u32 | hashColName* | hash u64 ] |
 //              nIndexes u32 | (indexColName | chainFirstPage u32 | stamp u64)*
 //
 // checkpointLSN is the recovery replay origin (the checkpoint's
 // truncation horizon); snapLSN is the log position the table's persisted
-// derived state (index chains, content hash) was captured at, and the
+// derived state (index chains) was captured at, and the
 // valid flag says whether that capture was consistent (taken with no
 // transaction active on the table) — see Table.catMut.
 
-var catalogMagic = [4]byte{'U', 'D', 'B', '3'}
+var catalogMagic = [4]byte{'U', 'D', 'B', '4'}
 
 const catFlagDerivedValid = 1 << 0
 
@@ -182,9 +161,6 @@ type catalogTable struct {
 	bornLSN      LSN
 	derivedValid bool
 	indexes      []catalogIndex
-	hashCols     []string
-	hash         uint64
-	hasHash      bool
 }
 
 // catalogIndex records one index column and its serialized checkpoint
@@ -227,18 +203,6 @@ func encodeCatalog(c *catalogData) ([]byte, error) {
 			flags |= catFlagDerivedValid
 		}
 		buf = append(buf, flags)
-		if t.hasHash {
-			buf = append(buf, 1)
-			binary.LittleEndian.PutUint32(tmp4[:], uint32(len(t.hashCols)))
-			buf = append(buf, tmp4[:]...)
-			for _, hc := range t.hashCols {
-				buf = appendString(buf, hc)
-			}
-			binary.LittleEndian.PutUint64(tmp8[:], t.hash)
-			buf = append(buf, tmp8[:]...)
-		} else {
-			buf = append(buf, 0)
-		}
 		idxs := append([]catalogIndex(nil), t.indexes...)
 		sort.Slice(idxs, func(i, j int) bool { return idxs[i].col < idxs[j].col })
 		binary.LittleEndian.PutUint32(tmp4[:], uint32(len(idxs)))
@@ -264,11 +228,12 @@ func decodeCatalog(page []byte) (*catalogData, error) {
 		return nil, fmt.Errorf("rdbms: short catalog page")
 	}
 	if [4]byte(page[:4]) != catalogMagic {
-		if page[0] == 'U' && page[1] == 'D' && page[2] == 'B' && (page[3] == '1' || page[3] == '2') {
-			// Pre-PR5 layouts (UDB1: no checkpoint id/chains/hash; UDB2: no
-			// page LSNs, snapshot LSNs, or derived-state validity — and its
-			// slotted pages lack the widened LSN header). No migration path
-			// is kept — the format predates any release — but fail with a
+		if page[0] == 'U' && page[1] == 'D' && page[2] == 'B' && page[3] >= '1' && page[3] <= '3' {
+			// Earlier layouts (UDB1: no checkpoint id or index chains; UDB2:
+			// no page LSNs, snapshot LSNs, or derived-state validity — and
+			// its slotted pages lack the widened LSN header; UDB3: a
+			// per-table content-hash spec and digest). No migration path is
+			// kept — the formats predate any release — but fail with a
 			// diagnosis, not "bad magic".
 			return nil, fmt.Errorf("rdbms: catalog format UDB%c is no longer supported; delete the database directory and regenerate", page[3])
 		}
@@ -305,7 +270,7 @@ func decodeCatalog(page []byte) (*catalogData, error) {
 			t.schema.Columns = append(t.schema.Columns, ColumnDef{Name: cname, Type: Type(page[off])})
 			off++
 		}
-		if len(page) < off+22 {
+		if len(page) < off+21 {
 			return nil, fmt.Errorf("rdbms: truncated catalog table")
 		}
 		t.firstPage = PageID(binary.LittleEndian.Uint32(page[off : off+4]))
@@ -316,29 +281,6 @@ func decodeCatalog(page []byte) (*catalogData, error) {
 		off += 8
 		t.derivedValid = page[off]&catFlagDerivedValid != 0
 		off++
-		hasHash := page[off] == 1
-		off++
-		if hasHash {
-			t.hasHash = true
-			if len(page) < off+4 {
-				return nil, fmt.Errorf("rdbms: truncated catalog hash spec")
-			}
-			nhc := int(binary.LittleEndian.Uint32(page[off : off+4]))
-			off += 4
-			for j := 0; j < nhc; j++ {
-				hc, used, err := readString(page[off:])
-				if err != nil {
-					return nil, err
-				}
-				t.hashCols = append(t.hashCols, hc)
-				off += used
-			}
-			if len(page) < off+8 {
-				return nil, fmt.Errorf("rdbms: truncated catalog hash")
-			}
-			t.hash = binary.LittleEndian.Uint64(page[off : off+8])
-			off += 8
-		}
 		if len(page) < off+4 {
 			return nil, fmt.Errorf("rdbms: truncated catalog indexes")
 		}

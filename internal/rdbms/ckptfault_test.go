@@ -24,9 +24,8 @@ import (
 //     per transaction, so atomicity is directly observable);
 //   - rows a transaction deleted before committing never resurface;
 //   - no row the workload never wrote exists;
-//   - the index and the content hash agree with the heap (the
-//     index-vs-heap and content-hash oracles), page checksums verify,
-//     and a second close/reopen round-trips the state.
+//   - the index agrees with the heap (the index-vs-heap oracle), page
+//     checksums verify, and a second close/reopen round-trips the state.
 //
 // The CI crash-recovery job runs this file with -race -count=2.
 
@@ -93,9 +92,6 @@ func runCkptFaultWorkload(t *testing.T, seed int64, pageDev Device, walDev WALSt
 			return nil
 		}
 		if err := d.CreateIndex("kv", "k"); err != nil {
-			return nil
-		}
-		if err := d.EnableContentHash("kv", []string{"k", "v"}); err != nil {
 			return nil
 		}
 		return d

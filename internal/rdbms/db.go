@@ -24,9 +24,8 @@ import (
 // dirty-page table, flush what they can (pinned pages simply stay
 // dirty), and truncate the WAL at the min(recLSN, active-transaction
 // firstLSN) horizon rather than resetting it — LSNs are monotonic for
-// the life of the database. Derived state (index checkpoint chains,
-// content hashes) is persisted consistently only when the system is
-// momentarily idle; a checkpoint taken mid-traffic marks it invalid
+// the life of the database. Derived state (index checkpoint chains) is
+// persisted consistently only when the system is momentarily idle; a checkpoint taken mid-traffic marks it invalid
 // instead, and recovery rebuilds by scan (see Table.catMut).
 //
 // DDL (CREATE TABLE / CREATE INDEX / DROP TABLE) is not logged: each DDL
@@ -205,11 +204,8 @@ func Open(pager Pager, wal *WAL, opts Options) (*DB, error) {
 }
 
 // writeCatalog persists the catalog page. Per-table derived-state
-// metadata (snapLSN, validity, content hash) is written from the values
-// the last capture froze (Table.snapLSN / derivedValid / catHash), never
-// from live accumulators — a committer folding its hash delta mid-write
-// must not leak into a snapshot that claims an older log position.
-// Callers hold ckptMu (checkpoints, DDL) or are single-threaded (fresh
+// metadata (snapLSN, validity) is written from the values the last
+// capture froze (Table.snapLSN / derivedValid). Callers hold ckptMu (checkpoints, DDL) or are single-threaded (fresh
 // open, recovery).
 func (db *DB) writeCatalog() error {
 	db.mu.RLock()
@@ -227,11 +223,6 @@ func (db *DB) writeCatalog() error {
 			snapLSN:      t.snapLSN,
 			bornLSN:      t.bornLSN,
 			derivedValid: t.derivedValid,
-		}
-		if t.hashCols != nil {
-			ct.hasHash = true
-			ct.hashCols = t.hashColNames
-			ct.hash = t.catHash
 		}
 		for col := range t.Indexes {
 			ci := catalogIndex{col: col, firstPage: InvalidPage}
@@ -264,7 +255,7 @@ func (db *DB) writeCatalog() error {
 //     and pinned pages are skipped (they stay dirty and simply hold the
 //     truncation horizon back), so committers keep pinning, mutating and
 //     committing throughout;
-//  3. derived state (index chains, content hashes) is captured
+//  3. derived state (index chains) is captured
 //     consistently if the system happens to be idle, or marked invalid
 //     for mid-change tables otherwise (recovery then rebuilds by scan);
 //  4. an end-checkpoint record is logged and flushed;
@@ -395,26 +386,23 @@ func (db *DB) minActiveFirstLSN() (LSN, bool) {
 	return m, found
 }
 
-// captureDerivedState persists each table's index chains and content
-// hash — consistently when it can prove consistency, invalidating them
-// when it cannot:
+// captureDerivedState persists each table's index chains — consistently
+// when it can prove consistency, invalidating them when it cannot:
 //
 //   - If no transaction is active, it holds the admission gate (txnMu)
-//     while serializing the in-memory trees and reading the hash
-//     accumulators: new transactions cannot begin and committers cannot
+//     while serializing the in-memory trees: new transactions cannot begin and committers cannot
 //     finish during the (in-memory, brief) serialization, so the capture
 //     is a single consistent cut of all committed state, stamped with
 //     the current log position (snapLSN). Chain page I/O happens after
 //     the gate releases.
 //
 //   - Otherwise, tables untouched since their last consistent capture
-//     (mut == catMut) keep their chains, hash, and snapLSN — still
-//     exactly right, and every later record for them is above snapLSN.
+//     (mut == catMut) keep their chains and snapLSN — still exactly
+//     right, and every later record for them is above snapLSN.
 //     Mid-change tables get their derived state marked invalid: chain
-//     stamps are bumped away from what the chains carry (so a load after
-//     a crash is rejected and the index rebuilt from the heap) and the
-//     persisted hash is flagged untrustworthy (recovery recomputes it by
-//     scan). No committer ever waits.
+//     stamps are bumped away from what the chains carry, so a load after
+//     a crash is rejected and the index rebuilt from the heap. No
+//     committer ever waits.
 func (db *DB) captureDerivedState() error {
 	db.mu.RLock()
 	tables := make(map[string]*Table, len(db.tables))
@@ -440,9 +428,8 @@ func (db *DB) captureDerivedState() error {
 	// still matches the old on-disk chain — a post-crash recovery would
 	// then bulk-load a stale index as trusted.
 	type tableCapture struct {
-		t    *Table
-		m    int64
-		hash uint64
+		t *Table
+		m int64
 	}
 	var captures []tableCapture
 
@@ -454,7 +441,7 @@ func (db *DB) captureDerivedState() error {
 			t := tables[name]
 			m := t.mut.Load()
 			if m == t.catMut && t.derivedValid {
-				continue // chains and hash already describe snapLSN exactly
+				continue // chains already describe snapLSN exactly
 			}
 			for _, col := range sortedKeys(t.Indexes) {
 				bt := t.Indexes[col]
@@ -465,11 +452,7 @@ func (db *DB) captureDerivedState() error {
 				}
 				jobs = append(jobs, chainJob{t: t, col: col, payload: serializeIndex(bt), mut: mut})
 			}
-			c := tableCapture{t: t, m: m}
-			if t.hashCols != nil {
-				c.hash = t.hash.Load()
-			}
-			captures = append(captures, c)
+			captures = append(captures, tableCapture{t: t, m: m})
 		}
 	}
 	db.txnMu.Unlock()
@@ -514,9 +497,6 @@ func (db *DB) captureDerivedState() error {
 		ip.savedMut = job.mut
 	}
 	for _, c := range captures {
-		if c.t.hashCols != nil {
-			c.t.catHash = c.hash
-		}
 		c.t.catMut = c.m
 		c.t.snapLSN = snap
 		c.t.derivedValid = true
@@ -675,6 +655,18 @@ func (db *DB) Close() error {
 	return nil
 }
 
+// Abandon leaves the database as a killed process would: nothing is
+// flushed, checkpointed or closed, and only OpenDir's directory lock is
+// released, as the operating system releases a dead process's flock. It
+// is the crash hook for tests that reopen the same directory within one
+// process; the handle must not be used afterwards.
+func (db *DB) Abandon() error {
+	if db.dirLock == nil {
+		return nil
+	}
+	return db.dirLock.Close()
+}
+
 // recover loads the catalog and replays the WAL ARIES-style:
 //
 //   - Redo: every data record from the catalog's replay origin is
@@ -697,11 +689,10 @@ func (db *DB) Close() error {
 //     its chain and applies just the tail's per-slot prior→final deltas
 //     (prior from the slot's first tail record, final from the heap);
 //     anything else — stale, torn, or fuzzy-invalidated — rebuilds from
-//     the heap. Content hashes likewise: valid ones delta-adjust from
-//     the tail, invalid ones recompute during the rebuild scan.
+//     the heap.
 //
-// A reopen that finds an empty tail with every index loaded and every
-// hash valid skips the closing checkpoint entirely — the on-disk state
+// A reopen that finds an empty tail with every index loaded skips the
+// closing checkpoint entirely — the on-disk state
 // already is the checkpoint.
 func (db *DB) recover() error {
 	page := make([]byte, PageSize)
@@ -760,7 +751,6 @@ func (db *DB) recover() error {
 	// for the table may predate its snapshot LSN (defense in depth — the
 	// capture protocol should make that impossible).
 	loadedIdx := map[*Table]map[string]bool{}
-	hashOK := map[*Table]bool{}
 	for _, ct := range cat.tables {
 		heap, err := OpenHeapFile(db.bp, ct.firstPage)
 		if err != nil {
@@ -773,21 +763,6 @@ func (db *DB) recover() error {
 		trustDerived := ct.derivedValid
 		if minLSN, ok := touchedMin[ct.schema.Name]; ok && minLSN < ct.snapLSN {
 			trustDerived = false
-		}
-		if ct.hasHash {
-			cols := make([]int, len(ct.hashCols))
-			for i, hc := range ct.hashCols {
-				ci := t.Schema.ColIndex(hc)
-				if ci < 0 {
-					return fmt.Errorf("rdbms: catalog hash column %s missing from %s", hc, ct.schema.Name)
-				}
-				cols[i] = ci
-			}
-			t.hashCols = cols
-			t.hashColNames = append([]string(nil), ct.hashCols...)
-			t.catHash = ct.hash
-			t.hash.Store(ct.hash)
-			hashOK[t] = trustDerived
 		}
 		loadedIdx[t] = map[string]bool{}
 		for _, ci := range ct.indexes {
@@ -845,7 +820,7 @@ func (db *DB) recover() error {
 	// slot's snapshot-time content (for a consistency-captured table no
 	// record predates the snapshot, so this record's before-image — or,
 	// for an insert, the slot's emptiness — is exactly what a loaded chain
-	// and a valid hash describe).
+	// describes).
 	first := map[chainRef]*LogRecord{}
 	var losers []*LogRecord
 	for _, r := range records {
@@ -901,10 +876,7 @@ func (db *DB) recover() error {
 	// Index maintenance: loaded chains take the tail deltas, from each
 	// touched slot's prior (first tail record) to its final state (the
 	// heap, settled by redo+undo above); the rest rebuild from the heap.
-	// Content hashes ride along — valid ones delta-adjust, invalid ones
-	// recompute during the scan.
 	allLoaded := true
-	allHashesOK := true
 	for name, t := range db.tables {
 		var touched []slotDelta
 		for ref, r := range first {
@@ -937,23 +909,6 @@ func (db *DB) recover() error {
 			allLoaded = false
 			needScan = true
 		}
-		if t.hashCols != nil {
-			if hashOK[t] {
-				var delta uint64
-				for _, d := range touched {
-					if d.priorLive {
-						delta -= t.rowHash(d.prior)
-					}
-					if d.live {
-						delta += t.rowHash(d.final)
-					}
-				}
-				t.hash.Add(delta)
-			} else {
-				allHashesOK = false
-				needScan = true
-			}
-		}
 		if needScan {
 			if err := db.rebuildDerived(t, loadedIdx[t]); err != nil {
 				return err
@@ -965,9 +920,9 @@ func (db *DB) recover() error {
 			t.noteMutation()
 		}
 	}
-	if len(records) == 0 && allLoaded && allHashesOK {
+	if len(records) == 0 && allLoaded {
 		// Warm reopen: the log is empty, every index came off its chain,
-		// every hash is trusted, and nothing was replayed — the on-disk
+		// and nothing was replayed — the on-disk
 		// files already are the checkpoint this recovery would write.
 		// Skipping it makes the happy reopen O(live data read), with zero
 		// writes.
@@ -985,9 +940,7 @@ func (db *DB) recover() error {
 }
 
 // rebuildDerived rescans t's heap once, rebuilding every index that did
-// not load from a chain and recomputing the content hash (equal to the
-// delta-adjusted value when that was trustworthy, authoritative when it
-// was not).
+// not load from a chain.
 func (db *DB) rebuildDerived(t *Table, loaded map[string]bool) error {
 	type rebuild struct {
 		name string
@@ -1001,13 +954,9 @@ func (db *DB) rebuildDerived(t *Table, loaded map[string]bool) error {
 		}
 		rebuilds = append(rebuilds, rebuild{name: col, col: t.Schema.ColIndex(col), bt: NewBTree()})
 	}
-	var sum uint64
 	err := t.Heap.Scan(func(rid RID, tup Tuple) bool {
 		for i := range rebuilds {
 			rebuilds[i].bt.Insert(tup[rebuilds[i].col], rid)
-		}
-		if t.hashCols != nil {
-			sum += t.rowHash(tup)
 		}
 		return true
 	})
@@ -1017,14 +966,11 @@ func (db *DB) rebuildDerived(t *Table, loaded map[string]bool) error {
 	for _, rb := range rebuilds {
 		t.Indexes[rb.name] = rb.bt
 	}
-	if t.hashCols != nil {
-		t.hash.Store(sum)
-	}
 	return nil
 }
 
 // slotDelta is one touched slot's change across the WAL tail — the delta
-// feed for loaded index chains and persisted content hashes: its
+// feed for loaded index chains: its
 // snapshot-time content (prior, the "remove" side) and its post-recovery
 // content (final, the "add" side).
 type slotDelta struct {

@@ -106,9 +106,7 @@ func TestOpenDirKilledWithoutClose(t *testing.T) {
 	tx2.Insert("t", Tuple{NewInt(999)})
 	// No Close, no Abort: simulate the process dying. The OS releases a
 	// dead process's flock; in-process we drop it by hand.
-	if db.dirLock != nil {
-		db.dirLock.Close()
-	}
+	db.Abandon()
 	// The files hold whatever the commits forced out; reopen must
 	// recover from the WAL.
 	db2, err := OpenDir(dir, Options{BufferPages: 16})
@@ -280,9 +278,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if db.dirLock != nil {
-		db.dirLock.Close()
-	}
+	db.Abandon()
 	db2, err := OpenDir(dir, Options{BufferPages: 16})
 	if err != nil {
 		t.Fatal(err)

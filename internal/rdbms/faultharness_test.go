@@ -76,15 +76,9 @@ func runFaultWorkload(seed int64, pageDev Device, walDev WALStore, inj *FaultInj
 		res.stopErr = err
 		return
 	}
-	// Content hashing adds its own checkpoint and folds every commit into
-	// the table digest; the oracle recomputes it after recovery. Index
-	// checkpoints make the periodic Checkpoint/Close calls below write
+	// Index checkpoints make the periodic Checkpoint/Close calls below write
 	// chain pages, so the injector's op space now includes kill points
 	// inside index-checkpoint writes too.
-	if err := db.EnableContentHash("kv", []string{"k", "v"}); err != nil {
-		res.stopErr = err
-		return
-	}
 
 	rng := rand.New(rand.NewSource(seed))
 	rids := map[int64]RID{} // committed-state RIDs only
@@ -321,17 +315,16 @@ func verifyFaultRun(t *testing.T, res faultRun, pageDev Device, walDev WALStore)
 // verifyDerivedState checks the structures recovery derives beyond the
 // heap itself: the k index (whether bulk-loaded from a checkpoint chain,
 // delta-adjusted from the WAL tail, or rebuilt after a stale/torn chain
-// was rejected) must agree with the heap row for row, and the table's
-// content digest must equal a full recompute. A stale or torn index
-// checkpoint that slipped through validation would surface here as a
-// lookup divergence.
+// was rejected) must agree with the heap row for row. A stale or torn
+// index checkpoint that slipped through validation would surface here as
+// a lookup divergence.
 func verifyDerivedState(t *testing.T, db *DB) {
 	t.Helper()
 	tbl := db.Table("kv")
 	idx := tbl.Indexes["k"]
 	if idx == nil {
-		// The crash predated the index's durable creation (likewise the
-		// hash spec, which is enabled after it): nothing derived to check.
+		// The crash predated the index's durable creation: nothing
+		// derived to check.
 		return
 	}
 	if err := idx.CheckInvariants(); err != nil {
@@ -339,14 +332,12 @@ func verifyDerivedState(t *testing.T, db *DB) {
 	}
 	heapRIDs := map[int64]map[RID]bool{}
 	rows := 0
-	var wantHash uint64
 	err := tbl.Heap.Scan(func(rid RID, tup Tuple) bool {
 		k := tup[0].I
 		if heapRIDs[k] == nil {
 			heapRIDs[k] = map[RID]bool{}
 		}
 		heapRIDs[k][rid] = true
-		wantHash += contentHashCols(tup, tbl.hashCols)
 		rows++
 		return true
 	})
@@ -366,11 +357,6 @@ func verifyDerivedState(t *testing.T, db *DB) {
 				t.Fatalf("key %d: index points at %v which the heap does not hold", k, r)
 			}
 		}
-	}
-	// The hash spec is enabled after the index; a crash in between leaves
-	// the index without the spec, which is a legitimate recovered state.
-	if got, ok := db.ContentHash("kv"); ok && got != wantHash {
-		t.Fatalf("content hash after recovery %x != recomputed %x", got, wantHash)
 	}
 }
 

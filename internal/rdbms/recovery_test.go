@@ -199,8 +199,8 @@ func TestRecoveryUncommittedRolledBack(t *testing.T) {
 // transaction fills the row's page and commits before the writer ends.
 // Whether the writer aborts or is still in flight at a crash, undo must
 // put the slot back as the writer found it, at its original RID, with a
-// matching index entry, every filler row intact and the content hash
-// moved by the filler alone.
+// matching index entry, every filler row intact and the table's row
+// multiset moved by the filler alone.
 func TestUndoOnRefilledPage(t *testing.T) {
 	orig := Tuple{NewString(strings.Repeat("o", 1500))}
 	shapes := []struct {
@@ -237,9 +237,6 @@ func TestUndoOnRefilledPage(t *testing.T) {
 				if err := db.CreateIndex("t", "v"); err != nil {
 					t.Fatal(err)
 				}
-				if err := db.EnableContentHash("t", []string{"v"}); err != nil {
-					t.Fatal(err)
-				}
 				var rid RID
 				if sh.committed {
 					seed := db.Begin()
@@ -250,7 +247,7 @@ func TestUndoOnRefilledPage(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				preHash, _ := db.ContentHash("t")
+				preDigest := snapDigest(t, db, "t")
 
 				writer := db.Begin()
 				if rid, err = sh.touch(writer, rid); err != nil {
@@ -272,7 +269,7 @@ func TestUndoOnRefilledPage(t *testing.T) {
 				if err := filler.Commit(); err != nil {
 					t.Fatal(err)
 				}
-				wantHash := preHash + uint64(len(fills))*db.Table("t").rowHash(fill)
+				wantDigest := preDigest + uint64(len(fills))*rowDigest(EncodeTuple(fill))
 
 				if ending == "crash" {
 					db = crashAndRecover(t, db, pager, wal)
@@ -301,8 +298,8 @@ func TestUndoOnRefilledPage(t *testing.T) {
 						t.Fatalf("filler row %v: live=%v err=%v", r, live, err)
 					}
 				}
-				if h, _ := db.ContentHash("t"); h != wantHash {
-					t.Fatalf("content hash %x, want %x", h, wantHash)
+				if d := snapDigest(t, db, "t"); d != wantDigest {
+					t.Fatalf("row multiset digest %x, want %x", d, wantDigest)
 				}
 			})
 		}

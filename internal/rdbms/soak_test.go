@@ -13,8 +13,8 @@ import (
 // in-memory shadow model while a background goroutine checkpoints
 // continuously, and the database is closed and reopened between phases.
 // After every phase the full ORDER BY query result must be byte-for-byte
-// identical to what the shadow predicts, and the derived state (index,
-// content hash) must agree with the heap. Every failure message carries
+// identical to what the shadow predicts, and the derived state (the
+// index) must agree with the heap. Every failure message carries
 // the seed: rerun with that seed to reproduce the exact op sequence.
 
 func TestSoakCheckpointerReopen(t *testing.T) {
@@ -58,9 +58,6 @@ func runSoak(t *testing.T, seed int64) {
 			}
 			if err := db.CreateIndex("kv", "k"); err != nil {
 				t.Fatalf("seed %d: index: %v", seed, err)
-			}
-			if err := db.EnableContentHash("kv", []string{"k", "v"}); err != nil {
-				t.Fatalf("seed %d: hash: %v", seed, err)
 			}
 		}
 

@@ -44,31 +44,6 @@ type Txn struct {
 	// released (undo restored the heap to each chain's base image). Either
 	// way the reservations go at finish.
 	touched map[chainRef]*HeapFile
-	// hashDelta accumulates, per content-hashed table, the wrapping-sum
-	// delta this transaction's writes apply to the table's multiset
-	// content hash. Applied at Commit (after the log is durable) and
-	// discarded at Abort, whose physical restores return the table — and
-	// therefore the hash — to its pre-transaction state.
-	hashDelta map[string]uint64
-}
-
-// foldHash accumulates a row-content change into the transaction's hash
-// delta for a content-hashed table. remove/add may be nil.
-func (tx *Txn) foldHash(t *Table, table string, remove, add Tuple) {
-	if t.hashCols == nil {
-		return
-	}
-	if tx.hashDelta == nil {
-		tx.hashDelta = map[string]uint64{}
-	}
-	d := tx.hashDelta[table]
-	if remove != nil {
-		d -= t.rowHash(remove)
-	}
-	if add != nil {
-		d += t.rowHash(add)
-	}
-	tx.hashDelta[table] = d
 }
 
 // noteVersion records the committed pre-image of a row in the version
@@ -196,7 +171,6 @@ func (tx *Txn) Insert(table string, tup Tuple) (RID, error) {
 		ci := t.Schema.ColIndex(col)
 		idx.Insert(tup[ci], rid)
 	}
-	tx.foldHash(t, table, nil, tup)
 	return rid, nil
 }
 
@@ -255,7 +229,6 @@ func (tx *Txn) Delete(table string, rid RID) error {
 		idx.Delete(before[ci], rid)
 	}
 	tx.undo = append(tx.undo, rec)
-	tx.foldHash(t, table, before, nil)
 	return nil
 }
 
@@ -295,7 +268,6 @@ func (tx *Txn) Update(table string, rid RID, tup Tuple) (RID, error) {
 	if ok {
 		tx.fixIndexes(t, rid, newRID, before, tup)
 		tx.undo = append(tx.undo, rec)
-		tx.foldHash(t, table, before, tup)
 		return newRID, nil
 	}
 	// Tuple moves: logged as delete + insert so each page mutation has its
@@ -321,7 +293,6 @@ func (tx *Txn) Update(table string, rid RID, tup Tuple) (RID, error) {
 		return RID{}, err
 	}
 	tx.fixIndexes(t, rid, newRID, before, tup)
-	tx.foldHash(t, table, before, tup)
 	return newRID, nil
 }
 
@@ -532,14 +503,6 @@ func (tx *Txn) Commit() error {
 			tx.db.vs.cancelPending(target)
 		}
 		return err
-	}
-	// The commit is durable: fold this transaction's content-hash deltas
-	// into their tables. Still before finish() so a table's hash already
-	// reflects the rows a newly admitted reader can see.
-	for name, d := range tx.hashDelta {
-		if t := tx.db.Table(name); t != nil {
-			t.hash.Add(d)
-		}
 	}
 	if versioned {
 		// Durable: publish the per-row committed states at the commit LSN

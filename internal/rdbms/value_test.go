@@ -1,6 +1,7 @@
 package rdbms
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -181,11 +182,11 @@ func TestCatalogRoundTrip(t *testing.T) {
 				schema: TableSchema{Name: "cities", Columns: []ColumnDef{
 					{Name: "name", Type: TString}, {Name: "pop", Type: TInt},
 				}},
-				firstPage: 7,
-				indexes:   []catalogIndex{{col: "name", firstPage: 11, stamp: 42}},
-				hasHash:   true,
-				hashCols:  []string{"name"},
-				hash:      0xdeadbeefcafef00d,
+				firstPage:    7,
+				snapLSN:      12000,
+				bornLSN:      17,
+				derivedValid: true,
+				indexes:      []catalogIndex{{col: "name", firstPage: 11, stamp: 42}},
 			},
 			{
 				schema:    TableSchema{Name: "empty", Columns: []ColumnDef{{Name: "v", Type: TFloat}}},
@@ -207,19 +208,16 @@ func TestCatalogRoundTrip(t *testing.T) {
 	if got.checkpointLSN != 12345 || got.checkpointID != 42 || len(got.tables) != 2 {
 		t.Fatalf("decoded %+v", got)
 	}
-	if got.tables[0].schema.Name != "cities" || got.tables[0].firstPage != 7 {
-		t.Fatalf("table 0: %+v", got.tables[0])
+	if t0 := got.tables[0]; t0.schema.Name != "cities" || t0.firstPage != 7 ||
+		t0.snapLSN != 12000 || t0.bornLSN != 17 || !t0.derivedValid {
+		t.Fatalf("table 0: %+v", t0)
 	}
 	idx := got.tables[0].indexes
 	if len(idx) != 1 || idx[0].col != "name" || idx[0].firstPage != 11 || idx[0].stamp != 42 {
 		t.Fatalf("index entries: %+v", idx)
 	}
-	if !got.tables[0].hasHash || got.tables[0].hash != 0xdeadbeefcafef00d ||
-		len(got.tables[0].hashCols) != 1 || got.tables[0].hashCols[0] != "name" {
-		t.Fatalf("hash spec: %+v", got.tables[0])
-	}
-	if got.tables[1].hasHash || len(got.tables[1].indexes) != 0 {
-		t.Fatalf("table 1 should have no hash or indexes: %+v", got.tables[1])
+	if got.tables[1].derivedValid || len(got.tables[1].indexes) != 0 {
+		t.Fatalf("table 1 should have no valid derived state or indexes: %+v", got.tables[1])
 	}
 	if got.tables[1].schema.Columns[0].Type != TFloat {
 		t.Fatal("column type lost")
@@ -230,5 +228,24 @@ func TestCatalogBadMagic(t *testing.T) {
 	page := make([]byte, PageSize)
 	if _, err := decodeCatalog(page); err == nil {
 		t.Fatal("zero page must fail magic check")
+	}
+}
+
+// TestCatalogOldFormatDiagnosed: a catalog page written by an earlier
+// layout (UDB3 carried a content-hash spec per table) is refused with the
+// delete-and-regenerate diagnosis rather than misread or "bad magic".
+func TestCatalogOldFormatDiagnosed(t *testing.T) {
+	for _, v := range []byte{'1', '2', '3'} {
+		page, err := encodeCatalog(&catalogData{tables: []catalogTable{{
+			schema: TableSchema{Name: "t", Columns: []ColumnDef{{Name: "v", Type: TInt}}},
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		page[3] = v
+		_, err = decodeCatalog(page)
+		if err == nil || !strings.Contains(err.Error(), "UDB"+string(v)+" is no longer supported") {
+			t.Fatalf("UDB%c page: got %v, want the no-longer-supported diagnosis", v, err)
+		}
 	}
 }

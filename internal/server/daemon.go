@@ -25,8 +25,7 @@ type DaemonConfig struct {
 	Addr string
 	// DataDir, when set, backs the system with the crash-safe on-disk
 	// engine under this directory (core.OpenDir lifecycle: reopen
-	// recovers, close checkpoints and snapshots warm state). Empty runs
-	// in-memory.
+	// recovers, close checkpoints). Empty runs in-memory.
 	DataDir string
 
 	// Shards > 1 partitions the extracted table by entity hash across
@@ -98,8 +97,8 @@ func (cfg *DaemonConfig) logf(format string, args ...any) {
 // RunDaemon opens the system, serves until a shutdown signal, then
 // drains and closes. The sequence on SIGTERM is the graceful-drain
 // contract: stop accepting, finish in-flight requests under the drain
-// timeout, then System.Close() — which checkpoints and snapshots, so the
-// next open of the same DataDir is the zero-write warm start.
+// timeout, then System.Close() — which checkpoints, so the next open of
+// the same DataDir is the zero-write clean reopen.
 func RunDaemon(cfg DaemonConfig) error {
 	c := cfg.withDefaults()
 
@@ -134,7 +133,7 @@ func RunDaemon(cfg DaemonConfig) error {
 				return err
 			}
 		}
-		c.logf("sharded: %d shards, dir %q, warm=%v", c.Shards, c.DataDir, rows > 0)
+		c.logf("sharded: %d shards, dir %q, reopened=%v", c.Shards, c.DataDir, rows > 0)
 		sys = ss
 	case c.DataDir != "":
 		s, rep, err := core.OpenDir(c.DataDir, sysCfg, setup)
@@ -142,7 +141,7 @@ func RunDaemon(cfg DaemonConfig) error {
 			return err
 		}
 		sys = s
-		c.logf("data dir %s: reopened=%v warm=%v", c.DataDir, rep.Reopened, rep.Warm)
+		c.logf("data dir %s: reopened=%v", c.DataDir, rep.Reopened)
 	default:
 		s, err := core.New(sysCfg)
 		if err != nil {

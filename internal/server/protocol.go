@@ -19,7 +19,7 @@
 //     recovery keep one misbehaving client from taking the process down.
 //   - Graceful drain: shutdown stops accepting, lets in-flight requests
 //     finish under a timeout, then closes the System so the next open is
-//     the zero-write warm start.
+//     the zero-write clean reopen.
 package server
 
 import (

@@ -293,7 +293,7 @@ func TestShardedServerShardLoss(t *testing.T) {
 // TestShardedDaemonLifecycle runs the real RunDaemon code path with
 // Shards set — the same assembly cmd/unidbd compiles: fresh ingest into
 // per-shard directories on first open, clean drain on signal, then a
-// warm reopen of the same layout answering the same bytes.
+// reopen of the same layout answering the same bytes.
 func TestShardedDaemonLifecycle(t *testing.T) {
 	dataDir := t.TempDir()
 	const q = "SELECT entity, attribute, qualifier, value FROM extracted ORDER BY entity, attribute, qualifier, value LIMIT 25"
@@ -359,7 +359,7 @@ func TestShardedDaemonLifecycle(t *testing.T) {
 		t.Fatalf("second life: %d shards, want 2", shards)
 	}
 	if !reflect.DeepEqual(second, first) {
-		t.Fatalf("warm reopen diverged:\nfirst:  %v\nsecond: %v", first, second)
+		t.Fatalf("reopen diverged:\nfirst:  %v\nsecond: %v", first, second)
 	}
 }
 

@@ -154,8 +154,8 @@ type ShardedSystem struct {
 }
 
 // Open builds the sharded layout. With cfg.Dir set, each shard opens
-// durable under its own subdirectory (warm-starting when it was opened
-// before); otherwise every shard is in-memory. Shards are empty on
+// durable under its own subdirectory (recovering what it held when it was
+// opened before); otherwise every shard is in-memory. Shards are empty on
 // first open — populate with BulkIngest.
 func Open(cfg Config) (*ShardedSystem, error) {
 	n := cfg.Shards
@@ -456,10 +456,23 @@ func (ss *ShardedSystem) shardedCatalog(ctx context.Context) (reformulate.Catalo
 		idx int
 		cat reformulate.Catalog
 	}
+	// Shards read their catalogs in parallel: the first read after a
+	// reopen or an invalidating write rebuilds each by a scan of its table.
+	cats := make([]reformulate.Catalog, len(healthy))
+	errs := make([]error, len(healthy))
+	var wg sync.WaitGroup
+	for j, i := range healthy {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cats[j], errs[j] = ss.shards[i].Catalog(ctx)
+		}()
+	}
+	wg.Wait()
 	var parts []part
 	var key strings.Builder
-	for _, i := range healthy {
-		cat, err := ss.shards[i].Catalog(ctx)
+	for j, i := range healthy {
+		cat, err := cats[j], errs[j]
 		if err != nil {
 			if isGap(err) {
 				ss.markDown(i)
@@ -468,7 +481,7 @@ func (ss *ShardedSystem) shardedCatalog(ctx context.Context) (reformulate.Catalo
 			}
 			return reformulate.Catalog{}, nil, nil, err
 		}
-		fmt.Fprintf(&key, "%d:%d;", i, ss.shards[i].WarmEpoch())
+		fmt.Fprintf(&key, "%d:%d;", i, ss.shards[i].CatalogEpoch())
 		parts = append(parts, part{idx: i, cat: cat})
 	}
 	if len(parts) == 0 {
