@@ -52,10 +52,10 @@
 // core.self_us.ask) and scan_cold the streaming scans (sql_agg_p50_us,
 // proc.allocs_per_op).
 //
-// # Sorted queries and warm start (PR2)
+// # Sorted queries and persisted state (PR2)
 //
 // The sorted-query path was rebuilt end to end, and the incremental
-// extraction plan now survives process restarts:
+// extraction plan is engine state that survives process restarts:
 //
 // Top-k ORDER BY. An ORDER BY with a LIMIT no longer materializes,
 // projects, and stable-sorts every row. Projection keeps a bounded
@@ -82,7 +82,10 @@
 //
 // Persisted state. A System persists only through its engine files
 // (Config.Dir; dir/db under OpenDir), so ARIES recovery is the one
-// mechanism that makes every piece of it crash-consistent. Besides the
+// mechanism that makes every piece of it crash-consistent. The one
+// exception is lineage: the provenance graph that ExplainFact walks is
+// held in memory only, so explain has nothing to say about rows stored
+// before a reopen (ROADMAP item 19). Besides the
 // extracted table, the engine holds the incremental extraction plan in
 // the tasks table: one row per task (attribute, part, priority, document
 // titles, done). PlanIncremental inserts a plan in one transaction, and
@@ -153,10 +156,11 @@
 // page still has the bytes for it; slot reservations (below) make sure
 // it does.
 //
-// Fault harness. FaultInjector + FaultDevice (exposed as NewFaultPager /
-// NewFaultWAL) schedule an error, a dropped (lying) fsync, a torn write,
-// or a process kill at the Nth mutating I/O, counted globally across the
-// pager and WAL. The crash-recovery property suite dry-runs a seeded
+// Fault harness. FaultInjector + FaultDevice (test-only, in
+// internal/rdbms/fault_test.go; exposed as NewFaultPager / NewFaultWAL)
+// schedule an error, a dropped (lying) fsync, a torn write, or a process
+// kill at the Nth mutating I/O, counted globally across the pager and
+// WAL. The crash-recovery property suite dry-runs a seeded
 // workload to enumerate its injection points, then re-runs it once per
 // point — 200+ runs asserted — killing it there, discarding a random
 // subset of unsynced writes (MemDevice.Crash), reopening, and checking
@@ -379,7 +383,7 @@
 //     frame size cap (oversized frames get a typed refusal, then the
 //     poisoned stream closes), malformed-JSON rejection that keeps the
 //     connection, and per-connection panic recovery. The network fault
-//     harness (FaultConn) injects slowloris byte-trickles, mid-frame
+//     harness (FaultConn, test-only) injects slowloris byte-trickles, mid-frame
 //     disconnects, garbage prefixes, half-closes, and mixed attacker
 //     swarms — each test asserting a concurrent healthy client keeps
 //     being served and no connection leaks.

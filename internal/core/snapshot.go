@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/alert"
 	"repro/internal/uql"
 	"repro/internal/vstore"
 )
@@ -103,23 +102,4 @@ func sqlEscape(v string) string {
 		out = append(out, v[i])
 	}
 	return string(out)
-}
-
-// AlertRowsFor is a testing/diagnostic helper converting stored rows of an
-// entity into alert rows.
-func (s *System) AlertRowsFor(entity string) ([]alert.Row, error) {
-	rs, err := s.DB.Exec(fmt.Sprintf(
-		"SELECT entity, attribute, qualifier, value, conf FROM %s WHERE entity = '%s'",
-		TableName, sqlEscape(entity)))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]alert.Row, 0, len(rs.Rows))
-	for _, r := range rs.Rows {
-		out = append(out, alert.Row{
-			Entity: r[0].S, Attribute: r[1].S, Qualifier: r[2].S,
-			Value: r[3].S, Conf: r[4].F,
-		})
-	}
-	return out, nil
 }

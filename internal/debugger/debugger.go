@@ -133,33 +133,22 @@ func (m *formatModel) dominant() (string, bool) {
 }
 
 // Debugger learns constraints per attribute and checks values against
-// them. Domain constraints can also be asserted directly (the developer or
-// HI supplying "temperatures never exceed 130").
+// them.
 type Debugger struct {
 	mu      sync.Mutex
 	ranges  map[string]*rangeModel
 	formats map[string]*formatModel
-	// hard bounds asserted by developers/HI: attribute -> [lo, hi]
-	asserted map[string][2]float64
-	fenceK   float64
+	fenceK  float64
 }
 
 // New returns a debugger with the default fence margin (0.45 of the
 // trimmed support width).
 func New() *Debugger {
 	return &Debugger{
-		ranges:   map[string]*rangeModel{},
-		formats:  map[string]*formatModel{},
-		asserted: map[string][2]float64{},
-		fenceK:   0.45,
+		ranges:  map[string]*rangeModel{},
+		formats: map[string]*formatModel{},
+		fenceK:  0.45,
 	}
-}
-
-// AssertRange records a hard domain constraint for an attribute.
-func (d *Debugger) AssertRange(attribute string, lo, hi float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.asserted[attribute] = [2]float64{lo, hi}
 }
 
 // Observe learns from a value presumed mostly-clean. (Learning tolerates
@@ -189,17 +178,6 @@ func (d *Debugger) Check(entity, attribute, value string) []Violation {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var out []Violation
-	if bounds, ok := d.asserted[attribute]; ok {
-		if f, err := strconv.ParseFloat(value, 64); err == nil {
-			if f < bounds[0] || f > bounds[1] {
-				out = append(out, Violation{
-					Entity: entity, Attribute: attribute, Value: value,
-					Constraint: fmt.Sprintf("asserted range [%g, %g]", bounds[0], bounds[1]),
-					Severity:   SevSuspect,
-				})
-			}
-		}
-	}
 	if rm := d.ranges[attribute]; rm != nil {
 		if f, err := strconv.ParseFloat(value, 64); err == nil {
 			if lo, hi, ok := rm.robustBounds(d.fenceK); ok && (f < lo || f > hi) {
@@ -234,15 +212,4 @@ func (d *Debugger) Sweep(triples [][3]string) []Violation {
 		return out[i].Severity == SevSuspect && out[j].Severity != SevSuspect
 	})
 	return out
-}
-
-// LearnedRange exposes the current learned fence for an attribute.
-func (d *Debugger) LearnedRange(attribute string) (lo, hi float64, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rm := d.ranges[attribute]
-	if rm == nil {
-		return 0, 0, false
-	}
-	return rm.robustBounds(d.fenceK)
 }

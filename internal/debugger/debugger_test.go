@@ -32,22 +32,6 @@ func TestPaperExample135Degrees(t *testing.T) {
 	}
 }
 
-func TestAssertedRange(t *testing.T) {
-	d := New()
-	d.AssertRange("temperature", -60, 130)
-	v := d.Check("x", "temperature", "135")
-	if len(v) != 1 || !strings.Contains(v[0].Constraint, "asserted range") {
-		t.Fatalf("asserted check: %v", v)
-	}
-	if v := d.Check("x", "temperature", "72"); len(v) != 0 {
-		t.Fatalf("72 flagged: %v", v)
-	}
-	// Non-numeric values are not range-checked.
-	if v := d.Check("x", "temperature", "mild"); len(v) != 0 {
-		t.Fatalf("text value range-flagged: %v", v)
-	}
-}
-
 func TestLearnedRangeRobustToCorruption(t *testing.T) {
 	// 5% corrupted observations must not destroy the learned fence.
 	d := New()
@@ -58,7 +42,7 @@ func TestLearnedRangeRobustToCorruption(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d.Observe("temp", fmt.Sprintf("%.1f", 140+rng.Float64()*40))
 	}
-	lo, hi, ok := d.LearnedRange("temp")
+	lo, hi, ok := d.ranges["temp"].robustBounds(d.fenceK)
 	if !ok {
 		t.Fatal("no learned range")
 	}
@@ -75,8 +59,10 @@ func TestTooFewSamplesNoRange(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Observe("a", "10")
 	}
-	if _, _, ok := d.LearnedRange("a"); ok {
-		t.Fatal("range learned from 5 samples")
+	if rm := d.ranges["a"]; rm != nil {
+		if _, _, ok := rm.robustBounds(d.fenceK); ok {
+			t.Fatal("range learned from 5 samples")
+		}
 	}
 	if v := d.Check("e", "a", "99999"); len(v) != 0 {
 		t.Fatalf("flagged without enough data: %v", v)

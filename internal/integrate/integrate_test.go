@@ -72,7 +72,6 @@ func TestSimilarityRanges(t *testing.T) {
 		{"population", "pop_total"}, {"aa", "aaaa"},
 	}
 	fns := map[string]func(a, b string) float64{
-		"LevenshteinSim": LevenshteinSim,
 		"Jaro":           Jaro,
 		"JaroWinkler":    JaroWinkler,
 		"QgramJaccard":   QgramJaccard,

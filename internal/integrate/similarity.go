@@ -39,16 +39,6 @@ func Levenshtein(a, b string) int {
 	return prev[len(rb)]
 }
 
-// LevenshteinSim normalizes edit distance into [0,1].
-func LevenshteinSim(a, b string) float64 {
-	if a == "" && b == "" {
-		return 1
-	}
-	d := Levenshtein(a, b)
-	m := maxInt(len([]rune(a)), len([]rune(b)))
-	return 1 - float64(d)/float64(m)
-}
-
 // Jaro returns the Jaro similarity in [0,1].
 func Jaro(a, b string) float64 {
 	ra, rb := []rune(a), []rune(b)

@@ -306,15 +306,6 @@ type BufferStats struct {
 	Dirty      int   // resident frames with unwritten changes
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any pin.
-func (s BufferStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // NewBufferPool wraps pager with a scan-resistant cache of capacity
 // pages. A non-nil wal is flushed (up to the page LSN) before any dirty
 // page is written back (the WAL rule); pass nil for pools that do not

@@ -593,18 +593,6 @@ func (db *DB) Table(name string) *Table {
 	return db.tables[name]
 }
 
-// TableNames returns all table names, sorted.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // LockManager exposes the lock manager (for tests and diagnostics).
 func (db *DB) LockManager() *LockManager { return db.lm }
 

@@ -2,7 +2,6 @@ package rdbms
 
 import (
 	"io"
-	"math/rand"
 	"os"
 	"sync"
 )
@@ -96,9 +95,9 @@ type memWrite struct {
 // MemDevice is an in-memory Device that models a crash-prone disk: it
 // tracks the durable image (what survives a crash) separately from the
 // applied image (what the process observes), with every write volatile
-// until Sync. Crash discards or partially applies the unsynced writes,
-// after which the device can be handed to a fresh pager/WAL to simulate
-// a post-crash reopen.
+// until Sync. The tests' Crash (fault_test.go) discards or partially
+// applies the unsynced writes, after which the device can be handed to a
+// fresh pager/WAL to simulate a post-crash reopen.
 type MemDevice struct {
 	mu      sync.Mutex
 	durable []byte
@@ -185,31 +184,3 @@ func (d *MemDevice) Truncate(size int64) error {
 }
 
 func (d *MemDevice) Close() error { return nil }
-
-// Crash simulates power loss: the applied image is rewound to the durable
-// image, then each unsynced write independently survives with probability
-// 1/2 (writeback reorders freely between barriers). A nil rng drops every
-// unsynced write — the adversarial worst case. After Crash the device
-// holds exactly the surviving image and has no volatile state.
-func (d *MemDevice) Crash(rng *rand.Rand) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.applied = append([]byte(nil), d.durable...)
-	if rng != nil {
-		for _, w := range d.pending {
-			if rng.Intn(2) == 0 {
-				d.applyLocked(w.off, w.data)
-			}
-		}
-	}
-	d.durable = append(d.durable[:0], d.applied...)
-	d.pending = nil
-}
-
-// UnsyncedWrites reports how many writes would be at risk in a crash
-// (diagnostics and tests).
-func (d *MemDevice) UnsyncedWrites() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.pending)
-}

@@ -3,6 +3,7 @@ package rdbms
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 )
 
@@ -201,4 +202,110 @@ func NewFaultPager(dev Device, inj *FaultInjector) (*DevicePager, error) {
 // tail truncation to clean up.
 func NewFaultWAL(store WALStore, inj *FaultInjector) (*WAL, error) {
 	return NewWALOn(NewFaultWALStore(store, inj))
+}
+
+// FaultWALStore wraps a WALStore so that its mutating directory
+// operations (manifest swap, segment removal, directory sync) and every
+// byte of segment I/O pass through a FaultInjector — the store the
+// crash suites open when they want the segment-rotation and
+// manifest-swap protocols killed at every step. Segment devices come
+// back tearable: the WAL's record framing detects and truncates torn
+// tails.
+type FaultWALStore struct {
+	inner WALStore
+	inj   *FaultInjector
+}
+
+// NewFaultWALStore wraps store with fault injection.
+func NewFaultWALStore(store WALStore, inj *FaultInjector) *FaultWALStore {
+	return &FaultWALStore{inner: store, inj: inj}
+}
+
+func (s *FaultWALStore) Segments() ([]uint64, error)   { return s.inner.Segments() }
+func (s *FaultWALStore) ReadManifest() ([]byte, error) { return s.inner.ReadManifest() }
+func (s *FaultWALStore) Close() error                  { return s.inner.Close() }
+
+func (s *FaultWALStore) OpenSegment(seq uint64) (Device, error) {
+	dev, err := s.inner.OpenSegment(seq)
+	if err != nil {
+		return nil, err
+	}
+	return &FaultDevice{inner: dev, inj: s.inj, tearable: true}, nil
+}
+
+func (s *FaultWALStore) RemoveSegment(seq uint64) error {
+	idx, k := s.inj.step()
+	switch k {
+	case FaultError, FaultDropSync:
+		return fmt.Errorf("%w (segment remove, op %d)", ErrInjected, idx)
+	case FaultTornWrite, FaultCrash:
+		panic(CrashSignal{Op: idx})
+	}
+	return s.inner.RemoveSegment(seq)
+}
+
+func (s *FaultWALStore) WriteManifest(data []byte) error {
+	idx, k := s.inj.step()
+	switch k {
+	case FaultError, FaultDropSync:
+		return fmt.Errorf("%w (manifest write, op %d)", ErrInjected, idx)
+	case FaultTornWrite, FaultCrash:
+		panic(CrashSignal{Op: idx})
+	}
+	return s.inner.WriteManifest(data)
+}
+
+func (s *FaultWALStore) SyncDir() error {
+	idx, k := s.inj.step()
+	switch k {
+	case FaultError:
+		return fmt.Errorf("%w (dir sync, op %d)", ErrInjected, idx)
+	case FaultDropSync:
+		return nil // lie: report durability without providing it
+	case FaultTornWrite, FaultCrash:
+		panic(CrashSignal{Op: idx})
+	}
+	return s.inner.SyncDir()
+}
+
+// Crash simulates power loss: the applied image is rewound to the durable
+// image, then each unsynced write independently survives with probability
+// 1/2 (writeback reorders freely between barriers). A nil rng drops every
+// unsynced write — the adversarial worst case. After Crash the device
+// holds exactly the surviving image and has no volatile state.
+func (d *MemDevice) Crash(rng *rand.Rand) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.applied = append([]byte(nil), d.durable...)
+	if rng != nil {
+		for _, w := range d.pending {
+			if rng.Intn(2) == 0 {
+				d.applyLocked(w.off, w.data)
+			}
+		}
+	}
+	d.durable = append(d.durable[:0], d.applied...)
+	d.pending = nil
+}
+
+// Crash simulates power loss: directory metadata rewinds to the durable
+// image plus a surviving PREFIX of the unsynced operations (metadata
+// journaling commits in order; a nil rng keeps none — the adversarial
+// worst case), and every surviving segment device then crashes
+// independently under the usual MemDevice write-survival model.
+func (s *MemWALStore) Crash(rng *rand.Rand) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keep := 0
+	if rng != nil && len(s.pending) > 0 {
+		keep = rng.Intn(len(s.pending) + 1)
+	}
+	s.commitPrefixLocked(keep)
+	s.pending = nil
+	s.manifest = s.durManifest
+	s.segs = make(map[uint64]*MemDevice, len(s.durSegs))
+	for seq, dev := range s.durSegs {
+		dev.Crash(rng)
+		s.segs[seq] = dev
+	}
 }

@@ -267,14 +267,3 @@ func (lm *LockManager) Deadlocks() int64 {
 func (lm *LockManager) Acquisitions() int64 {
 	return lm.acquisitions.Load()
 }
-
-// DebugString renders held locks (diagnostics).
-func (lm *LockManager) DebugString() string {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	s := ""
-	for key, ls := range lm.locks {
-		s += fmt.Sprintf("%s/%v held by %v (%d waiting)\n", key.Table, key.Row, ls.holders, ls.waiting)
-	}
-	return s
-}

@@ -425,23 +425,6 @@ func (vs *VersionStore) releaseSnapshot(s LSN, seq uint64) {
 	vs.sweepLocked()
 }
 
-// horizonLocked computes the newest LSN every current and future
-// snapshot is guaranteed to be at or above.
-func (vs *VersionStore) horizonLocked() LSN {
-	h := vs.maxCommit
-	for lsn := range vs.pending {
-		if lsn-1 < h {
-			h = lsn - 1
-		}
-	}
-	for s := range vs.snaps {
-		if s < h {
-			h = s
-		}
-	}
-	return h
-}
-
 // sweepCtx is one sweep pass's frozen view of the pins that decide
 // retention: h is the classic horizon (chain-drop bound), fut the floor
 // every FUTURE snapshot will pin at or above, snaps the active snapshot

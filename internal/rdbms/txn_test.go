@@ -498,9 +498,6 @@ func TestDDLBasics(t *testing.T) {
 	if err := db.DropTable("cities"); err == nil {
 		t.Fatal("double drop must fail")
 	}
-	if got := db.TableNames(); len(got) != 0 {
-		t.Fatalf("TableNames = %v", got)
-	}
 }
 
 func TestCreateIndexOnExistingData(t *testing.T) {

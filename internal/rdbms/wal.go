@@ -304,8 +304,9 @@ type WAL struct {
 const walSpareMaxBytes = 64 << 10
 
 // NewMemWAL returns a WAL over an in-memory store; Flush makes records
-// durable against the simulated crash model (MemWALStore.Crash keeps
-// only synced bytes and a prefix of unsynced directory metadata).
+// durable against the simulated crash model (the tests'
+// MemWALStore.Crash keeps only synced bytes and a prefix of unsynced
+// directory metadata).
 func NewMemWAL() *WAL {
 	w, err := NewWALOn(NewMemWALStore())
 	if err != nil {
@@ -884,14 +885,6 @@ func (w *WAL) Base() LSN {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.base
-}
-
-// Empty reports whether the log holds nothing at all: no durable record
-// (flushed == base) and no buffered append.
-func (w *WAL) Empty() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.flushed == w.base && w.next == w.flushed
 }
 
 // EmptySince reports whether no record — durable or buffered — exists

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -323,36 +322,6 @@ func (s *MemWALStore) commitPrefixLocked(n int) {
 
 func (s *MemWALStore) Close() error { return nil }
 
-// Crash simulates power loss: directory metadata rewinds to the durable
-// image plus a surviving PREFIX of the unsynced operations (metadata
-// journaling commits in order; a nil rng keeps none — the adversarial
-// worst case), and every surviving segment device then crashes
-// independently under the usual MemDevice write-survival model.
-func (s *MemWALStore) Crash(rng *rand.Rand) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keep := 0
-	if rng != nil && len(s.pending) > 0 {
-		keep = rng.Intn(len(s.pending) + 1)
-	}
-	s.commitPrefixLocked(keep)
-	s.pending = nil
-	s.manifest = s.durManifest
-	s.segs = make(map[uint64]*MemDevice, len(s.durSegs))
-	for seq, dev := range s.durSegs {
-		dev.Crash(rng)
-		s.segs[seq] = dev
-	}
-}
-
-// UnsyncedDirOps reports how many directory-metadata mutations would be
-// at risk in a crash (diagnostics and tests).
-func (s *MemWALStore) UnsyncedDirOps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
-
 // DiskBytes sums the applied sizes of all present segments — the
 // on-disk footprint of the log (space-bound tests).
 func (s *MemWALStore) DiskBytes() int64 {
@@ -368,70 +337,4 @@ func (s *MemWALStore) DiskBytes() int64 {
 		total += n
 	}
 	return total
-}
-
-// --- Fault-injecting store wrapper ----------------------------------------
-
-// FaultWALStore wraps a WALStore so that its mutating directory
-// operations (manifest swap, segment removal, directory sync) and every
-// byte of segment I/O pass through a FaultInjector — the store the
-// crash suites open when they want the segment-rotation and
-// manifest-swap protocols killed at every step. Segment devices come
-// back tearable: the WAL's record framing detects and truncates torn
-// tails.
-type FaultWALStore struct {
-	inner WALStore
-	inj   *FaultInjector
-}
-
-// NewFaultWALStore wraps store with fault injection.
-func NewFaultWALStore(store WALStore, inj *FaultInjector) *FaultWALStore {
-	return &FaultWALStore{inner: store, inj: inj}
-}
-
-func (s *FaultWALStore) Segments() ([]uint64, error)   { return s.inner.Segments() }
-func (s *FaultWALStore) ReadManifest() ([]byte, error) { return s.inner.ReadManifest() }
-func (s *FaultWALStore) Close() error                  { return s.inner.Close() }
-
-func (s *FaultWALStore) OpenSegment(seq uint64) (Device, error) {
-	dev, err := s.inner.OpenSegment(seq)
-	if err != nil {
-		return nil, err
-	}
-	return &FaultDevice{inner: dev, inj: s.inj, tearable: true}, nil
-}
-
-func (s *FaultWALStore) RemoveSegment(seq uint64) error {
-	idx, k := s.inj.step()
-	switch k {
-	case FaultError, FaultDropSync:
-		return fmt.Errorf("%w (segment remove, op %d)", ErrInjected, idx)
-	case FaultTornWrite, FaultCrash:
-		panic(CrashSignal{Op: idx})
-	}
-	return s.inner.RemoveSegment(seq)
-}
-
-func (s *FaultWALStore) WriteManifest(data []byte) error {
-	idx, k := s.inj.step()
-	switch k {
-	case FaultError, FaultDropSync:
-		return fmt.Errorf("%w (manifest write, op %d)", ErrInjected, idx)
-	case FaultTornWrite, FaultCrash:
-		panic(CrashSignal{Op: idx})
-	}
-	return s.inner.WriteManifest(data)
-}
-
-func (s *FaultWALStore) SyncDir() error {
-	idx, k := s.inj.step()
-	switch k {
-	case FaultError:
-		return fmt.Errorf("%w (dir sync, op %d)", ErrInjected, idx)
-	case FaultDropSync:
-		return nil // lie: report durability without providing it
-	case FaultTornWrite, FaultCrash:
-		panic(CrashSignal{Op: idx})
-	}
-	return s.inner.SyncDir()
 }

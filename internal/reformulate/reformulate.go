@@ -428,23 +428,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// AccuracyAtK scores the reformulator on labelled examples: each example
-// pairs a keyword query with a predicate identifying the correct
-// candidate; the metric is the fraction where a correct candidate appears
-// in the top k (the E5 experiment's measure of "recognition" cost).
-func AccuracyAtK(r *Reformulator, queries []string, correct func(q string, c Candidate) bool, k int) float64 {
-	if len(queries) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, q := range queries {
-		for _, c := range r.Candidates(q, k) {
-			if correct(q, c) {
-				hit++
-				break
-			}
-		}
-	}
-	return float64(hit) / float64(len(queries))
-}

@@ -137,36 +137,6 @@ func TestVariantsIncludeEntityFreeForm(t *testing.T) {
 	}
 }
 
-func TestAccuracyAtK(t *testing.T) {
-	r := New(cityCatalog())
-	queries := []string{
-		"average temperature Madison Wisconsin",
-		"population Chicago",
-		"highest temperature Denver",
-	}
-	correct := func(q string, c Candidate) bool {
-		switch {
-		case strings.Contains(q, "average"):
-			return c.Agg == AggAvg && c.Attribute == "temperature" && c.Entity == "Madison, Wisconsin"
-		case strings.Contains(q, "population"):
-			return c.Attribute == "population" && c.Entity == "Chicago, Illinois"
-		default:
-			return c.Agg == AggMax && c.Entity == "Denver, Colorado"
-		}
-	}
-	acc1 := AccuracyAtK(r, queries, correct, 1)
-	acc3 := AccuracyAtK(r, queries, correct, 3)
-	if acc1 < 0.99 {
-		t.Fatalf("accuracy@1 = %v", acc1)
-	}
-	if acc3 < acc1 {
-		t.Fatalf("accuracy@3 (%v) must be >= accuracy@1 (%v)", acc3, acc1)
-	}
-	if AccuracyAtK(r, nil, correct, 1) != 0 {
-		t.Fatal("empty query set")
-	}
-}
-
 // TestIncrementalEqualsRebuilt grows a reformulator delta by delta — in
 // an order unlike the sorted catalog — and checks it answers every probe
 // identically to one rebuilt whole from the final catalog.

@@ -2,9 +2,8 @@
 // Part IV). Because the paper's DGE model generates structure
 // incrementally and best-effort, the schema of the derived structure
 // evolves: attributes appear when first extracted, get renamed when
-// integration discovers matches, and change type as evidence accumulates.
-// This package versions those schemas and migrates extracted relations
-// across versions.
+// integration discovers matches, and are dropped. This package versions
+// those schemas and migrates extracted records across versions.
 package schema
 
 import (
@@ -67,16 +66,6 @@ func (e *Evolver) Current() Version {
 	return e.versions[len(e.versions)-1]
 }
 
-// At returns version num, or false.
-func (e *Evolver) At(num int) (Version, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if num < 1 || num > len(e.versions) {
-		return Version{}, false
-	}
-	return e.versions[num-1], true
-}
-
 // History returns all versions oldest-first.
 func (e *Evolver) History() []Version {
 	e.mu.RLock()
@@ -132,29 +121,6 @@ func (e *Evolver) RenameAttribute(oldName, newName string) (Version, error) {
 	attrs[idx].Name = newName
 	e.renames[oldName] = newName
 	return e.pushLocked(attrs, fmt.Sprintf("rename %s -> %s", oldName, newName)), nil
-}
-
-// ChangeType retypes an attribute (e.g. "population" seen as strings
-// first, then recognized as integers).
-func (e *Evolver) ChangeType(name string, t FieldType) (Version, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.versions[len(e.versions)-1]
-	idx := -1
-	for i, a := range cur.Attributes {
-		if a.Name == name {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return Version{}, fmt.Errorf("schema: no attribute %s", name)
-	}
-	if cur.Attributes[idx].Type == t {
-		return cur, nil
-	}
-	attrs := cloneAttrs(cur.Attributes)
-	attrs[idx].Type = t
-	return e.pushLocked(attrs, fmt.Sprintf("retype %s to %s", name, t)), nil
 }
 
 // DropAttribute removes an attribute.
@@ -264,18 +230,4 @@ func InferType(values []string) FieldType {
 	default:
 		return TypeString
 	}
-}
-
-// Diff summarizes the evolution steps between two versions.
-func (e *Evolver) Diff(from, to int) ([]string, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if from < 1 || to > len(e.versions) || from > to {
-		return nil, fmt.Errorf("schema: bad version range %d..%d", from, to)
-	}
-	var out []string
-	for i := from; i < to; i++ {
-		out = append(out, e.versions[i].Change)
-	}
-	return out, nil
 }

@@ -37,46 +37,24 @@ func TestEvolutionLifecycle(t *testing.T) {
 	if got := e.Canonical("never-renamed"); got != "never-renamed" {
 		t.Fatalf("Canonical passthrough = %q", got)
 	}
-	// Retype.
-	v5, err := e.ChangeType("temperature", TypeString)
-	if err != nil || v5.Num != 5 {
-		t.Fatalf("retype: %v %v", v5, err)
-	}
-	same, err := e.ChangeType("temperature", TypeString)
-	if err != nil || same.Num != 5 {
-		t.Fatalf("no-op retype should not bump version: %v", same)
-	}
-	if _, err := e.ChangeType("ghost", TypeInt); err == nil {
-		t.Fatal("retype of missing must fail")
-	}
 	// Drop.
-	v6, err := e.DropAttribute("temperature")
-	if err != nil || len(v6.Attributes) != 1 {
-		t.Fatalf("drop: %v %v", v6, err)
+	v5, err := e.DropAttribute("temperature")
+	if err != nil || v5.Num != 5 || len(v5.Attributes) != 1 {
+		t.Fatalf("drop: %v %v", v5, err)
 	}
 	if _, err := e.DropAttribute("temperature"); err == nil {
 		t.Fatal("double drop must fail")
 	}
 	// History intact.
 	hist := e.History()
-	if len(hist) != 6 {
+	if len(hist) != 5 {
 		t.Fatalf("history has %d versions", len(hist))
 	}
-	if v, ok := e.At(3); !ok || len(v.Attributes) != 2 {
-		t.Fatalf("At(3): %v %v", v, ok)
+	if v := hist[2]; v.Num != 3 || len(v.Attributes) != 2 {
+		t.Fatalf("version 3: %v", v)
 	}
-	if _, ok := e.At(0); ok {
-		t.Fatal("At(0) should fail")
-	}
-	if _, ok := e.At(99); ok {
-		t.Fatal("At(99) should fail")
-	}
-	diff, err := e.Diff(1, 4)
-	if err != nil || len(diff) != 3 || diff[2] != "rename location -> address" {
-		t.Fatalf("diff: %v %v", diff, err)
-	}
-	if _, err := e.Diff(4, 1); err == nil {
-		t.Fatal("inverted diff range must fail")
+	if c := hist[3].Change; c != "rename location -> address" {
+		t.Fatalf("version 4's change: %q", c)
 	}
 }
 

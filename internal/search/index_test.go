@@ -59,22 +59,11 @@ func TestSearchMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	phrases := []string{"average temperature", "temperature in june", "the city of", "no such phrase"}
-	for _, c := range truth.Cities {
-		phrases = append(phrases, c.Name, c.Title, c.Name+" varies", "of "+c.Name+" is")
-	}
-	for _, phrase := range phrases {
-		for _, k := range []int{0, 5} {
-			if got, want := idx.PhraseSearch(phrase, k), ref.phraseSearch(phrase, k); !sameHits(got, want) {
-				t.Fatalf("PhraseSearch(%q, %d)\n got %+v\nwant %+v", phrase, k, got, want)
-			}
-		}
-	}
-	t.Logf("%d searches and %d phrase searches matched", queries, 2*len(phrases))
+	t.Logf("%d searches matched", queries)
 }
 
 // checkSnippets indexes text (under a fixed title, beside a second
-// document) and requires Search and PhraseSearch to match the reference
+// document) and requires Search to match the reference
 // for query, snippets included.
 func checkSnippets(t *testing.T, text, query string) {
 	t.Helper()
@@ -86,9 +75,6 @@ func checkSnippets(t *testing.T, text, query string) {
 		if got, want := idx.Search(query, 5, ranking), ref.search(query, 5, ranking); !sameHits(got, want) {
 			t.Fatalf("Search(%q) over %q\n got %+v\nwant %+v", query, text, got, want)
 		}
-	}
-	if got, want := idx.PhraseSearch(query, 0), ref.phraseSearch(query, 0); !sameHits(got, want) {
-		t.Fatalf("PhraseSearch(%q) over %q\n got %+v\nwant %+v", query, text, got, want)
 	}
 }
 

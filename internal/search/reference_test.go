@@ -3,17 +3,15 @@ package search
 import (
 	"container/heap"
 	"math"
-	"sort"
 
 	"repro/internal/doc"
 )
 
 // refIndex is the map-based index the flat one replaced, kept as the
-// reference it must match hit for hit: a map from term to postings that
-// each carry their own positions, maps keyed by DocID, a map accumulator,
-// and snippets that tokenize every sentence of a hit on its own. The one
-// change is the snippet cut, which shares truncateSnippet's rune-boundary
-// fix.
+// reference it must match hit for hit: a map from term to postings, maps
+// keyed by DocID, a map accumulator, and snippets that tokenize every
+// sentence of a hit on its own. The one change is the snippet cut, which
+// shares truncateSnippet's rune-boundary fix.
 type refIndex struct {
 	postings map[string][]refPosting
 	docLen   map[doc.DocID]int
@@ -25,9 +23,8 @@ type refIndex struct {
 }
 
 type refPosting struct {
-	docID     doc.DocID
-	tf        int
-	positions []int
+	docID doc.DocID
+	tf    int
 }
 
 func buildRefIndex(corpus *doc.Corpus) *refIndex {
@@ -62,7 +59,7 @@ func (idx *refIndex) add(d *doc.Document) {
 		}
 	}
 	for t, positions := range terms {
-		idx.postings[t] = append(idx.postings[t], refPosting{docID: d.ID, tf: len(positions), positions: positions})
+		idx.postings[t] = append(idx.postings[t], refPosting{docID: d.ID, tf: len(positions)})
 	}
 	idx.docLen[d.ID] = pos
 	idx.titles[d.ID] = d.Title
@@ -202,63 +199,4 @@ func (idx *refIndex) sentences(id doc.DocID) []refSentence {
 	}
 	idx.sents[id] = sents
 	return sents
-}
-
-func (idx *refIndex) phraseSearch(phrase string, k int) []Hit {
-	terms := QueryTerms(phrase)
-	if len(terms) == 0 {
-		return nil
-	}
-	candidates := map[doc.DocID][][]int{}
-	for i, term := range terms {
-		plist := idx.postings[term]
-		next := map[doc.DocID][][]int{}
-		for _, p := range plist {
-			if i == 0 {
-				next[p.docID] = [][]int{p.positions}
-				continue
-			}
-			if prev, ok := candidates[p.docID]; ok {
-				next[p.docID] = append(prev, p.positions)
-			}
-		}
-		candidates = next
-		if len(candidates) == 0 {
-			return nil
-		}
-	}
-	var hits []Hit
-	for id, positionLists := range candidates {
-		if len(positionLists) != len(terms) {
-			continue
-		}
-		if refConsecutiveRun(positionLists) {
-			hits = append(hits, Hit{DocID: id, Title: idx.titles[id], Score: 1})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].DocID < hits[j].DocID })
-	if k > 0 && len(hits) > k {
-		hits = hits[:k]
-	}
-	for i := range hits {
-		hits[i].Snippet = idx.snippet(hits[i].DocID, terms)
-	}
-	return hits
-}
-
-func refConsecutiveRun(lists [][]int) bool {
-	for _, s := range lists[0] {
-		ok := true
-		for i := 1; i < len(lists); i++ {
-			j := sort.SearchInts(lists[i], s+i)
-			if j == len(lists[i]) || lists[i][j] != s+i {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
 }

@@ -477,54 +477,3 @@ func truncateSnippet(sent string) string {
 	}
 	return strings.TrimSpace(sent)
 }
-
-// PhraseSearch returns documents containing the exact normalized phrase,
-// using positional postings.
-func (idx *Index) PhraseSearch(phrase string, k int) []Hit {
-	s := idx.getScratch()
-	defer idx.putScratch(s)
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	if n := idx.lookup(s, phrase); n == 0 || len(s.terms) < n {
-		return nil
-	}
-	var ords []uint32
-	for _, p := range idx.postings[s.terms[0]] {
-		if idx.phraseIn(p, s.terms) {
-			ords = append(ords, p.ord)
-		}
-	}
-	sort.Slice(ords, func(i, j int) bool { return idx.docs[ords[i]].id < idx.docs[ords[j]].id })
-	if k > 0 && len(ords) > k {
-		ords = ords[:k]
-	}
-	var hits []Hit
-	for _, ord := range ords {
-		d := &idx.docs[ord]
-		hits = append(hits, Hit{DocID: d.id, Title: d.title, Score: 1, Snippet: idx.snippet(s, ord)})
-	}
-	return hits
-}
-
-// phraseIn reports whether the document of first, a posting of terms[0],
-// holds terms at consecutive positions.
-func (idx *Index) phraseIn(first posting, terms []uint32) bool {
-	lists := make([][]uint32, len(terms))
-	for i, t := range terms {
-		p, ok := find(idx.postings[t], first.ord)
-		if !ok {
-			return false
-		}
-		lists[i] = idx.positions[p.off : p.off+p.tf]
-	}
-	for _, start := range lists[0] {
-		ok := true
-		for i := 1; i < len(lists) && ok; i++ {
-			_, ok = slices.BinarySearch(lists[i], start+uint32(i))
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
-}

@@ -106,25 +106,6 @@ func TestSearchDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestPhraseSearch(t *testing.T) {
-	idx := BuildIndex(smallCorpus())
-	hits := idx.PhraseSearch("average temperature", 10)
-	if len(hits) != 1 || hits[0].Title != "Madison, Wisconsin" {
-		t.Fatalf("phrase hits: %+v", hits)
-	}
-	// Words present but not adjacent: no hit.
-	hits = idx.PhraseSearch("temperature average", 10)
-	if len(hits) != 0 {
-		t.Fatalf("reversed phrase should not match: %+v", hits)
-	}
-	if hits := idx.PhraseSearch("", 10); hits != nil {
-		t.Fatal("empty phrase")
-	}
-	if hits := idx.PhraseSearch("unknown words", 10); len(hits) != 0 {
-		t.Fatal("unknown phrase should be empty")
-	}
-}
-
 func TestSearchOnSynthCorpus(t *testing.T) {
 	corpus, _ := synth.Generate(synth.Config{Seed: 3, Cities: 30, People: 10, Filler: 20, MentionsPerPerson: 2})
 	idx := BuildIndex(corpus)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/browse"
 	"repro/internal/core"
 	"repro/internal/rdbms"
-	"repro/internal/search"
 )
 
 // ShardedView is the cross-shard snapshot handle: one pinned MVCC view
@@ -95,26 +94,6 @@ func degradedOrNil(de *DegradedError) error {
 		return nil
 	}
 	return de
-}
-
-// KeywordSearch serves from the lowest-index live view: the document
-// index is replicated, so one shard's answer is the complete answer.
-func (sv *ShardedView) KeywordSearch(query string, k int) ([]search.Hit, error) {
-	for i, v := range sv.views {
-		if v == nil {
-			continue
-		}
-		hits, err := v.KeywordSearch(query, k)
-		if err != nil {
-			if isGap(err) {
-				sv.ss.markDown(i)
-				continue
-			}
-			return nil, err
-		}
-		return hits, nil
-	}
-	return nil, core.ErrClosed
 }
 
 // AskGuided reformulates against the merged catalog and executes the

@@ -28,9 +28,6 @@ type Row struct {
 	Prov      provenance.NodeID
 }
 
-// Key identifies the assertion (see uncertainty.Fact.Key).
-func (r *Row) Key() string { return r.Entity + "\x00" + r.Attribute + "\x00" + r.Qualifier }
-
 // RegisteredExtractor couples a pipeline with per-attribute prefilter
 // hints: a document that contains none of the hint substrings for the
 // requested attributes cannot produce matches, so the optimizer can skip
