@@ -362,7 +362,7 @@
 //
 //   - Deadlines. context.Context now threads through every public
 //     System method, and the storage engine polls it at scan-loop
-//     granularity (every 64 rows; Txn.WithContext, DB.ExecCtx), so a
+//     granularity (every 64 rows; Txn.WithContext, DB.ExecStmt), so a
 //     request deadline aborts a SELECT mid-scan instead of after it.
 //     Each server request runs under a deadline (request-supplied,
 //     clamped by MaxRequestTimeout); the unidb -timeout flag feeds the
@@ -530,15 +530,25 @@
 // fan-out, so a reduce partition lands on exactly one shard and one
 // entity never spans two.
 //
-// Routing and merge. Requests route by what they touch. A query with a
-// top-level entity equality runs verbatim on the owning shard. Everything
-// else fans out to all shards in parallel and merges:
+// Routing and merge. Requests route by what they touch. The router
+// parses a SQL statement once and ships the parsed rdbms.SelectStmt —
+// rewritten where a merge needs it — to the shards, which execute it as
+// is: no shard is handed SQL text. A query with a top-level entity
+// equality runs unchanged on the owning shard. A JOIN is routed only
+// when it joins extracted to itself on entity = entity, since only
+// those rows are co-located with the pinned entity; any other routed
+// JOIN would see one shard's rows on its joined side and is refused.
+// Everything else fans out to all shards in parallel and merges:
 //
 //   - ORDER BY queries push OFFSET+LIMIT to each shard and k-way merge
 //     the sorted streams (ties keep the lowest shard index).
-//   - Aggregates recombine exactly from per-shard partials (COUNT/SUM
-//     add, MIN/MAX fold, AVG from sum+count), mirroring the engine's own
-//     aggregate state machine; GROUP BY groups merge by key.
+//   - Aggregates recombine from per-shard partials (COUNT/SUM add,
+//     MIN/MAX fold, AVG from sum+count), mirroring the engine's own
+//     aggregate state machine; GROUP BY groups merge by key. COUNT, MIN,
+//     MAX and integer SUM are exact. A float SUM or AVG adds the
+//     partial sums in another order than one engine's scan, so it can
+//     differ in the last bits: at 2 shards SUM(num) over temperature
+//     reads 32754 on one engine and 32753.999999999993 sharded.
 //   - Unordered scans and DISTINCT over the extracted table exploit a
 //     structural invariant: the bulk-ingest stream is entity-sorted
 //     (cluster output is globally key-sorted, and core.ExtractAll now
@@ -552,11 +562,14 @@
 //
 // The equivalence oracle (internal/shard/shard_test.go) proves the
 // contract the merges exist for: for 1-, 2-, and 4-shard layouts over
-// the same corpus, AskGuided, KeywordSearch, Browse, and a 21-query SQL
+// the same corpus, AskGuided, KeywordSearch, Browse, and a 38-query SQL
 // matrix (ORDER BY with LIMIT/OFFSET/DESC, aggregates, GROUP BY,
-// DISTINCT, unordered scans, entity-routed queries) render byte-identical
-// to a single engine. Writes through SQL are typed ErrReadOnly;
-// cross-shard JOINs and HAVING are typed ErrUnsupported.
+// DISTINCT, unordered scans, entity-routed queries, a co-located JOIN,
+// and the expression shapes BETWEEN, IS [NOT] NULL, NOT, unary minus,
+// operator precedence, LIKE, quoted and float literals) render
+// byte-identical to a single engine. Writes through SQL are typed
+// ErrReadOnly; cross-shard JOINs, routed JOINs that are not co-located,
+// and HAVING are typed ErrUnsupported.
 //
 // Vector snapshots. ShardedSystem.View pins one PR7 MVCC snapshot per
 // shard — a vector of LSNs — so a cross-shard read session is

@@ -756,30 +756,32 @@ func (s *System) AskGuided(ctx context.Context, query string, k int) (*GuidedAns
 }
 
 // SQL is exploitation mode 3: direct structured querying for sophisticated
-// users. The statement is parsed first: a SELECT runs against a one-shot
+// users. The statement is parsed once: a SELECT runs against a one-shot
 // View (MVCC snapshot, zero lock acquisitions, no cache invalidation);
-// anything else — mutations, DDL, or unparsable input — takes the writer
-// path, where any mutating statement (the executor sets ResultSet.Mutated)
-// or error, conservatively, invalidates the catalog cache. (Writes driven
-// through s.DB directly are outside the cache contract: all
-// extracted-table writes must go through System.)
+// anything else — mutations and DDL — takes the writer path, where any
+// mutating statement (the executor sets ResultSet.Mutated) or error,
+// conservatively, invalidates the catalog cache. (Writes driven through
+// s.DB directly are outside the cache contract: all extracted-table
+// writes must go through System.)
 func (s *System) SQL(ctx context.Context, query string) (*rdbms.ResultSet, error) {
-	if stmt, err := rdbms.ParseSQL(query); err == nil {
-		if sel, ok := stmt.(rdbms.SelectStmt); ok {
-			v, verr := s.View(ctx)
-			if verr != nil {
-				return nil, verr
-			}
-			defer v.Close()
-			return v.execSelect(sel)
+	stmt, err := rdbms.ParseSQL(query)
+	if err != nil {
+		return nil, err
+	}
+	if sel, ok := stmt.(rdbms.SelectStmt); ok {
+		v, err := s.View(ctx)
+		if err != nil {
+			return nil, err
 		}
+		defer v.Close()
+		return v.ExecSelect(sel)
 	}
 	if err := s.beginOp(); err != nil {
 		return nil, err
 	}
 	defer s.endOp()
 	s.Stats.Inc("core.queries.sql", 1)
-	rs, err := s.DB.ExecCtx(ctx, query)
+	rs, err := s.DB.ExecStmt(ctx, stmt)
 	if err != nil || rs.Mutated {
 		s.mu.Lock()
 		s.cat.invalidate()

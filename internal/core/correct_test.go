@@ -40,7 +40,7 @@ func readFact(s *System, k factKey) (string, error) {
 	}
 	defer v.Close()
 	q := func(x string) string { return "'" + strings.ReplaceAll(x, "'", "''") + "'" }
-	rs, err := v.SQL(fmt.Sprintf("SELECT value FROM extracted WHERE entity = %s AND attribute = 'temperature' AND qualifier = %s",
+	rs, err := viewSQL(v, fmt.Sprintf("SELECT value FROM extracted WHERE entity = %s AND attribute = 'temperature' AND qualifier = %s",
 		q(k.entity), q(k.qualifier)))
 	if err != nil {
 		return "", err

@@ -123,20 +123,10 @@ func (v *View) AskGuided(query string, k int) (*GuidedAnswer, error) {
 	return out, nil
 }
 
-// SQL is the View-scoped exploitation mode 3, restricted to SELECT: the
-// statement executes against the snapshot with zero lock acquisitions.
-// Mutations and DDL are refused — route writes through System.SQL.
-func (v *View) SQL(query string) (*rdbms.ResultSet, error) {
-	if err := v.err(); err != nil {
-		return nil, err
-	}
-	v.s.Stats.Inc("core.queries.sql", 1)
-	return v.snap.Query(query)
-}
-
-// execSelect runs an already parsed SELECT at the View's snapshot, so
-// System.SQL parses a statement once.
-func (v *View) execSelect(sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
+// ExecSelect is the View-scoped exploitation mode 3: an already parsed
+// SELECT runs against the snapshot with zero lock acquisitions. Only a
+// SELECT can be handed in — route writes through System.SQL.
+func (v *View) ExecSelect(sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
 	if err := v.err(); err != nil {
 		return nil, err
 	}

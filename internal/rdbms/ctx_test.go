@@ -36,13 +36,22 @@ func newCtxTestDB(t *testing.T) *DB {
 	return db
 }
 
+// execCtx parses sql and runs it through DB.ExecStmt under ctx.
+func execCtx(ctx context.Context, db *DB, sql string) (*ResultSet, error) {
+	stmt, err := ParseSQL(sql)
+	if err != nil {
+		return nil, err
+	}
+	return db.ExecStmt(ctx, stmt)
+}
+
 // TestExecCtxCanceledBeforeStart: a context already done fails fast,
 // before any transaction begins.
 func TestExecCtxCanceledBeforeStart(t *testing.T) {
 	db := newCtxTestDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.ExecCtx(ctx, "SELECT id FROM big"); !errors.Is(err, context.Canceled) {
+	if _, err := execCtx(ctx, db, "SELECT id FROM big"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	// The engine stays healthy: a plain Exec still works and sees no
@@ -72,7 +81,7 @@ func TestExecCtxDeadlineStopsScanPaths(t *testing.T) {
 	}
 	for _, q := range queries {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		_, err := db.ExecCtx(ctx, q)
+		_, err := execCtx(ctx, db, q)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: got %v, want context.DeadlineExceeded", q, err)
@@ -101,7 +110,7 @@ func TestExecCtxCancelMidScan(t *testing.T) {
 	go func() {
 		// Repeat scans until cancellation lands mid-loop.
 		for {
-			if _, err := db.ExecCtx(ctx, "SELECT id, val FROM big WHERE val = 'nope'"); err != nil {
+			if _, err := execCtx(ctx, db, "SELECT id, val FROM big WHERE val = 'nope'"); err != nil {
 				done <- err
 				return
 			}

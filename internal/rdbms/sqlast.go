@@ -182,6 +182,22 @@ func exprString(e Expr) string {
 	return "?"
 }
 
+// SelectColumnName returns the output column name the executor gives
+// one select-list expression: the alias, else the expression's display
+// rendering, exactly as expandSelect names it.
+func SelectColumnName(se SelectExpr) string {
+	if se.Star {
+		return "*"
+	}
+	if se.Alias != "" {
+		return se.Alias
+	}
+	return exprString(se.Expr)
+}
+
+// HasAggregate reports whether an expression contains an aggregate call.
+func HasAggregate(e Expr) bool { return hasAgg(e) }
+
 // hasAgg reports whether e contains an aggregate call.
 func hasAgg(e Expr) bool {
 	switch x := e.(type) {

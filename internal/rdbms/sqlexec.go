@@ -39,21 +39,22 @@ func (rs *ResultSet) String() string {
 // Exec parses and executes one SQL statement in its own transaction,
 // committing on success and aborting on error.
 func (db *DB) Exec(sql string) (*ResultSet, error) {
-	return db.ExecCtx(context.Background(), sql)
-}
-
-// ExecCtx is Exec bounded by a context: the statement's transaction has
-// ctx attached, so its scan-shaped loops stop with the context's error
-// once the deadline passes or the caller cancels (and the transaction is
-// aborted like any other failed statement). DDL is not cancelable — it
-// checkpoints, and a half-applied catalog change has no clean abort — so
-// ctx is only consulted before DDL starts.
-func (db *DB) ExecCtx(ctx context.Context, sql string) (*ResultSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	stmt, err := ParseSQL(sql)
 	if err != nil {
+		return nil, err
+	}
+	return db.ExecStmt(context.Background(), stmt)
+}
+
+// ExecStmt executes one parsed statement in its own transaction,
+// bounded by a context: the transaction has ctx attached, so its
+// scan-shaped loops stop with the context's error once the deadline
+// passes or the caller cancels (and the transaction is aborted like any
+// other failed statement). DDL is not cancelable — it checkpoints, and a
+// half-applied catalog change has no clean abort — so ctx is only
+// consulted before DDL starts.
+func (db *DB) ExecStmt(ctx context.Context, stmt Statement) (*ResultSet, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// DDL manages its own durability.

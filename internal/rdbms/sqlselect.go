@@ -166,7 +166,7 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 	// Non-grouped ORDER BY is handled inside project (keys may reference
 	// unprojected columns); grouped ordering inside groupAndAggregate.
 	// LIMIT/OFFSET applied last.
-	applyOffsetLimit(out, s.Offset, s.Limit)
+	ApplyOffsetLimit(out, s.Offset, s.Limit)
 	out.Plan = plan
 	return out, nil
 }
@@ -181,12 +181,14 @@ func presortedResult(s SelectStmt, b *binding, rows []Tuple, plan string) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	applyOffsetLimit(out, s.Offset, s.Limit)
+	ApplyOffsetLimit(out, s.Offset, s.Limit)
 	out.Plan = plan
 	return out, nil
 }
 
-func applyOffsetLimit(out *ResultSet, offset, limit int) {
+// ApplyOffsetLimit is a SELECT's last step: skip offset rows, then keep
+// at most limit (-1 = no limit).
+func ApplyOffsetLimit(out *ResultSet, offset, limit int) {
 	if offset > 0 {
 		if offset >= len(out.Rows) {
 			out.Rows = nil
@@ -496,8 +498,9 @@ func appendKey(dst []byte, v Value) []byte {
 	return append(dst, '?')
 }
 
-// appendTupleKey appends the concatenated key of every value in the tuple.
-func appendTupleKey(dst []byte, t Tuple) []byte {
+// AppendTupleKey appends the concatenated key of every value in the
+// tuple: the grouping and DISTINCT identity of the whole tuple.
+func AppendTupleKey(dst []byte, t Tuple) []byte {
 	for _, v := range t {
 		dst = appendKey(dst, v)
 	}
@@ -557,7 +560,7 @@ func project(s SelectStmt, b *binding, rows []Tuple) (*ResultSet, error) {
 	}
 	if len(s.OrderBy) > 0 {
 		sort.SliceStable(keyed, func(i, j int) bool {
-			return orderLess(keyed[i].keys, keyed[j].keys, s.OrderBy)
+			return OrderLess(keyed[i].keys, keyed[j].keys, s.OrderBy)
 		})
 	}
 	for _, kr := range keyed {
@@ -696,7 +699,10 @@ func evalOrderKey(e Expr, b *binding, row Tuple, cols []string, proj Tuple) (Val
 	return evalExpr(e, b, row)
 }
 
-func orderLess(a, b Tuple, keys []OrderKey) bool {
+// OrderLess reports whether the key tuple a sorts before b under keys:
+// incomparable pairs and equal keys fall through to the next key, and a
+// full tie is "not less".
+func OrderLess(a, b Tuple, keys []OrderKey) bool {
 	for i, k := range keys {
 		c, ok := Compare(a[i], b[i])
 		if !ok {
@@ -740,7 +746,7 @@ func distinctRows(rows []Tuple) []Tuple {
 	out := rows[:0:0]
 	var keyBuf []byte
 	for _, r := range rows {
-		keyBuf = appendTupleKey(keyBuf[:0], r)
+		keyBuf = AppendTupleKey(keyBuf[:0], r)
 		if !seen[string(keyBuf)] {
 			seen[string(keyBuf)] = true
 			out = append(out, r)
@@ -922,7 +928,7 @@ func groupAndAggregate(s SelectStmt, b *binding, rows []Tuple) (*ResultSet, erro
 			}
 		} else {
 			sort.SliceStable(keyed, func(i, j int) bool {
-				return orderLess(keyed[i].keys, keyed[j].keys, s.OrderBy)
+				return OrderLess(keyed[i].keys, keyed[j].keys, s.OrderBy)
 			})
 		}
 	}

@@ -152,14 +152,14 @@ func TestEarlyLimitCorrectness(t *testing.T) {
 func TestKeyEncodingNoCollisions(t *testing.T) {
 	// ("ab","c") vs ("a","bc") — the old "+"-concatenated keys only
 	// survived this because of a separator; length prefixes must too.
-	k1 := appendTupleKey(nil, Tuple{NewString("ab"), NewString("c")})
-	k2 := appendTupleKey(nil, Tuple{NewString("a"), NewString("bc")})
+	k1 := AppendTupleKey(nil, Tuple{NewString("ab"), NewString("c")})
+	k2 := AppendTupleKey(nil, Tuple{NewString("a"), NewString("bc")})
 	if string(k1) == string(k2) {
 		t.Fatal("string tuple keys collide")
 	}
 	// A string containing the old separator must not fold.
-	k3 := appendTupleKey(nil, Tuple{NewString("a|b")})
-	k4 := appendTupleKey(nil, Tuple{NewString("a"), NewString("b")})
+	k3 := AppendTupleKey(nil, Tuple{NewString("a|b")})
+	k4 := AppendTupleKey(nil, Tuple{NewString("a"), NewString("b")})
 	if string(k3) == string(k4) {
 		t.Fatal("separator-bearing string collides with split tuple")
 	}

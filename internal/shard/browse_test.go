@@ -21,12 +21,16 @@ import (
 // into one []browse.Row on ascending entity with ties to the lower shard.
 func refShardedBrowse(t *testing.T, sv *ShardedView) *browse.Browser {
 	t.Helper()
+	stmt, err := rdbms.ParseSQL("SELECT entity, attribute, qualifier, value, conf FROM extracted")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var streams [][]browse.Row
 	for _, v := range sv.views {
 		if v == nil {
 			continue
 		}
-		rs, err := v.SQL("SELECT entity, attribute, qualifier, value, conf FROM extracted")
+		rs, err := v.ExecSelect(stmt.(rdbms.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,25 +2,25 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/rdbms"
 )
 
-// shardExec executes one SQL string against one shard (a pinned view or
-// a one-shot read) and returns its result. A core.ErrClosed error marks
-// the shard as a gap rather than failing the whole query.
-type shardExec func(i int, query string) (*rdbms.ResultSet, error)
+// shardExec executes one parsed SELECT against one shard (a pinned view
+// or a one-shot read) and returns its result. A core.ErrClosed error
+// marks the shard as a gap rather than failing the whole query. Every
+// shard reads the same statement concurrently, so it must not be
+// mutated.
+type shardExec func(i int, sel rdbms.SelectStmt) (*rdbms.ResultSet, error)
 
-// execSharded plans and executes one read statement across n shards.
-// Routing order: verbatim entity-routed single-shard execution (every
-// SQL feature supported), then the cross-shard merge paths — aggregate
-// recombination, DISTINCT dedup, ORDER BY k-way merge, and shard-major
-// concatenation for unordered scans. Mutations are refused.
+// execSharded parses one read statement — the only parse the request
+// gets — and executes it across n shards. Routing order: entity-routed
+// single-shard execution (every SQL feature supported), then the
+// cross-shard paths — aggregate recombination, or one merge of rows
+// for ordered, unordered and DISTINCT reads. Mutations are refused.
 func execSharded(ss *ShardedSystem, query string, n int, exec shardExec) (*rdbms.ResultSet, error) {
 	stmt, err := rdbms.ParseSQL(query)
 	if err != nil {
@@ -33,26 +33,27 @@ func execSharded(ss *ShardedSystem, query string, n int, exec shardExec) (*rdbms
 
 	// Entity-routed: a top-level `entity = '...'` conjunct over the
 	// partitioned table pins every matching row to one shard; the
-	// original statement runs there verbatim, so every SELECT feature
-	// (joins on that shard's tables, HAVING, aggregate arithmetic)
-	// behaves exactly like a single engine.
+	// statement runs there as is, so every SELECT feature (HAVING,
+	// aggregate arithmetic) behaves exactly like a single engine. A
+	// JOIN's other side sees only that shard's rows, so the only JOIN
+	// routed is extracted to extracted on entity, whose rows are
+	// co-located with the pinned entity.
 	if entity, routed := routedEntity(sel); routed {
-		owner := ss.Owner(entity)
-		rs, err := exec(owner, query)
-		if err != nil {
-			if isGap(err) {
-				ss.markDown(owner)
-				return nil, ss.degraded([]int{owner})
-			}
-			return nil, err
+		if j := sel.Join; j != nil && (j.Table != core.TableName || j.Left.Column != "entity" || j.Right.Column != "entity") {
+			return nil, fmt.Errorf("%w: an entity-routed JOIN must join %s to itself on entity", ErrUnsupported, core.TableName)
 		}
-		return rs, nil
+		owner := ss.Owner(entity)
+		rs, err := exec(owner, sel)
+		if err != nil && isGap(err) {
+			ss.markDown(owner)
+			return nil, ss.degraded([]int{owner})
+		}
+		return rs, err
 	}
 
 	if sel.Join != nil {
 		return nil, fmt.Errorf("%w: cross-shard JOIN (add an entity filter to route it)", ErrUnsupported)
 	}
-
 	grouped := len(sel.GroupBy) > 0
 	for _, se := range sel.Exprs {
 		if !se.Star && rdbms.HasAggregate(se.Expr) {
@@ -62,13 +63,7 @@ func execSharded(ss *ShardedSystem, query string, n int, exec shardExec) (*rdbms
 	if grouped {
 		return execShardedAgg(ss, sel, n, exec)
 	}
-	if sel.Distinct {
-		return execShardedDistinct(ss, sel, n, exec)
-	}
-	if len(sel.OrderBy) > 0 {
-		return execShardedOrdered(ss, sel, n, exec)
-	}
-	return execShardedUnordered(ss, sel, n, exec)
+	return execShardedRows(ss, sel, n, exec)
 }
 
 // routedEntity reports whether the statement is pinned to one entity of
@@ -116,8 +111,9 @@ func conjuncts(e rdbms.Expr) []rdbms.Expr {
 
 // fanOut runs the (possibly rewritten) statement on every shard in
 // parallel. Gaps (closed shards) come back in down; any other error
-// fails the query. results is indexed by shard, nil at gaps.
-func fanOut(ss *ShardedSystem, n int, query string, exec shardExec) (results []*rdbms.ResultSet, down []int, err error) {
+// fails the query, and so does a fan-out no shard answered. results is
+// indexed by shard, nil at gaps.
+func fanOut(ss *ShardedSystem, n int, sel rdbms.SelectStmt, exec shardExec) (results []*rdbms.ResultSet, down []int, err error) {
 	results = make([]*rdbms.ResultSet, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -125,7 +121,7 @@ func fanOut(ss *ShardedSystem, n int, query string, exec shardExec) (results []*
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = exec(i, query)
+			results[i], errs[i] = exec(i, sel)
 		}(i)
 	}
 	wg.Wait()
@@ -133,44 +129,27 @@ func fanOut(ss *ShardedSystem, n int, query string, exec shardExec) (results []*
 		if e == nil {
 			continue
 		}
-		if isGap(e) {
-			ss.markDown(i)
-			down = append(down, i)
-			results[i] = nil
-			continue
+		if !isGap(e) {
+			return nil, nil, e
 		}
-		return nil, nil, e
+		ss.markDown(i)
+		down = append(down, i)
+		results[i] = nil
+	}
+	if len(down) == n {
+		if de := ss.degraded(down); de != nil {
+			return nil, nil, de
+		}
+		return nil, nil, core.ErrClosed
 	}
 	return results, down, nil
 }
 
-// finishPartial wraps a merged result with its degraded marker (if
-// any); with no surviving shard there is no result at all.
-func finishPartial(ss *ShardedSystem, rs *rdbms.ResultSet, down []int, served bool) (*rdbms.ResultSet, error) {
-	if !served {
-		if de := ss.degraded(down); de != nil {
-			return nil, de
-		}
-		return nil, core.ErrClosed
-	}
-	if de := ss.degraded(down); de != nil {
-		return rs, de
-	}
-	return rs, nil
-}
-
-// applyOffsetLimit mirrors the engine's final OFFSET/LIMIT step.
-func applyOffsetLimit(rs *rdbms.ResultSet, offset, limit int) {
-	if offset > 0 {
-		if offset >= len(rs.Rows) {
-			rs.Rows = nil
-		} else {
-			rs.Rows = rs.Rows[offset:]
-		}
-	}
-	if limit >= 0 && len(rs.Rows) > limit {
-		rs.Rows = rs.Rows[:limit]
-	}
+// finish applies the statement's OFFSET/LIMIT to a merged result and
+// attaches the degraded marker for the shards that did not answer.
+func finish(ss *ShardedSystem, out *rdbms.ResultSet, sel rdbms.SelectStmt, down []int) (*rdbms.ResultSet, error) {
+	rdbms.ApplyOffsetLimit(out, sel.Offset, sel.Limit)
+	return out, degradedOrNil(ss.degraded(down))
 }
 
 // pushedLimit converts a global OFFSET o LIMIT l into the per-shard
@@ -183,391 +162,176 @@ func pushedLimit(sel rdbms.SelectStmt) int {
 	return sel.Offset + sel.Limit
 }
 
-// orderLessVals mirrors the engine's orderLess: incomparable pairs and
-// equal keys fall through to the next key; a full tie is "not less".
-func orderLessVals(a, b []rdbms.Value, keys []rdbms.OrderKey) bool {
-	for i, k := range keys {
-		c, ok := rdbms.Compare(a[i], b[i])
-		if !ok || c == 0 {
-			continue
-		}
-		if k.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-// canonKey encodes values into the engine's grouping/dedup equivalence:
-// numerics unify by float64 value, strings by bytes, bools, NULLs.
-func canonKey(vals []rdbms.Value) string {
-	var sb strings.Builder
-	for _, v := range vals {
-		switch v.Type {
-		case rdbms.TNull:
-			sb.WriteByte('z')
-		case rdbms.TInt, rdbms.TFloat:
-			f, _ := v.AsFloat()
-			fmt.Fprintf(&sb, "n%016x", math.Float64bits(f))
-		case rdbms.TString:
-			fmt.Fprintf(&sb, "s%d:%s", len(v.S), v.S)
-		case rdbms.TBool:
-			if v.B {
-				sb.WriteString("b1")
-			} else {
-				sb.WriteString("b0")
-			}
-		}
-	}
-	return sb.String()
-}
-
-// --- Ordered merge --------------------------------------------------------
-
-// execShardedOrdered is the tentpole path: each shard runs the query
-// with the sort (and a tightened LIMIT) pushed down, returning streams
-// already in ORDER BY order; a k-way merge recombines them preserving
-// per-shard tie order and breaking cross-shard ties by shard index.
-// ORDER BY keys that are not already output columns are appended to the
-// per-shard projection under reserved aliases and stripped after the
-// merge, so keys over unprojected columns merge exactly.
-func execShardedOrdered(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardExec) (*rdbms.ResultSet, error) {
-	shardSel := sel
-	shardSel.Limit = pushedLimit(sel)
-	shardSel.Offset = 0
-
-	// Resolve each key to an existing output column (mirroring the
-	// engine's alias resolution: first name match wins) or append it.
-	anyStar := false
-	var names []string
+// outputColumn resolves an ORDER BY key to the output column it reads:
+// a bare column name matches an output name first (the engine's alias
+// rule, first match wins), else the key matches a select-list
+// expression structurally. -1 when the key is not an output column, or
+// when a * makes output positions unknown until execution.
+func outputColumn(sel rdbms.SelectStmt, key rdbms.Expr) int {
 	for _, se := range sel.Exprs {
 		if se.Star {
-			anyStar = true
+			return -1
 		}
-		names = append(names, rdbms.SelectColumnName(se))
 	}
-	type keyLoc struct {
-		outIdx int // >= 0: reuse this output column
-		appIdx int // >= 0: appended column appIdx
-	}
-	locs := make([]keyLoc, len(sel.OrderBy))
-	appended := 0
-	exprs := append([]rdbms.SelectExpr{}, sel.Exprs...)
-	for ki, k := range sel.OrderBy {
-		locs[ki] = keyLoc{outIdx: -1, appIdx: -1}
-		if !anyStar {
-			if cr, ok := k.Expr.(rdbms.ColumnRef); ok && cr.Table == "" {
-				for i, name := range names {
-					if name == cr.Column {
-						locs[ki].outIdx = i
-						break
-					}
-				}
+	if cr, ok := key.(rdbms.ColumnRef); ok && cr.Table == "" {
+		for i, se := range sel.Exprs {
+			if rdbms.SelectColumnName(se) == cr.Column {
+				return i
 			}
 		}
-		if locs[ki].outIdx < 0 {
-			exprs = append(exprs, rdbms.SelectExpr{Expr: k.Expr, Alias: fmt.Sprintf("__k%d", appended)})
-			locs[ki].appIdx = appended
-			appended++
+	}
+	for i, se := range sel.Exprs {
+		if se.Expr == key {
+			return i
 		}
 	}
-	shardSel.Exprs = exprs
-
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &rdbms.ResultSet{Plan: fmt.Sprintf("sharded fan-out(%d) + k-way merge", n)}
-	served := false
-	baseN := 0
-	for _, rs := range results {
-		if rs != nil {
-			baseN = len(rs.Columns) - appended
-			out.Columns = rs.Columns[:baseN]
-			served = true
-			break
-		}
-	}
-	if !served {
-		return finishPartial(ss, nil, down, false)
-	}
-
-	keysOf := func(row rdbms.Tuple) []rdbms.Value {
-		keys := make([]rdbms.Value, len(locs))
-		for ki, loc := range locs {
-			if loc.outIdx >= 0 {
-				keys[ki] = row[loc.outIdx]
-			} else {
-				keys[ki] = row[baseN+loc.appIdx]
-			}
-		}
-		return keys
-	}
-
-	// K-way merge over the pre-sorted streams: among the current heads,
-	// the strictly smallest wins; ties keep the lowest shard index.
-	cursors := make([]int, n)
-	heads := make([][]rdbms.Value, n)
-	for {
-		best := -1
-		for i, rs := range results {
-			if rs == nil || cursors[i] >= len(rs.Rows) {
-				continue
-			}
-			if heads[i] == nil {
-				heads[i] = keysOf(rs.Rows[cursors[i]])
-			}
-			if best < 0 || orderLessVals(heads[i], heads[best], sel.OrderBy) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		row := results[best].Rows[cursors[best]]
-		out.Rows = append(out.Rows, row[:baseN])
-		cursors[best]++
-		heads[best] = nil
-	}
-	applyOffsetLimit(out, sel.Offset, sel.Limit)
-	return finishPartial(ss, out, down, true)
+	return -1
 }
 
-// --- Unordered scans -------------------------------------------------------
-
-// execShardedUnordered recombines unordered scans. For the partitioned
-// extracted table the bulk-ingest stream is globally entity-sorted (the
-// cluster sorts its reduce output by key), so every shard's heap holds
-// an entity-ascending subsequence of the single-engine stream — and a
-// merge keyed on the entity column (shipped per shard under a reserved
-// alias and stripped afterwards) reconstructs that stream byte-exactly,
-// intra-entity order included, since one entity never spans two shards.
-// Other tables are replicated or shard-local; their rows concatenate
-// shard-major.
-func execShardedUnordered(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardExec) (*rdbms.ResultSet, error) {
-	shardSel := sel
-	shardSel.Limit = pushedLimit(sel)
-	shardSel.Offset = 0
-	entityMerge := sel.From == core.TableName
-	if entityMerge {
-		shardSel.Exprs = append(append([]rdbms.SelectExpr{}, sel.Exprs...),
-			rdbms.SelectExpr{Expr: rdbms.ColumnRef{Column: "entity"}, Alias: "__k0"})
+// rowLess orders rows by the engine's ORDER BY rule over the key
+// columns at idx.
+func rowLess(idx []int, keys []rdbms.OrderKey) func(a, b rdbms.Tuple) bool {
+	return func(a, b rdbms.Tuple) bool {
+		var ka, kb [8]rdbms.Value
+		return rdbms.OrderLess(pick(ka[:0], a, idx), pick(kb[:0], b, idx), keys)
 	}
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
-	if err != nil {
-		return nil, err
-	}
-	out := &rdbms.ResultSet{Plan: fmt.Sprintf("sharded fan-out(%d) + entity merge", n)}
-	served := false
-	baseN := 0
-	for _, rs := range results {
-		if rs != nil {
-			baseN = len(rs.Columns)
-			if entityMerge {
-				baseN--
-			}
-			out.Columns = rs.Columns[:baseN]
-			served = true
-			break
-		}
-	}
-	if !served {
-		return finishPartial(ss, nil, down, false)
-	}
-	if entityMerge {
-		mergeByEntity(results, baseN, func(row rdbms.Tuple) {
-			out.Rows = append(out.Rows, row[:baseN])
-		})
-	} else {
-		out.Plan = fmt.Sprintf("sharded fan-out(%d) + concat", n)
-		for _, rs := range results {
-			if rs != nil {
-				out.Rows = append(out.Rows, rs.Rows...)
-			}
-		}
-	}
-	applyOffsetLimit(out, sel.Offset, sel.Limit)
-	return finishPartial(ss, out, down, true)
 }
 
-// mergeByEntity merges per-shard streams on ascending entity (byte
-// order, matching the cluster's key sort), emitting each row to emit.
-// The entity value sits at column entIdx. Runs of one entity never
-// cross shards, so advancing within the winning shard while its head
-// stays minimal preserves intra-entity order; the lowest shard index
-// would win a cross-shard tie, but partitioning makes ties impossible.
-func mergeByEntity(results []*rdbms.ResultSet, entIdx int, emit func(rdbms.Tuple)) {
+// pick appends the row's columns at idx to dst.
+func pick(dst, row rdbms.Tuple, idx []int) rdbms.Tuple {
+	for _, c := range idx {
+		dst = append(dst, row[c])
+	}
+	return dst
+}
+
+// mergeRows k-way merges per-shard streams that are each sorted under
+// less: among the current heads the strictly least wins and ties go to
+// the lowest shard index, which keeps each shard's own tie order. A
+// less that is never true concatenates the streams shard-major.
+func mergeRows(results []*rdbms.ResultSet, less func(a, b rdbms.Tuple) bool, emit func(rdbms.Tuple)) {
 	cursors := make([]int, len(results))
 	for {
 		best := -1
+		var head rdbms.Tuple
 		for i, rs := range results {
 			if rs == nil || cursors[i] >= len(rs.Rows) {
 				continue
 			}
-			if best < 0 || rs.Rows[cursors[i]][entIdx].S < results[best].Rows[cursors[best]][entIdx].S {
-				best = i
+			if row := rs.Rows[cursors[i]]; best < 0 || less(row, head) {
+				best, head = i, row
 			}
 		}
 		if best < 0 {
 			return
 		}
-		emit(results[best].Rows[cursors[best]])
+		emit(head)
 		cursors[best]++
 	}
 }
 
-// --- DISTINCT -------------------------------------------------------------
-
-// execShardedDistinct dedups per shard, then globally. With ORDER BY,
-// every key must already be an output column (appending merge keys
-// would change dedup identity), and rows merge in sorted order with
-// global dedup — matching the engine's sort-then-dedup pipeline.
-// Without ORDER BY, dedup order is first-seen over the scan: the raw
-// (non-distinct) stream is reconstructed with the entity merge and
-// deduped globally, reproducing the single engine's first-seen order at
-// the cost of shipping per-shard duplicates.
-func execShardedDistinct(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardExec) (*rdbms.ResultSet, error) {
-	if len(sel.OrderBy) == 0 && sel.From == core.TableName {
-		return execShardedDistinctScan(ss, sel, n, exec)
-	}
-	var names []string
-	for _, se := range sel.Exprs {
-		if se.Star {
-			names = nil
-			break
-		}
-		names = append(names, rdbms.SelectColumnName(se))
-	}
-	var keyIdx []int
-	for _, k := range sel.OrderBy {
-		idx := -1
-		if cr, ok := k.Expr.(rdbms.ColumnRef); ok && cr.Table == "" {
-			for i, name := range names {
-				if name == cr.Column {
-					idx = i
-					break
-				}
-			}
-		}
-		if idx < 0 {
-			return nil, fmt.Errorf("%w: DISTINCT ORDER BY keys must be output columns", ErrUnsupported)
-		}
-		keyIdx = append(keyIdx, idx)
-	}
-
+// execShardedRows serves every non-aggregate fan-out with one merge:
+//
+//   - ORDER BY: each shard runs the query with the sort and a tightened
+//     LIMIT pushed down and returns a sorted stream; the streams merge
+//     on the ORDER BY keys. Keys that are not output columns are
+//     appended to the per-shard projection under reserved aliases
+//     (__k0, __k1, ...) and stripped after the merge.
+//   - Unordered reads of the extracted table merge on an appended
+//     entity column. The bulk-ingest stream is globally entity-sorted
+//     (the cluster sorts its reduce output by key), so every shard's
+//     heap holds an entity-ascending subsequence of the single-engine
+//     stream, and one entity never spans two shards: the merge
+//     reconstructs that stream byte-exactly, intra-entity order
+//     included. Other tables are replicated or shard-local; their rows
+//     concatenate shard-major.
+//   - DISTINCT dedups the merged stream first-seen, matching the
+//     engine's sort-then-dedup pipeline. With ORDER BY every key must
+//     be an output column, since an appended key would change the
+//     dedup identity. Without it the extracted table's shards ship
+//     their raw (non-distinct) rows, since no shard can know which
+//     duplicate is globally first, and the LIMIT cannot be pushed down:
+//     l distinct rows may hide behind arbitrarily many raw ones.
+func execShardedRows(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardExec) (*rdbms.ResultSet, error) {
 	shardSel := sel
 	shardSel.Limit = pushedLimit(sel)
 	shardSel.Offset = 0
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
+	shardSel.Exprs = append([]rdbms.SelectExpr(nil), sel.Exprs...)
+	// at holds each merge key's output column, or -1-j for appended
+	// column j, whose position is known once a shard has answered.
+	var at []int
+	appendKey := func(e rdbms.Expr) int {
+		j := len(shardSel.Exprs) - len(sel.Exprs)
+		shardSel.Exprs = append(shardSel.Exprs, rdbms.SelectExpr{Expr: e, Alias: fmt.Sprintf("__k%d", j)})
+		return -1 - j
+	}
+	keys, merge := sel.OrderBy, "k-way merge"
+	switch {
+	case len(keys) > 0:
+		for _, k := range keys {
+			c := outputColumn(sel, k.Expr)
+			if c < 0 {
+				if sel.Distinct {
+					return nil, fmt.Errorf("%w: DISTINCT ORDER BY keys must be output columns", ErrUnsupported)
+				}
+				c = appendKey(k.Expr)
+			}
+			at = append(at, c)
+		}
+	case sel.From == core.TableName:
+		entity := rdbms.ColumnRef{Column: "entity"}
+		keys, merge = []rdbms.OrderKey{{Expr: entity}}, "entity merge"
+		at = []int{appendKey(entity)}
+		if sel.Distinct {
+			shardSel.Distinct = false
+			shardSel.Limit = -1
+		}
+	default:
+		merge = "concat"
+	}
+	if sel.Distinct {
+		merge = "distinct " + merge
+	}
+
+	results, down, err := fanOut(ss, n, shardSel, exec)
 	if err != nil {
 		return nil, err
 	}
-	out := &rdbms.ResultSet{Plan: fmt.Sprintf("sharded fan-out(%d) + distinct merge", n)}
-	served := false
+	// Output columns: the first answering shard's, appended keys stripped.
+	var width int
+	out := &rdbms.ResultSet{Plan: fmt.Sprintf("sharded fan-out(%d) + %s", n, merge)}
 	for _, rs := range results {
 		if rs != nil {
-			out.Columns = rs.Columns
-			served = true
+			width = len(rs.Columns) - (len(shardSel.Exprs) - len(sel.Exprs))
+			out.Columns = rs.Columns[:width]
 			break
 		}
 	}
-	if !served {
-		return finishPartial(ss, nil, down, false)
+	for i, c := range at {
+		if c < 0 {
+			at[i] = width - 1 - c
+		}
 	}
 
-	seen := map[string]bool{}
-	emit := func(row rdbms.Tuple) {
-		k := canonKey(row)
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	if len(sel.OrderBy) > 0 {
-		cursors := make([]int, n)
-		for {
-			best := -1
-			var bestKeys []rdbms.Value
-			for i, rs := range results {
-				if rs == nil || cursors[i] >= len(rs.Rows) {
-					continue
-				}
-				keys := make([]rdbms.Value, len(keyIdx))
-				for ki, idx := range keyIdx {
-					keys[ki] = rs.Rows[cursors[i]][idx]
-				}
-				if best < 0 || orderLessVals(keys, bestKeys, sel.OrderBy) {
-					best, bestKeys = i, keys
-				}
-			}
-			if best < 0 {
-				break
-			}
-			emit(results[best].Rows[cursors[best]])
-			cursors[best]++
-		}
-	} else {
-		for _, rs := range results {
-			if rs == nil {
-				continue
-			}
-			for _, row := range rs.Rows {
-				emit(row)
-			}
-		}
-	}
-	applyOffsetLimit(out, sel.Offset, sel.Limit)
-	return finishPartial(ss, out, down, true)
-}
-
-// execShardedDistinctScan serves unordered DISTINCT over the extracted
-// table: fetch each shard's raw projection (DISTINCT stripped — a shard
-// cannot know which duplicate is globally first) with the entity column
-// appended, entity-merge back into the single-engine stream, then dedup
-// first-seen and apply OFFSET/LIMIT, mirroring the engine's pipeline.
-// The LIMIT cannot be pushed down: l distinct rows may hide behind
-// arbitrarily many raw ones.
-func execShardedDistinctScan(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardExec) (*rdbms.ResultSet, error) {
-	shardSel := sel
-	shardSel.Distinct = false
-	shardSel.Limit = -1
-	shardSel.Offset = 0
-	shardSel.Exprs = append(append([]rdbms.SelectExpr{}, sel.Exprs...),
-		rdbms.SelectExpr{Expr: rdbms.ColumnRef{Column: "entity"}, Alias: "__k0"})
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
-	if err != nil {
-		return nil, err
-	}
-	out := &rdbms.ResultSet{Plan: fmt.Sprintf("sharded fan-out(%d) + distinct scan merge", n)}
-	served := false
-	baseN := 0
-	for _, rs := range results {
-		if rs != nil {
-			baseN = len(rs.Columns) - 1
-			out.Columns = rs.Columns[:baseN]
-			served = true
-			break
-		}
-	}
-	if !served {
-		return finishPartial(ss, nil, down, false)
+	less := func(a, b rdbms.Tuple) bool { return false }
+	if at != nil {
+		less = rowLess(at, keys)
 	}
 	seen := map[string]bool{}
-	mergeByEntity(results, baseN, func(row rdbms.Tuple) {
-		base := row[:baseN]
-		k := canonKey(base)
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, base)
+	var kb []byte
+	mergeRows(results, less, func(row rdbms.Tuple) {
+		row = row[:width]
+		if sel.Distinct {
+			kb = rdbms.AppendTupleKey(kb[:0], row)
+			if seen[string(kb)] {
+				return
+			}
+			seen[string(kb)] = true
 		}
+		out.Rows = append(out.Rows, row)
 	})
-	applyOffsetLimit(out, sel.Offset, sel.Limit)
-	return finishPartial(ss, out, down, true)
+	return finish(ss, out, sel, down)
 }
-
-// --- Aggregate recombination ----------------------------------------------
 
 // aggPartial describes how one select-list position recombines.
 type aggPartial struct {
@@ -578,15 +342,17 @@ type aggPartial struct {
 	partIdx int    // for 'a': index of the partial column block
 }
 
-// execShardedAgg recombines aggregates from per-shard partials so the
-// merged values mirror the engine's aggState exactly: COUNT sums; SUM
-// keeps integer typing iff every shard's partial is integer; AVG
-// divides the global float sum by the global count; MIN/MAX compare
-// partials (NULLs ignored, first shard wins ties, like first-in-scan).
-// Merged groups emerge sorted by group key — a single engine emits
-// first-seen scan order, which no shard can observe globally. HAVING
-// and aggregate arithmetic are refused; entity-routed queries support
-// them.
+// execShardedAgg recombines aggregates from per-shard partials
+// mirroring the engine's aggState typing: COUNT sums; SUM stays an
+// integer iff every shard's partial is one; AVG divides the global
+// float sum by the global count; MIN/MAX compare partials (NULLs
+// ignored, first shard wins ties, like first-in-scan). COUNT, MIN, MAX
+// and integer SUM are exact; a float SUM or AVG adds the shards'
+// partial sums in another order than one engine's scan, so it may
+// differ in the last bits. Merged groups emerge sorted by group key — a
+// single engine emits first-seen scan order, which no shard can observe
+// globally. HAVING and aggregate arithmetic are refused; entity-routed
+// queries support them.
 func execShardedAgg(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardExec) (*rdbms.ResultSet, error) {
 	if sel.Having != nil {
 		return nil, fmt.Errorf("%w: HAVING over cross-shard groups", ErrUnsupported)
@@ -594,7 +360,6 @@ func execShardedAgg(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardEx
 	if sel.Distinct {
 		return nil, fmt.Errorf("%w: DISTINCT with aggregates", ErrUnsupported)
 	}
-
 	// Per-shard projection: the group-by columns first, then partial
 	// blocks for each aggregate position.
 	var shardExprs []rdbms.SelectExpr
@@ -602,8 +367,10 @@ func execShardedAgg(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardEx
 		shardExprs = append(shardExprs, rdbms.SelectExpr{Expr: g, Alias: fmt.Sprintf("__g%d", gi)})
 	}
 	nGroup := len(sel.GroupBy)
+	partial := func(e rdbms.Expr) {
+		shardExprs = append(shardExprs, rdbms.SelectExpr{Expr: e, Alias: fmt.Sprintf("__p%d", len(shardExprs)-nGroup)})
+	}
 	var plans []aggPartial
-	partCols := 0
 	var outNames []string
 	for _, se := range sel.Exprs {
 		if se.Star {
@@ -612,19 +379,13 @@ func execShardedAgg(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardEx
 		outNames = append(outNames, rdbms.SelectColumnName(se))
 		switch x := se.Expr.(type) {
 		case rdbms.AggExpr:
-			p := aggPartial{kind: 'a', fn: x.Func, partIdx: partCols}
+			p := aggPartial{kind: 'a', fn: x.Func, partIdx: len(shardExprs) - nGroup}
 			switch x.Func {
-			case "COUNT":
-				shardExprs = append(shardExprs, rdbms.SelectExpr{Expr: x, Alias: fmt.Sprintf("__p%d", partCols)})
-				partCols++
-			case "SUM", "MIN", "MAX":
-				shardExprs = append(shardExprs, rdbms.SelectExpr{Expr: x, Alias: fmt.Sprintf("__p%d", partCols)})
-				partCols++
+			case "COUNT", "SUM", "MIN", "MAX":
+				partial(x)
 			case "AVG":
-				shardExprs = append(shardExprs,
-					rdbms.SelectExpr{Expr: rdbms.AggExpr{Func: "SUM", Arg: x.Arg}, Alias: fmt.Sprintf("__p%d", partCols)},
-					rdbms.SelectExpr{Expr: rdbms.AggExpr{Func: "COUNT", Arg: x.Arg}, Alias: fmt.Sprintf("__p%d", partCols+1)})
-				partCols += 2
+				partial(rdbms.AggExpr{Func: "SUM", Arg: x.Arg})
+				partial(rdbms.AggExpr{Func: "COUNT", Arg: x.Arg})
 			default:
 				return nil, fmt.Errorf("%w: aggregate %s", ErrUnsupported, x.Func)
 			}
@@ -648,52 +409,61 @@ func execShardedAgg(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardEx
 		}
 	}
 
+	// ORDER BY sorts the merged output, so every key must be one of its
+	// columns.
+	var at []int
+	for _, k := range sel.OrderBy {
+		c := outputColumn(sel, k.Expr)
+		if c < 0 {
+			return nil, fmt.Errorf("%w: aggregate ORDER BY keys must be output columns", ErrUnsupported)
+		}
+		at = append(at, c)
+	}
+
 	shardSel := sel
 	shardSel.Exprs = shardExprs
 	shardSel.OrderBy = nil
 	shardSel.Limit = -1
 	shardSel.Offset = 0
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
+	results, down, err := fanOut(ss, n, shardSel, exec)
 	if err != nil {
 		return nil, err
 	}
 
 	type group struct {
-		keyVals  []rdbms.Value
-		partials [][]rdbms.Value // one partial row block per contributing shard, shard order
+		keyVals  rdbms.Tuple
+		partials []rdbms.Tuple // one partial row block per contributing shard, shard order
 	}
 	groups := map[string]*group{}
 	var order []string
-	served := false
+	var kb []byte
 	for _, rs := range results {
 		if rs == nil {
 			continue
 		}
-		served = true
 		for _, row := range rs.Rows {
 			keyVals := row[:nGroup]
-			k := canonKey(keyVals)
-			gr, ok := groups[k]
+			kb = rdbms.AppendTupleKey(kb[:0], keyVals)
+			gr, ok := groups[string(kb)]
 			if !ok {
 				gr = &group{keyVals: keyVals}
-				groups[k] = gr
-				order = append(order, k)
+				groups[string(kb)] = gr
+				order = append(order, string(kb))
 			}
 			gr.partials = append(gr.partials, row[nGroup:])
 		}
 	}
-	if !served {
-		return finishPartial(ss, nil, down, false)
-	}
 
-	// Deterministic output order: groups sorted by key values.
+	// Deterministic output order: groups sorted by key values, with
+	// incomparable keys ordered by their encoding.
+	asc := make([]rdbms.OrderKey, nGroup)
 	sort.SliceStable(order, func(a, b int) bool {
 		ka, kb := groups[order[a]].keyVals, groups[order[b]].keyVals
-		for i := range ka {
-			c, ok := rdbms.Compare(ka[i], kb[i])
-			if ok && c != 0 {
-				return c < 0
-			}
+		if rdbms.OrderLess(ka, kb, asc) {
+			return true
+		}
+		if rdbms.OrderLess(kb, ka, asc) {
+			return false
 		}
 		return order[a] < order[b]
 	})
@@ -714,51 +484,16 @@ func execShardedAgg(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardEx
 		}
 		out.Rows = append(out.Rows, row)
 	}
-
-	// ORDER BY over the merged output: keys must resolve to output
-	// columns (by alias/name or structural equality with a projection).
-	if len(sel.OrderBy) > 0 {
-		var keyIdx []int
-		for _, k := range sel.OrderBy {
-			idx := -1
-			if cr, ok := k.Expr.(rdbms.ColumnRef); ok && cr.Table == "" {
-				for i, name := range outNames {
-					if name == cr.Column {
-						idx = i
-						break
-					}
-				}
-			}
-			if idx < 0 {
-				want := rdbms.SelectColumnName(rdbms.SelectExpr{Expr: k.Expr})
-				for i, name := range outNames {
-					if name == want {
-						idx = i
-						break
-					}
-				}
-			}
-			if idx < 0 {
-				return nil, fmt.Errorf("%w: aggregate ORDER BY keys must be output columns", ErrUnsupported)
-			}
-			keyIdx = append(keyIdx, idx)
-		}
-		sort.SliceStable(out.Rows, func(a, b int) bool {
-			ka := make([]rdbms.Value, len(keyIdx))
-			kb := make([]rdbms.Value, len(keyIdx))
-			for i, idx := range keyIdx {
-				ka[i], kb[i] = out.Rows[a][idx], out.Rows[b][idx]
-			}
-			return orderLessVals(ka, kb, sel.OrderBy)
-		})
+	if at != nil {
+		less := rowLess(at, sel.OrderBy)
+		sort.SliceStable(out.Rows, func(a, b int) bool { return less(out.Rows[a], out.Rows[b]) })
 	}
-	applyOffsetLimit(out, sel.Offset, sel.Limit)
-	return finishPartial(ss, out, down, true)
+	return finish(ss, out, sel, down)
 }
 
 // combineAgg folds per-shard partial blocks into one global aggregate,
 // mirroring aggState.result's typing rules.
-func combineAgg(p aggPartial, partials [][]rdbms.Value) rdbms.Value {
+func combineAgg(p aggPartial, partials []rdbms.Tuple) rdbms.Value {
 	switch p.fn {
 	case "COUNT":
 		var total int64

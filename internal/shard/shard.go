@@ -10,9 +10,11 @@
 //
 // Serving contract:
 //
-//   - Entity-routed reads (WHERE entity = '...', corrections, fact
-//     lineage) go to the single owning shard and behave exactly like a
-//     single engine.
+//   - SQL is parsed once, at the router; shards execute the parsed
+//     statement. Entity-routed reads (WHERE entity = '...', corrections,
+//     fact lineage) go to the single owning shard and behave exactly
+//     like a single engine. A routed JOIN must join extracted to itself
+//     on entity, the only JOIN whose rows are co-located.
 //   - ORDER BY SELECTs push the sort and a tightened LIMIT down to
 //     every shard and k-way merge the already-sorted streams. When the
 //     sort keys include the partition column (entity), cross-shard key
@@ -21,12 +23,13 @@
 //     tie order, LIMIT and OFFSET. For orderings that exclude entity,
 //     cross-shard ties break by shard index (same multiset, order may
 //     differ from a single engine's scan order).
-//   - Aggregates recombine exactly from per-shard partials (COUNT sums;
+//   - Aggregates recombine from per-shard partials (COUNT sums;
 //     SUM/MIN/MAX merge mirroring the engine's aggState; AVG from
-//     per-shard SUM+COUNT). GROUP BY merges groups by key; merged
-//     groups emerge sorted by group key rather than in single-engine
-//     first-seen scan order. HAVING and cross-shard JOINs are refused
-//     with typed errors.
+//     per-shard SUM+COUNT). COUNT, MIN, MAX and integer SUM are exact;
+//     float sums depend on summation order and may differ in the last
+//     bits. GROUP BY merges groups by key; merged groups emerge sorted
+//     by group key rather than in single-engine first-seen scan order.
+//     HAVING and cross-shard JOINs are refused with typed errors.
 //   - Unordered plain SELECTs and DISTINCT over the extracted table
 //     merge per-shard streams on ascending entity. The bulk-ingest
 //     stream is globally entity-sorted (the cluster sorts its reduce
@@ -81,7 +84,8 @@ var ErrReadOnly = errors.New("shard: sharded SQL serving is read-only (ingest an
 
 // ErrUnsupported is returned for SELECT shapes that cannot be merged
 // exactly across shards (cross-shard JOIN, HAVING, aggregate
-// arithmetic). Entity-routed queries support every shape.
+// arithmetic). Entity-routed queries support every shape except a JOIN
+// whose joined side is not co-located with the entity.
 var ErrUnsupported = errors.New("shard: unsupported cross-shard query shape")
 
 // DegradedError reports that one or more shards could not serve. It is

@@ -130,6 +130,9 @@ func TestShardedSelectEquivalenceOracle(t *testing.T) {
 				"SELECT value, conf FROM extracted WHERE entity = 'Madison, Wisconsin' AND attribute = 'temperature' ORDER BY qualifier",
 				"SELECT COUNT(*), AVG(num) FROM extracted WHERE entity = 'Madison, Wisconsin'",
 				"SELECT attribute, COUNT(*) AS n FROM extracted WHERE entity = 'Madison, Wisconsin' GROUP BY attribute HAVING COUNT(*) > 0 ORDER BY n DESC, attribute",
+				// Co-located JOIN: extracted to itself on entity, routed.
+				"SELECT e.attribute, e.qualifier, f.value FROM extracted e JOIN extracted f ON e.entity = f.entity WHERE e.entity = 'Madison, Wisconsin' AND f.attribute = 'population'",
+				"SELECT COUNT(*) FROM extracted e JOIN extracted f ON e.entity = f.entity WHERE f.entity = 'Madison, Wisconsin'",
 				// Aggregate recombination (exact: COUNT/MIN/MAX; SUM over ints).
 				"SELECT COUNT(*) FROM extracted",
 				"SELECT COUNT(*) FROM extracted WHERE attribute = 'population'",
@@ -143,6 +146,25 @@ func TestShardedSelectEquivalenceOracle(t *testing.T) {
 				"SELECT entity, attribute, qualifier, value FROM extracted",
 				"SELECT entity, value FROM extracted WHERE attribute = 'temperature' LIMIT 25",
 				"SELECT DISTINCT attribute FROM extracted",
+				// Expression shapes on fan-out paths: each reaches the
+				// shards as the parsed statement, not as text.
+				"SELECT entity, qualifier, num FROM extracted WHERE attribute = 'temperature' AND num BETWEEN 40 AND 60 ORDER BY num, entity, qualifier LIMIT 20",
+				"SELECT entity, attribute, qualifier FROM extracted WHERE num IS NULL LIMIT 30",
+				"SELECT COUNT(*) FROM extracted WHERE num IS NOT NULL",
+				"SELECT entity, attribute, value FROM extracted WHERE NOT (attribute = 'temperature' OR attribute = 'population') ORDER BY entity, attribute, qualifier LIMIT 25",
+				"SELECT entity, qualifier, -num AS neg FROM extracted WHERE -num < -50 ORDER BY neg, entity, qualifier LIMIT 15",
+				"SELECT entity, qualifier, num + 2 * 3, (num + 2) * 3 FROM extracted WHERE attribute = 'temperature' ORDER BY entity, qualifier LIMIT 12",
+				"SELECT entity, qualifier, num + 2 * 3 FROM extracted WHERE attribute = 'temperature' ORDER BY (num + 2) * 3 DESC, entity, qualifier LIMIT 10",
+				"SELECT DISTINCT entity FROM extracted WHERE entity LIKE '%ton%'",
+				"SELECT entity, 'it''s' AS tag FROM extracted WHERE value != 'it''s' AND attribute = 'population' ORDER BY entity LIMIT 5",
+				"SELECT entity, attribute, conf FROM extracted WHERE conf > 0.75 AND num < 55.5 ORDER BY conf DESC, entity, attribute, qualifier LIMIT 20",
+				"SELECT attribute, COUNT(*) FROM extracted WHERE attribute != 'temperature' GROUP BY attribute ORDER BY attribute",
+				"SELECT attribute, 'k' AS kind, 7, COUNT(*) FROM extracted GROUP BY attribute ORDER BY attribute",
+				"SELECT attribute, COUNT(*) FROM extracted GROUP BY attribute ORDER BY COUNT(*) DESC, attribute",
+				// ORDER BY keys that match a select-list expression, not
+				// its alias.
+				"SELECT attribute AS a, COUNT(*) AS n FROM extracted GROUP BY attribute ORDER BY COUNT(*) DESC, attribute",
+				"SELECT DISTINCT num + 1 AS x FROM extracted WHERE attribute = 'temperature' ORDER BY num + 1 DESC LIMIT 10",
 			}
 			for _, q := range queries {
 				want := mustSQL(t, q, func(q string) (*rdbms.ResultSet, error) { return single.SQL(ctx, q) })
@@ -324,6 +346,13 @@ func TestShardedTypedRefusals(t *testing.T) {
 		{"SELECT e.value FROM extracted e JOIN extracted f ON e.entity = f.entity", ErrUnsupported},
 		{"SELECT attribute, COUNT(*) FROM extracted GROUP BY attribute HAVING COUNT(*) > 3", ErrUnsupported},
 		{"SELECT COUNT(*) + 1 FROM extracted", ErrUnsupported},
+		{"UPDATE extracted SET value = 'x' WHERE entity = 'Madison, Wisconsin'", ErrReadOnly},
+		// Routed, but the joined side is not co-located with the entity.
+		{"SELECT COUNT(*) FROM extracted e JOIN extracted f ON e.attribute = f.attribute WHERE e.entity = 'Madison, Wisconsin'", ErrUnsupported},
+		{"SELECT DISTINCT COUNT(*) FROM extracted", ErrUnsupported},
+		{"SELECT *, COUNT(*) FROM extracted", ErrUnsupported},
+		{"SELECT DISTINCT attribute FROM extracted ORDER BY entity", ErrUnsupported},
+		{"SELECT attribute, COUNT(*) FROM extracted GROUP BY attribute ORDER BY MAX(num)", ErrUnsupported},
 	}
 	for _, c := range cases {
 		_, err := ss.SQL(ctx, c.q)

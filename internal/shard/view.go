@@ -131,14 +131,14 @@ func (sv *ShardedView) AskGuided(query string, k int) (*core.GuidedAnswer, error
 	return out, degradedOrNil(sv.gapError(catDown))
 }
 
-// SQL executes a read statement across the shard snapshots; see the
-// package doc for the routing and merge contract.
+// SQL parses a read statement once and executes it across the shard
+// snapshots; see the package doc for the routing and merge contract.
 func (sv *ShardedView) SQL(query string) (*rdbms.ResultSet, error) {
-	return execSharded(sv.ss, query, len(sv.views), func(i int, q string) (*rdbms.ResultSet, error) {
+	return execSharded(sv.ss, query, len(sv.views), func(i int, sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
 		if sv.views[i] == nil {
 			return nil, core.ErrClosed
 		}
-		return sv.views[i].SQL(q)
+		return sv.views[i].ExecSelect(sel)
 	})
 }
 
