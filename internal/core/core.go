@@ -55,6 +55,10 @@ type Config struct {
 	// reopening the same Dir recovers it. Empty keeps the in-memory
 	// database (tests, benchmarks, throwaway runs).
 	Dir string
+	// Index, when set, is a prebuilt keyword index of the documents this
+	// engine serves (a shard's partition, search.BuildPartitions); nil
+	// builds one over Corpus.
+	Index *search.Index
 }
 
 // System is the running end-to-end instance.
@@ -109,6 +113,10 @@ type System struct {
 	checkpointing atomic.Bool
 
 	diskBacked bool // the DB persists on disk and Close must release it
+	// givenIndex is set when Config.Index supplied the keyword index:
+	// which documents it covers is the caller's choice, so RefreshChanged
+	// cannot rebuild it.
+	givenIndex bool
 }
 
 // New builds a system over a corpus. With cfg.Dir set the database opens
@@ -143,6 +151,10 @@ func New(cfg Config) (*System, error) {
 			}
 		}
 	}
+	index := cfg.Index
+	if index == nil {
+		index = search.BuildIndex(cfg.Corpus)
+	}
 	env := uql.NewEnv()
 	env.Sources["docs"] = cfg.Corpus
 	env.DB = db
@@ -169,8 +181,9 @@ func New(cfg Config) (*System, error) {
 		Corpus:     cfg.Corpus,
 		DB:         db,
 		diskBacked: cfg.Dir != "",
+		givenIndex: cfg.Index != nil,
 		Env:        env,
-		Index:      search.BuildIndex(cfg.Corpus),
+		Index:      index,
 		Users:      users.NewManager(),
 		Wiki:       wiki.NewStore(),
 		Alerts:     alert.NewCenter(),
@@ -680,19 +693,28 @@ func (s *System) KeywordSearch(ctx context.Context, query string, k int) ([]sear
 // scans the table. The returned catalog shares slices with the cache and
 // must be treated as read-only.
 func (s *System) Catalog(ctx context.Context) (reformulate.Catalog, error) {
+	cat, _, err := s.EpochCatalog(ctx)
+	return cat, err
+}
+
+// EpochCatalog is Catalog plus the cache's invalidation epoch, both read
+// under one hold of s.mu: the epoch advances on every catalog change, so
+// it versions caches built over this very catalog (the sharded merge
+// keys its reformulator on it).
+func (s *System) EpochCatalog(ctx context.Context) (reformulate.Catalog, int64, error) {
 	if err := s.beginOp(); err != nil {
-		return reformulate.Catalog{Table: TableName}, err
+		return reformulate.Catalog{Table: TableName}, 0, err
 	}
 	defer s.endOp()
 	if err := ctx.Err(); err != nil {
-		return reformulate.Catalog{Table: TableName}, err
+		return reformulate.Catalog{Table: TableName}, 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.ensureCatalogLocked(); err != nil {
-		return reformulate.Catalog{Table: TableName}, err
+		return reformulate.Catalog{Table: TableName}, 0, err
 	}
-	return s.cat.snapshot(TableName), nil
+	return s.cat.snapshot(TableName), s.cat.epoch, nil
 }
 
 // RefreshCatalog discards the catalog cache and rebuilds it with one full

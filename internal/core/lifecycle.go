@@ -171,15 +171,6 @@ func (s *System) EngineStats() EngineStats {
 	}
 }
 
-// CatalogEpoch returns the catalog cache's current invalidation epoch: it
-// advances on every catalog change, so it versions caches built over the
-// catalog (the sharded merge keys on it).
-func (s *System) CatalogEpoch() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cat.epoch
-}
-
 // PendingByAttribute returns the number of pending tasks per attribute
 // (diagnostics and restart tests).
 func (s *System) PendingByAttribute() map[string]int {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/uql"
@@ -40,11 +41,21 @@ func (s *System) CommitSnapshot(texts map[string]string) vstore.Revision {
 	return rev
 }
 
+// ErrGivenIndex is RefreshChanged's refusal on a System whose keyword
+// index came from Config.Index (a shard's partition): rebuilding it over
+// the whole corpus would silently un-partition it.
+var ErrGivenIndex = errors.New("core: RefreshChanged cannot rebuild a keyword index given in Config.Index")
+
 // RefreshChanged applies the head snapshot to the corpus: documents whose
 // text changed are re-extracted with the named extractor (all of its
 // scoped attributes), their old rows replaced, and alerts evaluated on
-// the new rows. It returns the titles of the refreshed documents.
+// the new rows. It returns the titles of the refreshed documents. A
+// System given its keyword index refuses with ErrGivenIndex before it
+// changes anything.
 func (s *System) RefreshChanged(extractor string) ([]string, error) {
+	if s.givenIndex {
+		return nil, ErrGivenIndex
+	}
 	reg, ok := s.Env.Extractors[extractor]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown extractor %q", extractor)

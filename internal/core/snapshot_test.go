@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/alert"
+	"repro/internal/doc"
+	"repro/internal/search"
 )
 
 func TestSnapshotRefreshLoop(t *testing.T) {
@@ -148,5 +151,30 @@ func TestKeywordSearchBesideRefresh(t *testing.T) {
 		if changed, err := s.RefreshChanged("city"); err != nil || len(changed) != 1 {
 			t.Fatalf("refresh %d: changed %v, err %v", i, changed, err)
 		}
+	}
+}
+
+// TestRefreshChangedRefusesGivenIndex: a System given its keyword index
+// (a shard's partition) refuses RefreshChanged before it touches the
+// corpus, the rows or the index, rather than rebuilding the index over
+// the whole corpus.
+func TestRefreshChangedRefusesGivenIndex(t *testing.T) {
+	base, _ := newSystem(t, 4, 0, 0)
+	part := search.BuildPartitions(base.Corpus, 2, func(d *doc.Document) int { return int(d.ID) % 2 })[0]
+	s, err := New(Config{Corpus: base.Corpus, Index: part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Index != part {
+		t.Fatal("New did not keep the given index")
+	}
+	madison := s.Corpus.FindByTitle("Madison, Wisconsin")
+	before := madison.Text
+	s.CommitSnapshot(map[string]string{"Madison, Wisconsin": before + " Snow fell."})
+	if _, err := s.RefreshChanged("city"); !errors.Is(err, ErrGivenIndex) {
+		t.Fatalf("RefreshChanged: got %v, want ErrGivenIndex", err)
+	}
+	if madison.Text != before {
+		t.Fatal("a refused RefreshChanged rewrote the corpus")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"repro/internal/cluster"
 	"repro/internal/doc"
 	"repro/internal/synth"
 )
@@ -184,6 +185,95 @@ func TestIndexHeapBudget(t *testing.T) {
 			t.Errorf("%d cities: index holds %.2f MiB, budget %.2f", tc.cities, mib, tc.parent/2)
 		}
 		t.Logf("%d cities: %d docs, %d terms, %.2f MiB", tc.cities, idx.N(), idx.Terms(), mib)
+	}
+}
+
+// byTitle assigns a document to one of n partitions the way a sharded
+// dataspace places the entity's rows.
+func byTitle(n int) func(*doc.Document) int {
+	return func(d *doc.Document) int { return cluster.Partition(d.Title, n) }
+}
+
+// liveHeap returns the live heap in bytes after a collection.
+func liveHeap() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
+// TestPartitionHeapBudget holds each of two partitions of the 4,000-city
+// corpus to 0.6x the whole index's live heap, and the two together to
+// 1.1x: a sharded dataspace pays about one index, not one per shard.
+// Measured (go1.24, amd64): 0.49x each of 8.78 MiB, 0.98x together.
+func TestPartitionHeapBudget(t *testing.T) {
+	corpus, _ := synthCorpus(4000)
+	base := liveHeap()
+	whole := BuildIndex(corpus)
+	wholeB := liveHeap() - base
+	runtime.KeepAlive(whole)
+	whole = nil
+
+	base = liveHeap()
+	parts := BuildPartitions(corpus, 2, byTitle(2))
+	both := liveHeap() - base
+	parts[1] = nil
+	first := liveHeap() - base
+	runtime.KeepAlive(parts)
+	runtime.KeepAlive(corpus) // else the corpus dies mid-measurement
+	second := both - first
+	t.Logf("whole %.2f MiB; partitions %.2f + %.2f = %.2f MiB (%.2fx, %.2fx, %.2fx)",
+		wholeB/(1<<20), first/(1<<20), second/(1<<20), both/(1<<20), first/wholeB, second/wholeB, both/wholeB)
+	for i, b := range []float64{first, second} {
+		if b > 0.6*wholeB {
+			t.Errorf("partition %d holds %.2f MiB, budget 0.6 x %.2f MiB", i, b/(1<<20), wholeB/(1<<20))
+		}
+	}
+	if both > 1.1*wholeB {
+		t.Errorf("partitions hold %.2f MiB together, budget 1.1 x %.2f MiB", both/(1<<20), wholeB/(1<<20))
+	}
+}
+
+// TestPartitionStatisticsSumToWhole: every partition's collection is the
+// whole corpus's: its document count and total length, and for each of
+// its terms the whole index's document frequency, which is also the sum
+// of the partitions' own frequencies.
+func TestPartitionStatisticsSumToWhole(t *testing.T) {
+	corpus, _ := synthCorpus(400)
+	whole := BuildIndex(corpus)
+	for _, n := range []int{1, 2, 3, 4} {
+		parts := BuildPartitions(corpus, n, byTitle(n))
+		docs, totalLen := 0, 0
+		localDF := map[string]int{}
+		for i, p := range parts {
+			if p.coll.n != len(whole.docs) || p.coll.totalLen != whole.totalLen {
+				t.Fatalf("n=%d partition %d: collection N=%d len=%d, whole N=%d len=%d",
+					n, i, p.coll.n, p.coll.totalLen, len(whole.docs), whole.totalLen)
+			}
+			docs += len(p.docs)
+			totalLen += p.totalLen
+			for term, id := range p.dict {
+				wid, ok := whole.dict[term]
+				if !ok {
+					t.Fatalf("n=%d partition %d: term %q unknown to the whole index", n, i, term)
+				}
+				if got, want := int(p.coll.df[id]), len(whole.postings[wid]); got != want {
+					t.Fatalf("n=%d partition %d: df(%q) = %d, whole %d", n, i, term, got, want)
+				}
+				localDF[term] += len(p.postings[id])
+			}
+		}
+		if docs != len(whole.docs) || totalLen != whole.totalLen {
+			t.Fatalf("n=%d: partitions sum to N=%d len=%d, whole N=%d len=%d", n, docs, totalLen, len(whole.docs), whole.totalLen)
+		}
+		if len(localDF) != len(whole.dict) {
+			t.Fatalf("n=%d: partitions know %d terms, whole %d", n, len(localDF), len(whole.dict))
+		}
+		for term, df := range localDF {
+			if want := len(whole.postings[whole.dict[term]]); df != want {
+				t.Fatalf("n=%d: partition dfs of %q sum to %d, whole %d", n, term, df, want)
+			}
+		}
 	}
 }
 

@@ -13,9 +13,17 @@
 // indexed by ordinal. A query scores into a pooled dense accumulator and
 // answers each hit's snippet from the stored positions and sentence
 // boundaries, so nothing is tokenized at query time except the query.
+//
+// An index scores against its collection: the document count, total
+// length and per-term document frequencies that BM25 and TF-IDF read. A
+// whole-corpus index (BuildIndex) is its own collection. A partition
+// (BuildPartitions) holds only some documents but scores against the
+// whole corpus's statistics, so its scores are == to the whole index's
+// and MergeHits over every partition's top k is the whole index's top k.
 package search
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -75,6 +83,17 @@ type tables struct {
 	docs      []docEntry        // by ordinal
 	sents     []sentence        // every document's sentences, in ordinal order
 	totalLen  int
+	// coll is the collection a partition scores against; nil for a
+	// whole-corpus index, whose collection is itself.
+	coll *collection
+}
+
+// collection is the whole corpus's scoring statistics, as a partition
+// holds them: document count, total length in tokens, and each term's
+// document frequency by the partition's own term ID.
+type collection struct {
+	n, totalLen int
+	df          []uint32
 }
 
 // Index is an inverted index. Build once, then query concurrently.
@@ -102,17 +121,63 @@ func NewIndex() *Index {
 
 // BuildIndex indexes every document in the corpus.
 func BuildIndex(corpus *doc.Corpus) *Index {
+	return buildOf(corpus.Docs())
+}
+
+func buildOf(docs []*doc.Document) *Index {
 	idx := NewIndex()
-	for _, d := range corpus.Docs() {
+	for _, d := range docs {
 		idx.Add(d)
 	}
 	idx.add = addScratch{}
 	return idx
 }
 
+// BuildPartitions indexes the corpus as n partitions, one goroutine
+// each: partition i holds the documents d with part(d) == i, in corpus
+// order. It then sums the partitions' document counts, lengths and
+// per-term document frequencies, and gives every partition those
+// whole-corpus statistics to score against.
+func BuildPartitions(corpus *doc.Corpus, n int, part func(*doc.Document) int) []*Index {
+	docs := make([][]*doc.Document, n)
+	for _, d := range corpus.Docs() {
+		i := part(d)
+		docs[i] = append(docs[i], d)
+	}
+	parts := make([]*Index, n)
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[i] = buildOf(docs[i])
+		}()
+	}
+	wg.Wait()
+
+	var whole collection
+	df := make(map[string]uint32)
+	for _, p := range parts {
+		whole.n += len(p.docs)
+		whole.totalLen += p.totalLen
+		for term, id := range p.dict {
+			df[term] += uint32(len(p.postings[id]))
+		}
+	}
+	for _, p := range parts {
+		c := &collection{n: whole.n, totalLen: whole.totalLen, df: make([]uint32, len(p.postings))}
+		for term, id := range p.dict {
+			c.df[id] = df[term]
+		}
+		p.coll = c
+	}
+	return parts
+}
+
 // Rebuild re-indexes corpus off to the side and then swaps the result in,
 // so a query sees either the old documents or the new ones, and callers
-// holding idx never need a new pointer.
+// holding idx never need a new pointer. The result is a whole-corpus
+// index, whatever idx was before.
 func (idx *Index) Rebuild(corpus *doc.Corpus) {
 	fresh := BuildIndex(corpus)
 	idx.mu.Lock()
@@ -204,31 +269,6 @@ func (idx *Index) appendTerms(toks []uint32, offs *[]uint32, text string) []uint
 	return toks
 }
 
-// N returns the number of indexed documents.
-func (idx *Index) N() int {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return len(idx.docs)
-}
-
-// Terms returns the number of distinct terms.
-func (idx *Index) Terms() int {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return len(idx.dict)
-}
-
-// DocFreq returns how many documents contain term.
-func (idx *Index) DocFreq(term string) int {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	id, ok := idx.dict[doc.NormalizeTerm(term)]
-	if !ok {
-		return 0
-	}
-	return len(idx.postings[id])
-}
-
 // Hit is one ranked search result.
 type Hit struct {
 	DocID   doc.DocID
@@ -301,14 +341,17 @@ func (idx *Index) Search(query string, k int, ranking Ranking) []Hit {
 	if idx.lookup(s, query) == 0 {
 		return nil
 	}
-	n := len(idx.docs)
+	n, totalLen := len(idx.docs), idx.totalLen
+	if idx.coll != nil {
+		n, totalLen = idx.coll.n, idx.coll.totalLen
+	}
 	avgLen := 1.0
 	if n > 0 {
-		avgLen = float64(idx.totalLen) / float64(n)
+		avgLen = float64(totalLen) / float64(n)
 	}
-	if len(s.scores) < n {
-		s.scores = make([]float64, n)
-		s.seen = make([]bool, n)
+	if len(s.scores) < len(idx.docs) {
+		s.scores = make([]float64, len(idx.docs))
+		s.seen = make([]bool, len(idx.docs))
 	}
 	// Accumulate in query-term order, as a per-document sum, so every score
 	// is bit-identical to summing the same terms one at a time.
@@ -316,6 +359,9 @@ func (idx *Index) Search(query string, k int, ranking Ranking) []Hit {
 	for _, t := range s.terms {
 		plist := idx.postings[t]
 		df := float64(len(plist))
+		if idx.coll != nil {
+			df = float64(idx.coll.df[t])
+		}
 		var idf float64
 		switch ranking {
 		case BM25:
@@ -377,6 +423,30 @@ func (s *queryScratch) beats(a, b uint32) bool {
 	return s.docs[a].id < s.docs[b].id
 }
 
+// MergeHits merges the top-k lists of disjoint partitions into one top
+// k in Search's rank order: higher score first, then the lower DocID. Like
+// Search, it returns nil for k <= 0, and for a query with no terms (every
+// list nil).
+func MergeHits(k int, lists ...[]Hit) []Hit {
+	if k <= 0 {
+		return nil
+	}
+	var out []Hit
+	for _, l := range lists {
+		if l != nil && out == nil {
+			out = []Hit{}
+		}
+		out = append(out, l...)
+	}
+	slices.SortFunc(out, func(a, b Hit) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		return cmp.Compare(a.DocID, b.DocID)
+	})
+	return out[:min(k, len(out))]
+}
+
 // up and down restore the heap order of s.top[:n] (worst at the root)
 // after entry i changed.
 func (s *queryScratch) up(i int) {
@@ -407,17 +477,6 @@ func (s *queryScratch) down(i, n int) {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-// QueryTerms normalizes a free-text query into index terms.
-func QueryTerms(query string) []string {
-	var out []string
-	for _, tk := range doc.Tokenize(query) {
-		if t := doc.NormalizeTerm(tk.Text); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // find returns the posting of document ord in plist.

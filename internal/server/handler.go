@@ -33,14 +33,19 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 			k = 10
 		}
 		hits, err := s.sys.KeywordSearch(ctx, req.Query, k)
+		var deg *Degraded
 		if err != nil {
-			return errResponse(err)
+			// A sharded search's degraded error always comes with the
+			// healthy shards' hits, which may be none.
+			if deg = degradedInfo(err); deg == nil {
+				return errResponse(err)
+			}
 		}
 		out := make([]Hit, len(hits))
 		for i, h := range hits {
 			out[i] = Hit{Title: h.Title, Score: h.Score, Snippet: h.Snippet}
 		}
-		return &Response{OK: true, Hits: out}
+		return &Response{OK: true, Hits: out, Degraded: deg}
 
 	case OpAsk:
 		k := req.K

@@ -160,16 +160,22 @@ func TestShardedServerEndToEnd(t *testing.T) {
 }
 
 // TestShardedServerShardLoss kills one shard of four under a live server
-// and checks the wire-level degradation contract: fan-out reads return
-// OK with the Degraded marker, entity-routed reads to the dead partition
-// fail with the typed degraded error, keyword search stays complete, and
-// health reports the dead shard — all while concurrent healthy traffic
-// keeps answering within its deadlines.
+// and checks the wire-level degradation contract: fan-out reads and
+// keyword search return OK with the Degraded marker, entity-routed reads
+// to the dead partition fail with the typed degraded error, and health
+// reports the dead shard — all while concurrent healthy traffic keeps
+// answering within its deadlines.
 func TestShardedServerShardLoss(t *testing.T) {
 	ss := newShardedBackend(t, 16, 4)
 	_, addr := startServer(t, ss, Options{})
 	cli := dialTest(t, addr)
 	ctx := context.Background()
+	// The search reference: one engine indexing the whole corpus.
+	single, err := core.New(core.Config{Corpus: ss.Shard(0).Corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { single.Close() })
 
 	// Pick probe entities on both sides of the failure before it happens.
 	ents, err := cli.SQL(ctx, "SELECT DISTINCT entity FROM extracted ORDER BY entity")
@@ -267,10 +273,35 @@ func TestShardedServerShardLoss(t *testing.T) {
 		t.Fatalf("degraded ask: degraded=%+v guided=%v", aresp.Degraded, aresp.Guided != nil)
 	}
 
-	// Search is replica-served from a healthy shard: complete, no marker.
-	sresp, err := cli.Do(ctx, &Request{Op: OpSearch, Query: "temperature Madison", K: 3})
-	if err != nil || sresp.Degraded != nil || len(sresp.Hits) == 0 {
-		t.Fatalf("search under shard loss: err=%v degraded=%+v hits=%d", err, sresp.Degraded, len(sresp.Hits))
+	// Search returns the healthy shards' hits with the marker: the single
+	// engine's full ranking without the dead shard's documents, first k,
+	// scores ==.
+	dropped := 0
+	for _, q := range []string{"temperature Madison", "population", "founded " + deadEntity} {
+		sresp, err := cli.Do(ctx, &Request{Op: OpSearch, Query: q, K: 3})
+		if err != nil || sresp.Degraded == nil || !reflect.DeepEqual(sresp.Degraded.Down, []int{dead}) || sresp.Degraded.Shards != 4 {
+			t.Fatalf("search %q under shard loss: err=%v degraded=%+v", q, err, sresp.Degraded)
+		}
+		full, err := single.KeywordSearch(ctx, q, single.Corpus.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []Hit{}
+		for _, h := range full {
+			switch {
+			case len(want) == 3:
+			case ss.Owner(h.Title) == dead:
+				dropped++
+			default:
+				want = append(want, Hit{Title: h.Title, Score: h.Score, Snippet: h.Snippet})
+			}
+		}
+		if len(want) == 0 || !reflect.DeepEqual(sresp.Hits, want) {
+			t.Fatalf("search %q under shard loss\n got %+v\nwant %+v", q, sresp.Hits, want)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no full top k held a document of the dead shard: the check compared complete answers")
 	}
 
 	h, err := cli.Health(ctx)

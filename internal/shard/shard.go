@@ -3,13 +3,19 @@
 // table is partitioned by entity hash — the same FNV-64a shuffle the
 // MapReduce extraction uses (cluster.Partition), so a row reduces into
 // partition p and lives on shard p`mod`N with entity-contiguous runs
-// intact. The corpus and its keyword index are replicated to every
-// shard (they are read-only after build and cheap relative to the
-// structured store), so keyword search is served by any one healthy
-// shard while structured reads fan out to all of them and merge.
+// intact. The keyword index is partitioned by the same hash of the
+// document title, which is the entity: shard i indexes the documents
+// with cluster.Partition(title, N) == i, so a city's document lives
+// with its rows. Every partition scores against the whole corpus's
+// statistics, so keyword search fans out to every healthy shard and
+// merges their top-k lists into exactly a single engine's hits. The
+// corpus itself stays whole and shared: shard 0 extracts it for ingest.
 //
 // Serving contract:
 //
+//   - Keyword search asks every shard for its top k and merges them by
+//     (score desc, DocID asc); hits, scores and snippets are
+//     byte-identical to a single engine's.
 //   - SQL is parsed once, at the router; shards execute the parsed
 //     statement. Entity-routed reads (WHERE entity = '...', corrections,
 //     fact lineage) go to the single owning shard and behave exactly
@@ -62,6 +68,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -71,6 +78,7 @@ import (
 	"repro/internal/browse"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/doc"
 	"repro/internal/rdbms"
 	"repro/internal/reformulate"
 	"repro/internal/search"
@@ -113,7 +121,8 @@ type Config struct {
 	// memory.
 	Dir string
 	// System is the per-shard system template (corpus, workers, crowd).
-	// Its Dir field is ignored; the layout Dir governs placement.
+	// Its Dir and Index fields are ignored: the layout Dir governs
+	// placement, and each shard is given its partition of the index.
 	System core.Config
 }
 
@@ -160,11 +169,15 @@ type ShardedSystem struct {
 // Open builds the sharded layout. With cfg.Dir set, each shard opens
 // durable under its own subdirectory (recovering what it held when it was
 // opened before); otherwise every shard is in-memory. Shards are empty on
-// first open — populate with BulkIngest.
+// first open — populate with BulkIngest. The keyword index partitions are
+// built first, one goroutine each, and handed to the shards.
 func Open(cfg Config) (*ShardedSystem, error) {
 	n := cfg.Shards
 	if n <= 0 {
 		n = 1
+	}
+	if cfg.System.Corpus == nil {
+		return nil, fmt.Errorf("shard: corpus required")
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -187,9 +200,14 @@ func Open(cfg Config) (*ShardedSystem, error) {
 		}
 	}
 	ss := &ShardedSystem{dir: cfg.Dir, down: make([]bool, n)}
+	// A document goes where its entity's rows go: the title is the entity.
+	indexes := search.BuildPartitions(cfg.System.Corpus, n, func(d *doc.Document) int {
+		return cluster.Partition(d.Title, n)
+	})
 	for i := 0; i < n; i++ {
 		sysCfg := cfg.System
 		sysCfg.Dir = ""
+		sysCfg.Index = indexes[i]
 		var (
 			s   *core.System
 			err error
@@ -376,8 +394,8 @@ func (ss *ShardedSystem) EngineStats() core.EngineStats {
 
 // --- Ingest ---------------------------------------------------------------
 
-// BulkIngest extracts the corpus ONCE (on the lowest healthy shard's
-// cluster — every shard holds the full corpus) and routes each row to
+// BulkIngest extracts the corpus ONCE (on shard 0's cluster — the corpus
+// is whole and shared by every shard) and routes each row to
 // its owning shard by entity hash, loading all owners in parallel
 // through the COPY-style batch path. The global extraction stream is
 // identical to a single engine's for the same partition count, and each
@@ -462,14 +480,17 @@ func (ss *ShardedSystem) shardedCatalog(ctx context.Context) (reformulate.Catalo
 	}
 	// Shards read their catalogs in parallel: the first read after a
 	// reopen or an invalidating write rebuilds each by a scan of its table.
+	// Each catalog comes with the epoch it was read at, so the memo key
+	// names exactly the catalogs merged under it.
 	cats := make([]reformulate.Catalog, len(healthy))
+	epochs := make([]int64, len(healthy))
 	errs := make([]error, len(healthy))
 	var wg sync.WaitGroup
 	for j, i := range healthy {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cats[j], errs[j] = ss.shards[i].Catalog(ctx)
+			cats[j], epochs[j], errs[j] = ss.shards[i].EpochCatalog(ctx)
 		}()
 	}
 	wg.Wait()
@@ -485,7 +506,7 @@ func (ss *ShardedSystem) shardedCatalog(ctx context.Context) (reformulate.Catalo
 			}
 			return reformulate.Catalog{}, nil, nil, err
 		}
-		fmt.Fprintf(&key, "%d:%d;", i, ss.shards[i].CatalogEpoch())
+		fmt.Fprintf(&key, "%d:%d;", i, epochs[j])
 		parts = append(parts, part{idx: i, cat: cat})
 	}
 	if len(parts) == 0 {
@@ -550,23 +571,38 @@ func (ss *ShardedSystem) Catalog(ctx context.Context) (reformulate.Catalog, erro
 
 // --- One-shot serving surface (Backend) -----------------------------------
 
-// KeywordSearch serves from the lowest healthy shard: the document
-// index is replicated, so any one shard answers identically, and shard
-// loss just moves to the next replica (no degradation marker — the
-// answer is complete).
+// KeywordSearch asks every healthy shard for its top k over its
+// partition of the index and merges the lists (search.MergeHits). The
+// partitions score against whole-corpus statistics, so with every shard
+// up the merge is a single engine's answer. With shards down, the
+// healthy shards' merged hits come back alongside a *DegradedError: the
+// documents the lost shards own are missing, and the rest rank and
+// score exactly as they would in the full answer. With no shard left,
+// the error is core.ErrClosed.
 func (ss *ShardedSystem) KeywordSearch(ctx context.Context, query string, k int) ([]search.Hit, error) {
-	for _, i := range ss.healthy() {
-		hits, err := ss.shards[i].KeywordSearch(ctx, query, k)
+	up := ss.healthy()
+	var down []int
+	lists := make([][]search.Hit, 0, len(up))
+	for i, s := range ss.shards {
+		if !slices.Contains(up, i) {
+			down = append(down, i)
+			continue
+		}
+		hits, err := s.KeywordSearch(ctx, query, k)
 		if err != nil {
 			if isGap(err) {
 				ss.markDown(i)
+				down = append(down, i)
 				continue
 			}
 			return nil, err
 		}
-		return hits, nil
+		lists = append(lists, hits)
 	}
-	return nil, core.ErrClosed
+	if len(lists) == 0 {
+		return nil, core.ErrClosed
+	}
+	return search.MergeHits(k, lists...), degradedOrNil(ss.degraded(down))
 }
 
 // AskGuided mirrors the single-engine flow over the merged catalog:

@@ -364,9 +364,10 @@ func TestShardedTypedRefusals(t *testing.T) {
 
 // TestShardLossDegradedServing: killing a shard degrades reads instead
 // of failing them — partial results arrive WITH a *DegradedError naming
-// the gap, replicated keyword search stays complete, entity-routed
-// reads for lost entities report the gap, and healthy-shard routing
-// keeps answering exactly.
+// the gap, keyword search returns exactly the single engine's ranking
+// without the lost shard's documents, entity-routed reads for lost
+// entities report the gap, and healthy-shard routing keeps answering
+// exactly.
 func TestShardLossDegradedServing(t *testing.T) {
 	cfg := newCorpusConfig(t)
 	ctx := context.Background()
@@ -422,9 +423,23 @@ func TestShardLossDegradedServing(t *testing.T) {
 		}
 	}
 
-	// Replicated keyword search: complete, no degradation.
-	if _, err := ss.KeywordSearch(ctx, "madison", 5); err != nil {
-		t.Fatalf("keyword search should survive shard loss: %v", err)
+	// Keyword search: the healthy shards' hits, marked partial — the
+	// single engine's full ranking without the dead shard's documents,
+	// first k, scores ==.
+	dropped := 0
+	for _, q := range []string{"madison", "temperature march", "population founded", "university"} {
+		hits, err := ss.KeywordSearch(ctx, q, 5)
+		if !errors.As(err, &de) || !reflect.DeepEqual(de.Down, []int{dead}) {
+			t.Fatalf("search %q under shard loss: want DegradedError down [%d], got %v", q, dead, err)
+		}
+		want, d := healthyHits(t, single, ss, dead, q, 5)
+		if !sameHits(hits, want) {
+			t.Fatalf("search %q under shard loss\n got %+v\nwant %+v", q, hits, want)
+		}
+		dropped += d
+	}
+	if dropped == 0 {
+		t.Fatal("no full top k held a document of the dead shard: the check compared complete answers")
 	}
 
 	// Entity-routed read on a lost entity: typed gap; on a healthy
