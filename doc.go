@@ -18,17 +18,17 @@
 //
 // Catalog cache. core.System maintains the reformulation catalog (distinct
 // entities, attributes, per-attribute qualifier vocabulary) incrementally
-// instead of scanning the extracted table per query. Write paths that go
-// through core (materialize, CorrectValue) fold their committed rows into
-// the cache under System.mu, strictly after their transaction commits;
-// write paths that bypass core's row bookkeeping (UQL STORE inside
-// Generate, non-SELECT statements through System.SQL) invalidate it, and
-// the next Catalog()/AskGuided call rebuilds it with one full scan while
-// holding System.mu across scan + install. The assembled catalog and the
-// reformulator derived from it are memoized between writes, so a
-// read-only streak of AskGuided calls does no per-query catalog work.
-// Writes driven at the rdbms.DB handle directly are outside this
-// contract; all extracted-table writes must go through System.
+// instead of scanning the extracted table per query. Every ingest (UQL
+// STORE through the Env.Store sink, ExtractPending, RefreshChanged,
+// BulkLoadRows) ends in one routine that folds the committed rows into
+// the cache under System.mu, evolves the schema and evaluates the
+// standing queries (TestIngestPathsShareSideEffects). Only writes that
+// remove or rewrite rows (System.SQL DML, RefreshChanged's DELETE)
+// invalidate it; the next Catalog()/AskGuided call rebuilds it with one
+// full scan under System.mu. The assembled catalog and its reformulator
+// are memoized between writes, so a read-only streak of AskGuided calls
+// does no per-query catalog work. Writes driven at the rdbms.DB handle
+// directly are outside this contract.
 //
 // Streaming scans. rdbms SELECT pushes the WHERE clause into the scan's
 // page loop for single-table queries: rejected tuples are never retained
@@ -445,9 +445,9 @@
 // a readers-vs-writers-vs-checkpointer race suite. The one-shot System
 // read methods are now thin wrappers over a throwaway View, and the
 // rest of the public surface went ctx-first and error-returning
-// (Generate, PlanIncremental, Demand, ExtractPending,
-// MaterializeRelation); Catalog()/CatalogScan() collapsed into
-// Catalog(ctx) plus an explicit RefreshCatalog(ctx).
+// (Generate, PlanIncremental, Demand, ExtractPending);
+// Catalog()/CatalogScan() collapsed into Catalog(ctx) plus an explicit
+// RefreshCatalog(ctx).
 //
 // The serving layer sharded to match. The catalog cache and memoized
 // reformulator live behind an atomic pointer with RCU-style

@@ -103,10 +103,15 @@ func (c *Center) Subscriptions() int {
 }
 
 // Evaluate checks rows (a refresh of the extracted structure) against all
-// subscriptions and returns newly fired notifications.
+// subscriptions and returns newly fired notifications. With no
+// subscription it returns at once, without parsing a row: every ingest
+// calls it.
 func (c *Center) Evaluate(rows []Row) []Notification {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.subs) == 0 {
+		return nil
+	}
 	var out []Notification
 	for _, r := range rows {
 		v, err := strconv.ParseFloat(r.Value, 64)

@@ -12,19 +12,19 @@ import (
 	"repro/internal/uql"
 )
 
-// Parallel bulk ingest (PR8): the paper's generation pipeline at corpus
-// scale. Extraction fans out over the MapReduce cluster — one map task
-// per document, shuffled by entity so each reduce partition holds
+// Parallel bulk ingest: the paper's generation pipeline at corpus scale.
+// Extraction fans out over the MapReduce cluster — one map task per
+// document, shuffled by entity so each reduce partition holds
 // entity-contiguous runs — and the extracted rows then load through the
 // engine's COPY-style batch path: one logged batch record per chunk
-// instead of per-row WAL records, deferred sorted index builds on a
-// fresh table, and a closing checkpoint fence. This is the route a large corpus takes instead of the per-row
-// materialize path ExtractPending uses for incremental demand.
+// instead of per-row WAL records, deferred sorted index builds on a fresh
+// table, and a closing checkpoint fence. Only the write differs: the rows
+// stored take every ingest's side effects (ingested, in ingest.go).
 //
-// PR9 splits the run into ExtractAll (cluster extraction producing the
-// global row stream) and BulkLoadRows (load one row slice into THIS
-// system), so a sharded deployment can extract once and route slices of
-// the same stream to the shards that own them.
+// The run splits into ExtractAll (cluster extraction producing the global
+// row stream) and BulkLoadRows (load one row slice into THIS system), so a
+// sharded deployment can extract once and route slices of the same stream
+// to the shards that own them.
 
 // BulkIngestReport summarizes one bulk ingest run.
 type BulkIngestReport struct {
@@ -95,10 +95,7 @@ func (s *System) ExtractAll(ctx context.Context, extractor string, partitions in
 		func(item any, emit func(key string, value any)) error {
 			d := item.(*doc.Document)
 			for _, f := range pipeline.ExtractDoc(d) {
-				emit(f.Entity, uql.Row{
-					Entity: f.Entity, Attribute: f.Attribute,
-					Qualifier: f.Qualifier, Value: f.Value, Conf: f.Conf,
-				})
+				emit(f.Entity, fieldRow(f))
 			}
 			return nil
 		},
@@ -138,11 +135,11 @@ func (s *System) ExtractAll(ctx context.Context, extractor string, partitions in
 }
 
 // BulkLoadRows loads an already-extracted row slice into this system's
-// extracted table through the COPY-style batch path, observes each value
-// for debugging, invalidates the catalog cache, and evolves the schema.
-// The load is chunked into durable all-or-nothing batches and fenced
-// with a checkpoint; on error, chunks already durable stay (the report
-// counts them) and the catalog cache is invalidated either way.
+// extracted table through the COPY-style batch path and applies ingest's
+// side effects to the rows it stored. The load is chunked into durable
+// all-or-nothing batches, in order, and fenced with a checkpoint; on
+// error, the chunks already durable stay (the report counts them) and
+// their rows take the side effects like a complete load's.
 func (s *System) BulkLoadRows(ctx context.Context, rows []uql.Row) (*BulkIngestReport, error) {
 	if err := s.beginOp(); err != nil {
 		return nil, err
@@ -152,10 +149,9 @@ func (s *System) BulkLoadRows(ctx context.Context, rows []uql.Row) (*BulkIngestR
 		return nil, err
 	}
 	start := time.Now()
-	tups := make([]rdbms.Tuple, 0, len(rows))
-	for _, r := range rows {
-		s.Debugger.Observe(r.Attribute, r.Value)
-		tups = append(tups, uql.StoreRow(r))
+	tups := make([]rdbms.Tuple, len(rows))
+	for i, r := range rows {
+		tups[i] = StoreRow(r)
 	}
 
 	report := &BulkIngestReport{}
@@ -163,22 +159,13 @@ func (s *System) BulkLoadRows(ctx context.Context, rows []uql.Row) (*BulkIngestR
 	report.Rows = stats.Rows
 	report.Batches = stats.Batches
 	report.Deferred = stats.Deferred
-
-	// The batch path bypasses the per-row addRow delta feed, so the
-	// catalog cache generation is stale regardless of outcome: invalidate
-	// and let the next reader rebuild from the table.
-	s.mu.Lock()
-	s.cat.invalidate()
-	s.dropCatSnapLocked()
-	s.mu.Unlock()
+	// Chunks commit in row order, so the stored rows are a prefix.
+	s.ingested(rows[:stats.Rows], "core.bulkingest.rows")
 	if err != nil {
 		return report, err
 	}
 	report.Elapsed = time.Since(start)
-
-	s.Stats.Inc("core.bulkingest.rows", int64(report.Rows))
 	s.Stats.Inc("core.bulkingest.batches", int64(report.Batches))
-	s.evolveSchema(rows)
 	return report, nil
 }
 

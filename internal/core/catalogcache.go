@@ -13,12 +13,15 @@ import (
 // runs zero table scans. All fields are guarded by System.mu.
 //
 // Lifecycle contract:
-//   - materialize updates the cache in place, after its transaction
-//     commits, under System.mu. CorrectValue leaves the cache alone: it
-//     rewrites a row's value, never its (entity, attribute, qualifier).
-//   - Write paths that bypass core's row bookkeeping (UQL STORE inside
-//     Generate, direct System.SQL writes) invalidate the cache; the next
-//     Catalog() call rebuilds it with one full scan and reinstalls it.
+//   - Every ingest (UQL STORE, ExtractPending, RefreshChanged's
+//     re-insert, BulkLoadRows) folds its rows into the cache in place,
+//     after they commit, under System.mu: one routine, ingested.
+//     CorrectValue leaves the cache alone: it rewrites a row's value,
+//     never its (entity, attribute, qualifier).
+//   - Only writes that remove or rewrite rows invalidate the cache
+//     (System.SQL DML, RefreshChanged's DELETE): addRow cannot un-see a
+//     row. The next catalog read rebuilds it with one full scan and
+//     reinstalls it.
 //   - Rebuilds hold System.mu across the scan + install, so a concurrent
 //     incremental update can neither be lost nor observed half-applied.
 //     (Lock order is always System.mu → rdbms locks, never the reverse:

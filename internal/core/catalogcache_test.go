@@ -40,8 +40,8 @@ func TestCatalogCacheMatchesFullScan(t *testing.T) {
 	s, _ := newSystem(t, 10, 4, 0)
 	assertCatalogFresh(t, s, "empty table")
 
-	// After Generate (UQL STORE writes bypass materialize and must
-	// invalidate the cache).
+	// After Generate (UQL STORE ingests through the sink and folds its
+	// rows into the cache).
 	if _, err := s.Generate(context.Background(), `
 		EXTRACT temperature FROM docs USING city KIND city INTO temps;
 		STORE temps INTO TABLE extracted;
@@ -159,10 +159,44 @@ func TestCatalogCacheSurvivesRefreshChanged(t *testing.T) {
 	}
 }
 
+// TestCatalogCacheRefreshChangedReachesAsk: the entity RefreshChanged
+// deleted must also leave the catalog asks are served from. An ask reads
+// the published snapshot without a lock, so invalidating the cache
+// without unpublishing its snapshot kept serving the deleted entity until
+// some other catalog read rebuilt it.
+func TestCatalogCacheRefreshChangedReachesAsk(t *testing.T) {
+	s, _ := newSystem(t, 8, 0, 0)
+	ctx := context.Background()
+	if _, err := s.Generate(ctx, warmGenProgram, uql.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	const q = "average temperature Madison Wisconsin"
+	ans, err := s.AskGuided(ctx, q, 3) // publishes the catalog snapshot
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Candidates) == 0 || ans.Candidates[0].Entity != "Madison, Wisconsin" {
+		t.Fatalf("before the refresh: %+v", ans.Candidates)
+	}
+	s.CommitSnapshot(map[string]string{"Madison, Wisconsin": "Nothing structured remains here."})
+	if _, err := s.RefreshChanged("city"); err != nil {
+		t.Fatal(err)
+	}
+	if ans, err = s.AskGuided(ctx, q, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range ans.Candidates {
+		if c.Entity == "Madison, Wisconsin" {
+			t.Fatalf("ask still resolves the deleted entity: %+v", c)
+		}
+	}
+	assertCatalogFresh(t, s, "after RefreshChanged")
+}
+
 // TestCatalogCacheInvalidatedOnGenerateError: UQL ops run sequentially
 // and each STORE commits its own transaction, so a program that stores
-// then errors must still invalidate the cache (regression for a review
-// finding).
+// then errors must still leave the committed rows in the cached catalog
+// (each STORE folds its own rows; regression for a review finding).
 func TestCatalogCacheInvalidatedOnGenerateError(t *testing.T) {
 	s, _ := newSystem(t, 6, 0, 0)
 	assertCatalogFresh(t, s, "warm on empty table") // warms the cache
@@ -244,13 +278,13 @@ func TestCatalogSnapshotImmuneToLaterDeltas(t *testing.T) {
 	heldAttrs := len(held.Qualifiers)
 
 	// A new attribute with a qualifier lands through the cache-maintained
-	// path (materialize, NOT System.SQL — that would invalidate the cache
-	// and sidestep the in-place delta this test guards).
+	// path (ingest, NOT System.SQL — that would invalidate the cache and
+	// sidestep the in-place delta this test guards).
 	s.Env.Relations["inject"] = []uql.Row{{
 		Entity: "Gotham", Attribute: "rainfall", Qualifier: "March",
 		Value: "12", Conf: 0.9,
 	}}
-	if err := s.MaterializeRelation(context.Background(), "inject"); err != nil {
+	if _, err := s.Generate(context.Background(), `STORE inject INTO TABLE extracted;`, uql.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(held.Qualifiers) != heldAttrs {

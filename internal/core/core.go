@@ -63,14 +63,13 @@ type Config struct {
 
 // System is the running end-to-end instance.
 type System struct {
-	Corpus   *doc.Corpus
-	DB       *rdbms.DB
-	Env      *uql.Env
-	Index    *search.Index
-	Users    *users.Manager
-	Wiki     *wiki.Store
-	Alerts   *alert.Center
-	Debugger *debugger.Debugger
+	Corpus *doc.Corpus
+	DB     *rdbms.DB
+	Env    *uql.Env
+	Index  *search.Index
+	Users  *users.Manager
+	Wiki   *wiki.Store
+	Alerts *alert.Center
 	// Schema tracks the evolving logical schema of the extracted
 	// structure: attributes register themselves (with inferred types) the
 	// first time they are materialized, so the schema history records how
@@ -137,7 +136,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, schema := range []rdbms.TableSchema{uql.StoreSchema(TableName), tasksSchema} {
+	for _, schema := range []rdbms.TableSchema{extractedSchema, tasksSchema} {
 		if db.Table(schema.Name) == nil {
 			if err := db.CreateTable(schema); err != nil {
 				return nil, err
@@ -157,7 +156,6 @@ func New(cfg Config) (*System, error) {
 	}
 	env := uql.NewEnv()
 	env.Sources["docs"] = cfg.Corpus
-	env.DB = db
 	env.Crowd = cfg.Crowd
 	if cfg.Workers > 0 {
 		env.Cluster = cluster.New(cluster.Config{Workers: cfg.Workers})
@@ -187,13 +185,13 @@ func New(cfg Config) (*System, error) {
 		Users:      users.NewManager(),
 		Wiki:       wiki.NewStore(),
 		Alerts:     alert.NewCenter(),
-		Debugger:   debugger.New(),
 		Schema:     schema.NewEvolver(TableName),
 		Stats:      env.Stats,
 		done:       map[string]int{},
 		total:      map[string]int{},
 	}
 	s.lifeCond = sync.NewCond(&s.lifeMu)
+	env.Store = s.store
 	if err := s.loadTasks(); err != nil {
 		return nil, err
 	}
@@ -273,9 +271,8 @@ func (s *System) Closing() bool {
 // The struct itself is immutable after publication; the reformulator it
 // points at is the cache's live one, which is internally synchronized and
 // absorbs incremental addRow deltas in place — so a published snapshot
-// stays current across materialize writes and only full
-// invalidations (UQL STORE, direct SQL writes, rebuilds)
-// force a new generation.
+// stays current across every ingest and only full invalidations (SQL
+// DML, RefreshChanged's DELETE, rebuilds) force a new generation.
 type catSnap struct {
 	reform *reformulate.Reformulator
 	epoch  int64 // cache epoch at publication (diagnostics)
@@ -326,10 +323,14 @@ func (s *System) catalogSnap() (*catSnap, error) {
 
 // --- Generation ---------------------------------------------------------------
 
-// Generate runs a UQL program against the system environment. Attributes
-// produced by the program register themselves in the evolving schema. ctx
-// is consulted at entry (program execution itself is not cancellable
-// mid-statement; each STORE commits its own transaction).
+// Generate runs a UQL program against the system environment. Each STORE
+// ingests its relation into the extracted table in its own transaction
+// (see ingest), so the stored attributes register in the evolving schema
+// and the stored rows fold into the catalog cache and meet the standing
+// queries; an error later in the program leaves earlier STOREs in place.
+// Only the extracted table can be stored into (ErrStoreTable). ctx is
+// consulted at entry (program execution itself is not cancellable
+// mid-statement).
 func (s *System) Generate(ctx context.Context, program string, opts uql.Options) (*uql.Plan, error) {
 	if err := s.beginOp(); err != nil {
 		return nil, err
@@ -338,23 +339,7 @@ func (s *System) Generate(ctx context.Context, program string, opts uql.Options)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, err := uql.Exec(program, s.Env, opts)
-	// UQL STORE statements insert into the extracted table directly,
-	// bypassing materialize's incremental cache maintenance; force the next
-	// Catalog() to rescan. This must happen even when Exec errors: ops run
-	// sequentially and each STORE commits its own transaction, so an error
-	// later in the program does not undo earlier STOREs.
-	s.mu.Lock()
-	s.cat.invalidate()
-	s.dropCatSnapLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return plan, err
-	}
-	for _, name := range sortedRelationNames(s.Env.Relations) {
-		s.evolveSchema(s.Env.Relations[name])
-	}
-	return plan, nil
+	return uql.Exec(program, s.Env, opts)
 }
 
 // PlanIncremental enqueues best-effort extraction tasks for the given
@@ -443,8 +428,8 @@ func (s *System) Coverage(attribute string) float64 {
 }
 
 // ExtractPending runs up to budget queued tasks (highest priority first),
-// materializing each task's rows into the extracted table in the
-// transaction that marks the task done. It returns the number of tasks
+// ingesting each task's rows into the extracted table in the transaction
+// that marks the task done. It returns the number of tasks
 // executed; a task that fails or is not reached (an error or ctx ends
 // the run) stays queued.
 func (s *System) ExtractPending(ctx context.Context, extractor string, budget int) (int, error) {
@@ -481,7 +466,9 @@ func (s *System) ExtractPending(ctx context.Context, extractor string, budget in
 		// the count reports how many ran.
 		err := ctx.Err()
 		if err == nil {
-			err = s.materialize(s.extractTask(reg, tk), &tk)
+			err = s.ingest(s.extractTask(reg, tk), "core.materialized.rows", func(tx *rdbms.Txn) error {
+				return updateTask(tx, &tk, true)
+			})
 		}
 		if errors.Is(err, errTaskGone) {
 			// The plan no longer holds the task: it leaves the queue and
@@ -523,116 +510,10 @@ func (s *System) extractTask(reg uql.RegisteredExtractor, tk task) []uql.Row {
 			if f.Attribute != tk.attribute {
 				continue
 			}
-			s.Debugger.Observe(f.Attribute, f.Value)
-			rows = append(rows, uql.Row{
-				Entity: f.Entity, Attribute: f.Attribute,
-				Qualifier: f.Qualifier, Value: f.Value, Conf: f.Conf,
-			})
+			rows = append(rows, fieldRow(f))
 		}
 	}
 	return rows
-}
-
-// materialize appends rows to the extracted table in one transaction and
-// evaluates alert subscriptions against them. With done set, the same
-// transaction marks that task's row done, even when rows is empty.
-func (s *System) materialize(rows []uql.Row, done *task) error {
-	if len(rows) == 0 && done == nil {
-		return nil
-	}
-	tx := s.DB.Begin()
-	for _, r := range rows {
-		if _, err := tx.Insert(TableName, uql.StoreRow(r)); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	if done != nil {
-		if err := updateTask(tx, done, true); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		// In doubt until aborted: the abort settles it, so the rows and the
-		// done mark are durably absent.
-		tx.Abort()
-		return err
-	}
-	s.maybeCheckpoint()
-	if len(rows) == 0 {
-		return nil
-	}
-	// Fold the committed rows into the catalog cache (after Commit, so the
-	// cache never sees rows an abort would retract, and without holding
-	// rdbms locks under s.mu).
-	s.mu.Lock()
-	for _, r := range rows {
-		s.cat.addRow(r.Entity, r.Attribute, r.Qualifier)
-	}
-	s.mu.Unlock()
-	s.Stats.Inc("core.materialized.rows", int64(len(rows)))
-	s.evolveSchema(rows)
-	alertRows := make([]alert.Row, len(rows))
-	for i, r := range rows {
-		alertRows[i] = alert.Row{
-			Entity: r.Entity, Attribute: r.Attribute,
-			Qualifier: r.Qualifier, Value: r.Value, Conf: r.Conf,
-		}
-	}
-	if fired := s.Alerts.Evaluate(alertRows); len(fired) > 0 {
-		s.Stats.Inc("core.alerts.fired", int64(len(fired)))
-	}
-	return nil
-}
-
-// MaterializeRelation stores a named UQL relation into the extracted table
-// (used after Generate built relations without a STORE statement).
-func (s *System) MaterializeRelation(ctx context.Context, name string) error {
-	if err := s.beginOp(); err != nil {
-		return err
-	}
-	defer s.endOp()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	rows, ok := s.Env.Relations[name]
-	if !ok {
-		return fmt.Errorf("core: unknown relation %q", name)
-	}
-	return s.materialize(rows, nil)
-}
-
-// evolveSchema registers newly seen attributes in the logical schema with
-// a type inferred from their values (§3.2: the schema of incrementally
-// generated structure evolves over time).
-func (s *System) evolveSchema(rows []uql.Row) {
-	samples := map[string][]string{}
-	for _, r := range rows {
-		if len(samples[r.Attribute]) < 30 {
-			samples[r.Attribute] = append(samples[r.Attribute], r.Value)
-		}
-	}
-	cur := s.Schema.Current()
-	known := map[string]bool{}
-	for _, a := range cur.Attributes {
-		known[a.Name] = true
-	}
-	attrs := make([]string, 0, len(samples))
-	for a := range samples {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, a := range attrs {
-		if known[a] {
-			continue
-		}
-		// Errors (duplicate adds from a concurrent materialize) are
-		// harmless; the attribute is already registered.
-		if _, err := s.Schema.AddAttribute(a, schema.InferType(samples[a])); err == nil {
-			s.Stats.Inc("core.schema.attributes", 1)
-		}
-	}
 }
 
 // ExplainFact renders the lineage of an extracted fact: which operator
@@ -689,7 +570,7 @@ func (s *System) KeywordSearch(ctx context.Context, query string, k int) ([]sear
 
 // Catalog summarizes the extracted structure for the reformulator. It is
 // served from the incrementally maintained catalog cache; only the first
-// call after an invalidating write (Generate's STORE, a direct SQL write)
+// call after an invalidating write (a direct SQL write, RefreshChanged)
 // scans the table. The returned catalog shares slices with the cache and
 // must be treated as read-only.
 func (s *System) Catalog(ctx context.Context) (reformulate.Catalog, error) {
@@ -839,12 +720,12 @@ func (s *System) Subscribe(sub alert.Subscription) (int, error) {
 }
 
 // SweepSuspicious runs the semantic debugger over the materialized
-// structure and returns flagged values (the 135-degree check). The
-// debugger first (re)learns per-attribute constraints from the stored
-// data itself — its trimmed-support fence tolerates a corrupt minority —
-// so the sweep works regardless of which generation path (declarative or
-// incremental) produced the rows. The rows are read through a snapshot,
-// so the sweep takes no locks and never blocks a correction.
+// structure and returns flagged values (the 135-degree check). Each sweep
+// learns per-attribute constraints afresh from the stored data itself —
+// its trimmed-support fence tolerates a corrupt minority — so the answer
+// depends only on the rows at the snapshot, not on which path stored them
+// or on earlier sweeps. The rows are read through a snapshot, so the
+// sweep takes no locks and never blocks a correction.
 func (s *System) SweepSuspicious(ctx context.Context) ([]debugger.Violation, error) {
 	if err := s.beginOp(); err != nil {
 		return nil, err
@@ -859,10 +740,11 @@ func (s *System) SweepSuspicious(ctx context.Context) ([]debugger.Violation, err
 	}); err != nil {
 		return nil, err
 	}
+	d := debugger.New()
 	for _, tr := range triples {
-		s.Debugger.Observe(tr[1], tr[2])
+		d.Observe(tr[1], tr[2])
 	}
-	return s.Debugger.Sweep(triples), nil
+	return d.Sweep(triples), nil
 }
 
 // CorrectValue applies a human correction to the extracted structure: the
@@ -912,7 +794,7 @@ func (s *System) correctRow(ctx context.Context, weight float64, entity, attribu
 	}
 	if err == nil {
 		row[3] = rdbms.NewString(newValue)
-		row[4] = uql.NumValue(newValue)
+		row[4] = numValue(newValue)
 		row[5] = rdbms.NewFloat(weight)
 		_, err = tx.Update(TableName, rid, row)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,6 +170,89 @@ func TestSweepSuspiciousFindsCorruption(t *testing.T) {
 	}
 	if missed > 0 {
 		t.Fatalf("debugger missed %d/%d corruptions", missed, len(truth.Corruptions))
+	}
+}
+
+// TestSweepSuspiciousRepeatable: a sweep learns its constraints from the
+// rows at its snapshot alone, so a second sweep over the same rows gives
+// the same violations, and the sweep of a reopened system equals the
+// fresh system's. A debugger kept across sweeps fails both: it learns
+// every value once more per sweep, and the values an ingest path showed
+// it once more, so rows weigh by how often they were seen. The rows here
+// come from two paths: a STORE of every city's temperatures, then the
+// incremental extraction of half the corpus's again.
+func TestSweepSuspiciousRepeatable(t *testing.T) {
+	corpus, truth := synth.Generate(synth.Config{
+		Seed: 11, Cities: 40, Filler: 10, CorruptFrac: 0.15,
+	})
+	if len(truth.Corruptions) == 0 {
+		t.Skip("no corruption generated")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, _, err := OpenDir(dir, Config{Corpus: corpus}, func(s *System) error {
+		if _, err := s.Generate(ctx, warmGenProgram, uql.Options{}); err != nil {
+			return err
+		}
+		if err := s.PlanIncremental(ctx, "city", []string{"temperature"}, 4); err != nil {
+			return err
+		}
+		_, err := s.ExtractPending(ctx, "city", 2)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.SweepSuspicious(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) == 0 {
+		t.Fatal("the sweep flagged nothing over a corrupted corpus")
+	}
+	second, err := s.SweepSuspicious(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("a second sweep over the same rows differs:\nfirst  %v\nsecond %v", first, second)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, rep, err := OpenDir(dir, Config{Corpus: corpus}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !rep.Reopened {
+		t.Fatal("the second open did not reopen the directory")
+	}
+	reopened, err := r.SweepSuspicious(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, reopened) {
+		t.Fatalf("the reopened system's sweep differs from the fresh system's:\nfresh    %v\nreopened %v", first, reopened)
+	}
+}
+
+// TestStoreRefusesOtherTables: the STORE sink writes only the extracted
+// table; any other is a typed refusal that creates no table.
+func TestStoreRefusesOtherTables(t *testing.T) {
+	s, _ := newSystem(t, 4, 0, 0)
+	_, err := s.Generate(context.Background(), `
+		EXTRACT temperature FROM docs USING city KIND city INTO temps;
+		STORE temps INTO TABLE temps;
+	`, uql.Options{})
+	if !errors.Is(err, ErrStoreTable) {
+		t.Fatalf("STORE into another table: got %v, want ErrStoreTable", err)
+	}
+	if s.DB.Table("temps") != nil {
+		t.Fatal("the refused STORE created a table")
+	}
+	if n := s.Stats.Counter("uql.store.rows"); n != 0 {
+		t.Fatalf("the refused STORE counted %d rows", n)
 	}
 }
 

@@ -72,24 +72,22 @@ func (s *System) RefreshChanged(extractor string) ([]string, error) {
 
 		// Replace this entity's extracted rows. The DELETE removes rows the
 		// incremental catalog cache cannot un-see (addRow only adds), so
-		// invalidate it; the following materialize is a no-op on an invalid
-		// cache and the next Catalog() rescans.
+		// invalidate it and unpublish the snapshot asks read; the following
+		// ingest folds nothing into an invalid cache and the next catalog
+		// read rescans.
 		if _, err := s.DB.Exec(fmt.Sprintf(
 			"DELETE FROM %s WHERE entity = '%s'", TableName, sqlEscape(d.Title))); err != nil {
 			return nil, err
 		}
 		s.mu.Lock()
 		s.cat.invalidate()
+		s.dropCatSnapLocked()
 		s.mu.Unlock()
 		var rows []uql.Row
 		for _, f := range reg.Pipeline.ExtractDoc(d) {
-			s.Debugger.Observe(f.Attribute, f.Value)
-			rows = append(rows, uql.Row{
-				Entity: f.Entity, Attribute: f.Attribute,
-				Qualifier: f.Qualifier, Value: f.Value, Conf: f.Conf,
-			})
+			rows = append(rows, fieldRow(f))
 		}
-		if err := s.materialize(rows, nil); err != nil {
+		if err := s.ingest(rows, "core.materialized.rows", nil); err != nil {
 			return nil, err
 		}
 	}

@@ -67,7 +67,7 @@ func TestServerPipeliningOutOfOrder(t *testing.T) {
 
 	// Stall writer-path statements: hold the extracted table's lock.
 	tx := sys.DB.Begin()
-	if _, err := tx.Insert(core.TableName, uql.StoreRow(uql.Row{
+	if _, err := tx.Insert(core.TableName, core.StoreRow(uql.Row{
 		Entity: "Blocktown", Attribute: "temperature", Qualifier: "July", Value: "1", Conf: 1,
 	})); err != nil {
 		t.Fatal(err)

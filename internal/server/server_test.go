@@ -170,7 +170,7 @@ func TestServerRequestDeadline(t *testing.T) {
 	cli := dialTest(t, addr)
 
 	tx := sys.DB.Begin()
-	if _, err := tx.Insert(core.TableName, uql.StoreRow(uql.Row{
+	if _, err := tx.Insert(core.TableName, core.StoreRow(uql.Row{
 		Entity: "Blocktown", Attribute: "temperature", Qualifier: "July", Value: "1", Conf: 1,
 	})); err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestServerOverloadShed(t *testing.T) {
 	// client's DELETE inside the engine while it holds the only token.
 	// (A SELECT would no longer do: snapshot reads don't take locks.)
 	tx := sys.DB.Begin()
-	if _, err := tx.Insert(core.TableName, uql.StoreRow(uql.Row{
+	if _, err := tx.Insert(core.TableName, core.StoreRow(uql.Row{
 		Entity: "Blocktown", Attribute: "temperature", Qualifier: "July", Value: "1", Conf: 1,
 	})); err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestServerShutdownInProcess(t *testing.T) {
 
 	// Pin one request in the engine on a held lock.
 	tx := sys.DB.Begin()
-	if _, err := tx.Insert(core.TableName, uql.StoreRow(uql.Row{
+	if _, err := tx.Insert(core.TableName, core.StoreRow(uql.Row{
 		Entity: "Blocktown", Attribute: "temperature", Qualifier: "July", Value: "1", Conf: 1,
 	})); err != nil {
 		t.Fatal(err)

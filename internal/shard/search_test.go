@@ -130,8 +130,8 @@ func TestShardedSearchMatchesSingle(t *testing.T) {
 // writes are done, the merged catalog is the union of the shards' own.
 // The merged reformulator is memoized by the shards' catalog epochs, so
 // an epoch read apart from its catalog could key the pre-write merge
-// with the post-write epoch. The writes materialize rows, which update
-// the shard's catalog cache in place without a rescan, so nothing would
+// with the post-write epoch. The writes STORE rows, which update the
+// shard's catalog cache in place without a rescan, so nothing would
 // advance the epoch again: the stale merge would be served until the
 // next catalog change.
 func TestShardedCatalogEpochUnderWrites(t *testing.T) {
@@ -154,7 +154,7 @@ func TestShardedCatalogEpochUnderWrites(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			for i := range entities {
-				if err := ss.Shard(i).MaterializeRelation(ctx, rel); err != nil {
+				if _, err := ss.Shard(i).Generate(ctx, "STORE "+rel+" INTO TABLE extracted;", uql.Options{}); err != nil {
 					done <- err
 					return
 				}

@@ -3,7 +3,6 @@ package uql
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/monitor"
 	"repro/internal/provenance"
-	"repro/internal/rdbms"
 	"repro/internal/uncertainty"
 )
 
@@ -43,11 +41,14 @@ type RegisteredExtractor struct {
 type Env struct {
 	Sources    map[string]*doc.Corpus
 	Extractors map[string]RegisteredExtractor
-	DB         *rdbms.DB
 	Crowd      *hi.Crowd // used by ASK and RESOLVE ... BUDGET
 	Prov       *provenance.Graph
 	Stats      *monitor.Stats
 	Cluster    *cluster.Cluster // parallel extraction; nil = sequential
+
+	// Store is STORE's sink: it writes a relation's rows into the named
+	// table. The system that owns the table installs it.
+	Store func(table string, rows []Row) error
 
 	// Relations holds intermediate results by name.
 	Relations map[string][]Row
@@ -143,8 +144,8 @@ func Compile(prog *Program, env *Env, opts Options) (*Plan, error) {
 		case AskStmt:
 			op = &askOp{stmt: s}
 		case StoreStmt:
-			if env.DB == nil {
-				return nil, fmt.Errorf("uql: STORE requires a database in the environment")
+			if env.Store == nil {
+				return nil, fmt.Errorf("uql: STORE requires a store in the environment")
 			}
 			op = &storeOp{stmt: s}
 		default:
@@ -516,62 +517,10 @@ func (o *storeOp) describe() string {
 	return fmt.Sprintf("store %s into table %s", o.stmt.Rel, o.stmt.Table)
 }
 
-// StoreSchema is the fixed schema of materialized UQL relations. The
-// "num" column carries the numeric parse of "value" (NULL when the value
-// is not numeric) so that SQL aggregates like AVG(num) work directly over
-// extracted attribute-value pairs.
-func StoreSchema(table string) rdbms.TableSchema {
-	return rdbms.TableSchema{Name: table, Columns: []rdbms.ColumnDef{
-		{Name: "entity", Type: rdbms.TString},
-		{Name: "attribute", Type: rdbms.TString},
-		{Name: "qualifier", Type: rdbms.TString},
-		{Name: "value", Type: rdbms.TString},
-		{Name: "num", Type: rdbms.TFloat},
-		{Name: "conf", Type: rdbms.TFloat},
-	}}
-}
-
-// NumValue parses a row value into the "num" column's SQL value.
-func NumValue(value string) rdbms.Value {
-	cleaned := strings.ReplaceAll(value, ",", "")
-	if f, err := strconv.ParseFloat(cleaned, 64); err == nil {
-		return rdbms.NewFloat(f)
-	}
-	return rdbms.Null()
-}
-
-// StoreRow converts a Row to its table tuple under StoreSchema.
-func StoreRow(r Row) rdbms.Tuple {
-	return rdbms.Tuple{
-		rdbms.NewString(r.Entity),
-		rdbms.NewString(r.Attribute),
-		rdbms.NewString(r.Qualifier),
-		rdbms.NewString(r.Value),
-		NumValue(r.Value),
-		rdbms.NewFloat(r.Conf),
-	}
-}
-
 func (o *storeOp) run(env *Env) error {
 	rows, ok := env.Relations[o.stmt.Rel]
 	if !ok {
 		return fmt.Errorf("uql: unknown relation %q", o.stmt.Rel)
 	}
-	if env.DB.Table(o.stmt.Table) == nil {
-		if err := env.DB.CreateTable(StoreSchema(o.stmt.Table)); err != nil {
-			return err
-		}
-	}
-	tx := env.DB.Begin()
-	for _, r := range rows {
-		if _, err := tx.Insert(o.stmt.Table, StoreRow(r)); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	env.Stats.Inc("uql.store.rows", int64(len(rows)))
-	return nil
+	return env.Store(o.stmt.Table, rows)
 }

@@ -3,7 +3,8 @@
 // which developers write programs that extract attributes from document
 // collections, integrate the results (schema matching, entity
 // resolution), route uncertain pieces to humans, and store the final
-// structure in the RDBMS. Programs are parsed to an AST, compiled to a
+// structure through the environment's Store sink (the system that owns
+// the table writes it). Programs are parsed to an AST, compiled to a
 // logical plan, optimized (document prefiltering, early confidence
 // filtering, parallel extraction), and executed.
 //
@@ -63,7 +64,7 @@ type AskStmt struct {
 	Budget  int     // max questions (0 = unlimited)
 }
 
-// StoreStmt materializes a relation into an RDBMS table.
+// StoreStmt hands a relation to the environment's Store sink for a table.
 type StoreStmt struct {
 	Rel   string
 	Table string

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/extract"
 	"repro/internal/hi"
-	"repro/internal/rdbms"
 	"repro/internal/synth"
 )
 
@@ -95,16 +94,22 @@ func testEnv(t *testing.T, seed int64, cities, people int) (*Env, *synth.Truth) 
 		},
 	}
 	env.Extractors["person"] = RegisteredExtractor{Pipeline: extract.DefaultPersonPipeline()}
-	db, err := rdbms.Open(rdbms.NewMemPager(), rdbms.NewMemWAL(), rdbms.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.DB = db
+	env.Store = tableSink{}.store
 	return env, truth
+}
+
+// tableSink is a STORE sink over in-memory tables, keyed by table name.
+type tableSink map[string][]Row
+
+func (ts tableSink) store(table string, rows []Row) error {
+	ts[table] = append(ts[table], rows...)
+	return nil
 }
 
 func TestExtractAndStoreEndToEnd(t *testing.T) {
 	env, truth := testEnv(t, 9, 10, 3)
+	tables := tableSink{}
+	env.Store = tables.store
 	plan, err := Exec(`
 		EXTRACT temperature FROM docs USING city KIND city INTO temps;
 		STORE temps INTO TABLE temps;
@@ -133,13 +138,9 @@ func TestExtractAndStoreEndToEnd(t *testing.T) {
 	if n != 12 || !close2(sum/float64(n), madison.AvgTemp(0, 11)) {
 		t.Fatalf("madison avg from rows: %v over %d", sum/float64(n), n)
 	}
-	// Count via SQL.
-	rs2, err := env.DB.Exec(`SELECT COUNT(*) FROM temps`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs2.Rows[0][0].I != 120 {
-		t.Fatalf("stored rows: %v", rs2.Rows)
+	// STORE handed the whole relation to the sink.
+	if got := len(tables["temps"]); got != 120 {
+		t.Fatalf("stored rows: %d, want 120", got)
 	}
 	// Provenance recorded: each row has a lineage chain back to a document.
 	r := rows[0]
@@ -314,7 +315,7 @@ func TestCompileErrors(t *testing.T) {
 	cases := []string{
 		`EXTRACT a FROM nowhere USING city INTO x;`,
 		`EXTRACT a FROM docs USING ghost INTO x;`,
-		`STORE r INTO TABLE t;`, // no DB
+		`STORE r INTO TABLE t;`, // no store
 	}
 	env.Sources["docs"] = nil
 	for _, q := range cases {
