@@ -82,11 +82,17 @@
 //
 // Persisted state. A System persists only through its engine files
 // (Config.Dir; dir/db under OpenDir), so ARIES recovery is the one
-// mechanism that makes every piece of it crash-consistent. The one
-// exception is lineage: the provenance graph that ExplainFact walks is
-// held in memory only, so explain has nothing to say about rows stored
-// before a reopen (ROADMAP item 19). Besides the
-// extracted table, the engine holds the incremental extraction plan in
+// mechanism that makes every piece of it crash-consistent. Lineage is
+// not stored at all: extraction is deterministic and every extractor
+// names a field's entity after its document's title, so ExplainFact reads
+// the fact's rows at a View's snapshot (entity index), re-runs the
+// registered pipelines over the document titled entity, and renders the
+// matching field through provenance.Graph.Explain, with one node above it
+// when the stored value or confidence differs (a correction). It answers
+// the same after a reopen, a recovery, a bulk ingest and on every shard;
+// a fact no document re-derives is ErrNotFound. A UQL program's
+// relations live only while Generate runs it. Besides the extracted
+// table, the engine holds the incremental extraction plan in
 // the tasks table: one row per task (attribute, part, priority, document
 // titles, done). PlanIncremental inserts a plan in one transaction, and
 // ExtractPending marks a task done in the transaction that inserts its

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -73,14 +72,19 @@ func main() {
 		fmt.Printf("  %-8s weight %.2f\n", u.name, sys.Users.Weight(u.name))
 	}
 
-	// Wire the reputation-weighted crowd into the system and run the
-	// person pipeline with HI-assisted entity resolution.
-	sys.Env.Crowd = hi.NewCrowd(members, sys.Users)
-	_, err = sys.Generate(context.Background(), `
+	// Run the person pipeline with HI-assisted entity resolution in an
+	// environment of our own: a copy of the system's, with the
+	// reputation-weighted crowd wired in. System.Generate would empty the
+	// relations when the program returns; this one keeps them for scoring,
+	// and its STORE still writes through the system's sink.
+	env := *sys.Env
+	env.Crowd = hi.NewCrowd(members, sys.Users)
+	env.Relations = map[string][]uql.Row{}
+	_, err = uql.Exec(`
 		EXTRACT born FROM docs USING person KIND person INTO people;
 		RESOLVE people THRESHOLD 0.82 BUDGET 80 INTO resolved;
 		STORE resolved INTO TABLE extracted;
-	`, uql.Options{})
+	`, &env, uql.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,8 +93,8 @@ func main() {
 
 	// Score resolution quality against ground truth by pairing the rows
 	// before and after RESOLVE (order is preserved).
-	before := sys.Env.Relations["people"]
-	after := sys.Env.Relations["resolved"]
+	before := env.Relations["people"]
+	after := env.Relations["resolved"]
 	p, r, f1 := scoreResolution(before, after, titleOwner)
 	fmt.Printf("entity resolution vs truth: precision %.2f, recall %.2f, F1 %.2f\n", p, r, f1)
 

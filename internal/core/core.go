@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,6 +42,11 @@ const TableName = "extracted"
 // concurrent Close waits behind — Close itself is idempotent and returns
 // the first close's result to every caller.
 var ErrClosed = errors.New("core: system is closed")
+
+// ErrNotFound is the typed miss of an entity-addressed operation: no
+// stored fact to correct, or no stored fact that a document re-derives to
+// explain.
+var ErrNotFound = errors.New("core: not found")
 
 // Config assembles a System.
 type Config struct {
@@ -328,7 +332,9 @@ func (s *System) catalogSnap() (*catSnap, error) {
 // (see ingest), so the stored attributes register in the evolving schema
 // and the stored rows fold into the catalog cache and meet the standing
 // queries; an error later in the program leaves earlier STOREs in place.
-// Only the extracted table can be stored into (ErrStoreTable). ctx is
+// Only the extracted table can be stored into (ErrStoreTable). The
+// program's relations (Env.Relations) are emptied when it returns, on
+// success and on error, so no row outlives the program in memory. ctx is
 // consulted at entry (program execution itself is not cancellable
 // mid-statement).
 func (s *System) Generate(ctx context.Context, program string, opts uql.Options) (*uql.Plan, error) {
@@ -339,6 +345,7 @@ func (s *System) Generate(ctx context.Context, program string, opts uql.Options)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	defer clear(s.Env.Relations)
 	return uql.Exec(program, s.Env, opts)
 }
 
@@ -516,41 +523,16 @@ func (s *System) extractTask(reg uql.RegisteredExtractor, tk task) []uql.Row {
 	return rows
 }
 
-// ExplainFact renders the lineage of an extracted fact: which operator
-// pulled it from which document, and what feedback touched it. It
-// consults the UQL environment's provenance graph via the relations that
-// produced the fact.
+// ExplainFact renders the lineage of a stored fact: which operator pulled
+// it from which document, and the stored state above that when feedback
+// changed it. It is a one-shot View wrapper (see View.ExplainFact).
 func (s *System) ExplainFact(ctx context.Context, entity, attribute, qualifier string) (string, error) {
-	if err := s.beginOp(); err != nil {
+	v, err := s.View(ctx)
+	if err != nil {
 		return "", err
 	}
-	defer s.endOp()
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	return s.explainFact(entity, attribute, qualifier)
-}
-
-// explainFact is the lineage lookup shared by System.ExplainFact and
-// View.ExplainFact; callers handle lifecycle admission and ctx.
-func (s *System) explainFact(entity, attribute, qualifier string) (string, error) {
-	for _, name := range sortedRelationNames(s.Env.Relations) {
-		for _, r := range s.Env.Relations[name] {
-			if r.Entity == entity && r.Attribute == attribute && r.Qualifier == qualifier && r.Prov != 0 {
-				return s.Env.Prov.Explain(r.Prov), nil
-			}
-		}
-	}
-	return "", fmt.Errorf("core: no provenance recorded for %s.%s[%s]", entity, attribute, qualifier)
-}
-
-func sortedRelationNames(rels map[string][]uql.Row) []string {
-	out := make([]string, 0, len(rels))
-	for n := range rels {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	defer v.Close()
+	return v.ExplainFact(entity, attribute, qualifier)
 }
 
 // --- Exploitation ---------------------------------------------------------------
@@ -790,7 +772,7 @@ func (s *System) correctRow(ctx context.Context, weight float64, entity, attribu
 		return t[1].S == attribute && t[2].S == qualifier
 	})
 	if err == nil && !found {
-		err = fmt.Errorf("core: no extracted row for %s.%s[%s]", entity, attribute, qualifier)
+		err = fmt.Errorf("%w: no extracted row for %s.%s[%s]", ErrNotFound, entity, attribute, qualifier)
 	}
 	if err == nil {
 		row[3] = rdbms.NewString(newValue)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestExplainFact(t *testing.T) {
 			t.Fatalf("explanation missing %q:\n%s", want, text)
 		}
 	}
-	if _, err := s.ExplainFact(context.Background(), "Nowhere", "temperature", "July"); err == nil {
-		t.Fatal("missing fact should error")
+	if _, err := s.ExplainFact(context.Background(), "Nowhere", "temperature", "July"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing fact: got %v, want ErrNotFound", err)
 	}
 }

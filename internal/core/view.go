@@ -3,11 +3,17 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/browse"
+	"repro/internal/doc"
+	"repro/internal/extract"
+	"repro/internal/provenance"
 	"repro/internal/rdbms"
 	"repro/internal/search"
+	"repro/internal/uql"
 )
 
 // View is a consistent read-only handle over the system: every query it
@@ -180,13 +186,111 @@ func (v *View) Browse() (*browse.Browser, error) {
 	return bd.Browser(), nil
 }
 
-// ExplainFact renders the lineage of an extracted fact (see
-// System.ExplainFact). Provenance lives in the UQL environment rather
-// than the versioned store, so lineage reflects the latest generation
-// run, not the View's LSN.
+// ExplainFact renders the lineage of the fact (entity, attribute,
+// qualifier) stored at the View's LSN. Lineage is re-derived, not stored:
+// extraction is deterministic and every extractor names a field's entity
+// after its document's title, so the document titled entity is extracted
+// again and pickLineage pairs a stored row with a field. A stored value or
+// confidence the extraction did not produce (a correction, a UQL ASK
+// update) adds one node above the extraction that states what is stored.
+// A fact not stored at the LSN, or one no document re-derives (an SQL
+// INSERT, an INTEGRATE rename, a RESOLVE merge), is ErrNotFound. The
+// document half reads the live corpus, which only RefreshChanged
+// rewrites.
 func (v *View) ExplainFact(entity, attribute, qualifier string) (string, error) {
 	if err := v.err(); err != nil {
 		return "", err
 	}
-	return v.s.explainFact(entity, attribute, qualifier)
+	fact := fmt.Sprintf("%s.%s[%s]", entity, attribute, qualifier)
+	stored, err := v.storedFacts(entity, attribute, qualifier)
+	if err != nil {
+		return "", err
+	}
+	if len(stored) == 0 {
+		return "", fmt.Errorf("%w: no stored fact %s", ErrNotFound, fact)
+	}
+	d := v.s.Corpus.FindByTitle(entity)
+	var fields []extract.Field
+	if d != nil {
+		fields = v.s.rederive(d, attribute, qualifier)
+	}
+	if len(fields) == 0 {
+		return "", fmt.Errorf("%w: no document re-derives %s", ErrNotFound, fact)
+	}
+	v.s.Stats.Inc("core.queries.explain", 1)
+	r, f := pickLineage(stored, fields)
+	g := provenance.NewGraph()
+	top := g.MustAdd(provenance.KindExtraction, factLabel(f.Attribute, f.Qualifier, f.Value), f.Extractor, f.Conf,
+		g.MustAdd(provenance.KindDocument, d.Title, "", 0))
+	if r.Value != f.Value || r.Conf != f.Conf {
+		top = g.MustAdd(provenance.KindFeedback,
+			fmt.Sprintf("stored %s (conf %.2f)", factLabel(attribute, qualifier, r.Value), r.Conf), "", 0, top)
+	}
+	return g.Explain(top), nil
+}
+
+// storedFacts reads the rows stored for (entity, attribute, qualifier) at
+// the View's LSN through the entity index.
+func (v *View) storedFacts(entity, attribute, qualifier string) ([]uql.Row, error) {
+	rids, err := v.snap.IndexLookup(TableName, "entity", rdbms.NewString(entity))
+	if err != nil {
+		return nil, err
+	}
+	var out []uql.Row
+	for _, rid := range rids {
+		t, ok, err := v.snap.Get(TableName, rid)
+		if err != nil {
+			return nil, err
+		}
+		if ok && t[0].S == entity && t[1].S == attribute && t[2].S == qualifier {
+			out = append(out, uql.Row{Entity: entity, Attribute: attribute, Qualifier: qualifier, Value: t[3].S, Conf: t[5].F})
+		}
+	}
+	return out, nil
+}
+
+// rederive runs the registered extractors' pipelines, in extractor name
+// order and scoped to attribute, over d and returns the fields for
+// (attribute, qualifier) in pipeline order.
+func (s *System) rederive(d *doc.Document, attribute, qualifier string) []extract.Field {
+	var out []extract.Field
+	for _, n := range slices.Sorted(maps.Keys(s.Env.Extractors)) {
+		for _, f := range s.Env.Extractors[n].Pipeline.ForAttributes(attribute).ExtractDoc(d) {
+			if f.Attribute == attribute && f.Qualifier == qualifier {
+				out = append(out, f)
+			}
+		}
+	}
+	return out
+}
+
+// pickLineage pairs the stored row explain renders with the re-derived
+// field under it. A row feedback changed (no field has its value and
+// confidence) comes first, so a correction shows; it sits over the first
+// field with its value, else the first field. When every row is an
+// extraction's output, the first field, in pipeline order, that produced
+// one is rendered. Both lists are non-empty.
+func pickLineage(stored []uql.Row, fields []extract.Field) (uql.Row, extract.Field) {
+	produced := func(r uql.Row, f extract.Field) bool { return r.Value == f.Value && r.Conf == f.Conf }
+	for _, r := range stored {
+		if !slices.ContainsFunc(fields, func(f extract.Field) bool { return produced(r, f) }) {
+			i := slices.IndexFunc(fields, func(f extract.Field) bool { return f.Value == r.Value })
+			return r, fields[max(i, 0)]
+		}
+	}
+	for _, f := range fields {
+		if i := slices.IndexFunc(stored, func(r uql.Row) bool { return produced(r, f) }); i >= 0 {
+			return stored[i], f
+		}
+	}
+	return stored[0], fields[0] // unreachable: every row matched a field above
+}
+
+// factLabel renders attribute[qualifier]=value (attribute=value without a
+// qualifier), the label of an extraction node.
+func factLabel(attribute, qualifier, value string) string {
+	if qualifier == "" {
+		return attribute + "=" + value
+	}
+	return attribute + "[" + qualifier + "]=" + value
 }

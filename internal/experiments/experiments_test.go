@@ -701,7 +701,7 @@ func TestE10SameResultsEveryConfig(t *testing.T) {
 		{"no optimizations", uql.Options{NoPrefilter: true, NoEarlyConfFilter: true, NoParallel: true}, 0},
 	}
 	docs := make([]int64, len(configs))
-	rows := make([]int, len(configs))
+	rows := make([]int64, len(configs))
 	for i, cfg := range configs {
 		corpus, _ := synth.Generate(synth.Config{Seed: seed, Cities: 100, People: 20, Filler: 100, MentionsPerPerson: 2})
 		sys := newSystem(t, corpus, cfg.workers)
@@ -709,7 +709,7 @@ func TestE10SameResultsEveryConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		docs[i] = sys.Stats.Counter("uql.extract.docs")
-		rows[i] = len(sys.Env.Relations["facts"])
+		rows[i] = sys.Stats.Counter("uql.extract.rows")
 		if rows[i] != rows[0] {
 			t.Fatalf("%s produced %d rows, %s %d", cfg.name, rows[i], configs[0].name, rows[0])
 		}

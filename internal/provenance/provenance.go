@@ -1,15 +1,14 @@
-// Package provenance is the processing layer's provenance and explanation
-// manager (Figure 1, Part V): every derived datum records which operator
-// produced it from which inputs, forming a lineage DAG. Why-provenance
-// queries walk the DAG back to source documents and human answers, and the
-// explanation manager renders the walk as human-readable text — the
-// substrate for "explain why the system believes Madison's September
-// temperature is 62".
+// Package provenance is the explanation manager's renderer (Figure 1,
+// Part V): a lineage DAG records which operator produced a datum from
+// which inputs, and Explain renders the walk back to the source documents
+// as human-readable text — "explain why the system believes Madison's
+// September temperature is 62". The system builds one small graph per
+// explained fact from the fact's re-derivation; nothing keeps a graph
+// between requests.
 package provenance
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -79,95 +78,6 @@ func (g *Graph) MustAdd(kind NodeKind, label, operator string, conf float64, inp
 		panic(err)
 	}
 	return id
-}
-
-// Get returns a copy of the node, or false.
-func (g *Graph) Get(id NodeID) (Node, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
-		return Node{}, false
-	}
-	return *n, true
-}
-
-// Len returns the node count.
-func (g *Graph) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.nodes)
-}
-
-// Why returns the full ancestry of id (why-provenance): every node
-// reachable through input edges, in a stable topological-ish order
-// (sources first).
-func (g *Graph) Why(id NodeID) []Node {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := map[NodeID]bool{}
-	var order []NodeID
-	var visit func(NodeID)
-	visit = func(cur NodeID) {
-		if seen[cur] {
-			return
-		}
-		seen[cur] = true
-		n, ok := g.nodes[cur]
-		if !ok {
-			return
-		}
-		ins := append([]NodeID(nil), n.Inputs...)
-		sort.Slice(ins, func(i, j int) bool { return ins[i] < ins[j] })
-		for _, in := range ins {
-			visit(in)
-		}
-		order = append(order, cur)
-	}
-	visit(id)
-	out := make([]Node, 0, len(order))
-	for _, nid := range order {
-		out = append(out, *g.nodes[nid])
-	}
-	return out
-}
-
-// Sources returns only the source nodes (documents, feedback) behind id.
-func (g *Graph) Sources(id NodeID) []Node {
-	var out []Node
-	for _, n := range g.Why(id) {
-		if len(n.Inputs) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Depth returns the longest input chain length below id (a source is 0).
-func (g *Graph) Depth(id NodeID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	memo := map[NodeID]int{}
-	var depth func(NodeID) int
-	depth = func(cur NodeID) int {
-		if d, ok := memo[cur]; ok {
-			return d
-		}
-		n, ok := g.nodes[cur]
-		if !ok || len(n.Inputs) == 0 {
-			memo[cur] = 0
-			return 0
-		}
-		best := 0
-		for _, in := range n.Inputs {
-			if d := depth(in) + 1; d > best {
-				best = d
-			}
-		}
-		memo[cur] = best
-		return best
-	}
-	return depth(id)
 }
 
 // Explain renders a human-readable, indented derivation of id — the

@@ -23,7 +23,7 @@ var (
 	ErrConflict = errors.New("server: conflict")
 	// ErrBadRequest: the server rejected the request as malformed.
 	ErrBadRequest = errors.New("server: bad request")
-	// ErrNotFound: no matching fact or provenance.
+	// ErrNotFound: no stored fact, or (explain) none a document re-derives.
 	ErrNotFound = errors.New("server: not found")
 	// ErrDegraded: shards were down and no partial result could be
 	// served for this request (partial results arrive as OK responses

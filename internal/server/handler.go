@@ -211,8 +211,7 @@ func errResponse(err error) *Response {
 		code = CodeCanceled
 	case errors.Is(err, rdbms.ErrDeadlock):
 		code = CodeConflict
-	case strings.Contains(err.Error(), "no extracted row"),
-		strings.Contains(err.Error(), "no provenance"):
+	case errors.Is(err, core.ErrNotFound):
 		code = CodeNotFound
 	}
 	return &Response{OK: false, Err: &WireError{Code: code, Message: err.Error()}}

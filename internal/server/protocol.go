@@ -136,7 +136,7 @@ const (
 	CodeBadRequest = "bad_request" // malformed or unknown operation / arguments
 	CodeTooLarge   = "too_large"   // request frame exceeded the maximum size
 	CodeConflict   = "conflict"    // transient concurrency conflict (deadlock); retry
-	CodeNotFound   = "not_found"   // no matching fact/provenance
+	CodeNotFound   = "not_found"   // no stored fact, or none a document re-derives
 	CodeDegraded   = "degraded"    // shards down and no partial result could be served
 	CodeInternal   = "internal"    // unexpected server-side failure
 )

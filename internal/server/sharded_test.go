@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -151,11 +152,16 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if err := scli.Correct(ctx, "editor", entity, "temperature", qualifier, "999"); err != nil {
 		t.Fatalf("correct %s/%s: %v", entity, qualifier, err)
 	}
-	// Bulk-ingested rows enter the table below the UQL provenance graph,
-	// so lineage is typed not-found — the same answer a single engine
-	// built through BulkIngest gives, not an internal error.
-	if _, err := scli.Explain(ctx, entity, "temperature", qualifier); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("explain on bulk-ingested fact: got %v, want ErrNotFound", err)
+	// Lineage is re-derived from the owning shard's row and its document,
+	// so a bulk-ingested fact explains, correction included.
+	text, err := scli.Explain(ctx, entity, "temperature", qualifier)
+	if err != nil {
+		t.Fatalf("explain %s/%s: %v", entity, qualifier, err)
+	}
+	for _, want := range []string{"[document] " + entity, "[feedback] stored temperature[" + qualifier + "]=999 (conf "} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("explain %s/%s lacks %q:\n%s", entity, qualifier, want, text)
+		}
 	}
 }
 

@@ -11,19 +11,18 @@ import (
 	"repro/internal/hi"
 	"repro/internal/integrate"
 	"repro/internal/monitor"
-	"repro/internal/provenance"
 	"repro/internal/uncertainty"
 )
 
 // Row is one tuple of a UQL relation: an uncertain attribute-value
-// assertion in entity-attribute-value form, carrying provenance.
+// assertion in entity-attribute-value form. A row carries no lineage: the
+// system that stores it re-derives lineage from the row and its document.
 type Row struct {
 	Entity    string
 	Attribute string
 	Qualifier string
 	Value     string
 	Conf      float64
-	Prov      provenance.NodeID
 }
 
 // RegisteredExtractor couples a pipeline with per-attribute prefilter
@@ -42,7 +41,6 @@ type Env struct {
 	Sources    map[string]*doc.Corpus
 	Extractors map[string]RegisteredExtractor
 	Crowd      *hi.Crowd // used by ASK and RESOLVE ... BUDGET
-	Prov       *provenance.Graph
 	Stats      *monitor.Stats
 	Cluster    *cluster.Cluster // parallel extraction; nil = sequential
 
@@ -50,10 +48,11 @@ type Env struct {
 	// table. The system that owns the table installs it.
 	Store func(table string, rows []Row) error
 
-	// Relations holds intermediate results by name.
+	// Relations holds a program's intermediate results by name. They are
+	// the program's working set, not a store: whoever runs programs
+	// decides how long they live (core.System.Generate empties them when
+	// the program returns).
 	Relations map[string][]Row
-
-	docNodes map[doc.DocID]provenance.NodeID
 }
 
 // NewEnv returns an environment with empty registries.
@@ -61,20 +60,9 @@ func NewEnv() *Env {
 	return &Env{
 		Sources:    map[string]*doc.Corpus{},
 		Extractors: map[string]RegisteredExtractor{},
-		Prov:       provenance.NewGraph(),
 		Stats:      monitor.NewStats(),
 		Relations:  map[string][]Row{},
-		docNodes:   map[doc.DocID]provenance.NodeID{},
 	}
-}
-
-func (e *Env) docNode(d *doc.Document) provenance.NodeID {
-	if id, ok := e.docNodes[d.ID]; ok {
-		return id
-	}
-	id := e.Prov.MustAdd(provenance.KindDocument, d.Title, "", 0)
-	e.docNodes[d.ID] = id
-	return id
 }
 
 // Options toggles optimizer rewrites (the E10 ablation knobs).
@@ -265,24 +253,17 @@ func (o *extractOp) run(env *Env) error {
 	}
 
 	var rows []Row
-	for i, fields := range perDoc {
-		d := selected[i]
+	for _, fields := range perDoc {
 		for _, f := range fields {
 			if !o.earlyConf && o.stmt.MinConf > 0 && f.Conf < o.stmt.MinConf {
 				continue
 			}
-			label := f.Attribute + "=" + f.Value
-			if f.Qualifier != "" {
-				label = f.Attribute + "[" + f.Qualifier + "]=" + f.Value
-			}
-			provID := env.Prov.MustAdd(provenance.KindExtraction, label, f.Extractor, f.Conf, env.docNode(d))
 			rows = append(rows, Row{
 				Entity:    f.Entity,
 				Attribute: f.Attribute,
 				Qualifier: f.Qualifier,
 				Value:     f.Value,
 				Conf:      f.Conf,
-				Prov:      provID,
 			})
 		}
 	}
@@ -412,8 +393,6 @@ func (o *resolveOp) run(env *Env) error {
 			}
 			v := env.Crowd.Ask(q)
 			decisions = append(decisions, integrate.Decision{A: p.A, B: p.B, Match: v.Yes})
-			env.Prov.MustAdd(provenance.KindFeedback,
-				fmt.Sprintf("crowd verdict %v on %s", v.Yes, q.Subject), "", v.Support)
 			asked++
 		}
 		env.Stats.Inc("uql.resolve.questions", int64(asked))
@@ -494,13 +473,6 @@ func (o *askOp) run(env *Env) error {
 		r := &rows[t.idx]
 		reliability := 0.5 + 0.5*v.Support
 		r.Conf = uncertainty.BayesUpdate(r.Conf, reliability, v.Yes)
-		fb := env.Prov.MustAdd(provenance.KindFeedback,
-			fmt.Sprintf("crowd %v (support %.2f) on %s", v.Yes, v.Support, q.Subject), "", v.Support)
-		if r.Prov != 0 {
-			r.Prov = env.Prov.MustAdd(provenance.KindDerived,
-				fmt.Sprintf("%s.%s=%s after feedback", r.Entity, r.Attribute, r.Value),
-				"bayes-update", r.Conf, r.Prov, fb)
-		}
 	})
 	env.Relations[o.stmt.Rel] = rows
 	env.Stats.Inc("uql.ask.questions", int64(n))

@@ -6,15 +6,12 @@ import (
 	"math"
 
 	"repro/internal/filestore"
-	"repro/internal/provenance"
 )
 
 // Spill support: the paper's storage layer keeps intermediate structured
 // data on the file system because the system executes only sequential
 // reads and writes over it. SpillRelation writes a relation's rows to an
-// append-only segment store; LoadSpilled streams them back. Provenance
-// node ids travel with the rows, so lineage survives the round trip
-// within a session.
+// append-only segment store; LoadSpilled streams them back.
 
 // EncodeRow serializes a row for the segment store.
 func EncodeRow(r Row) []byte {
@@ -25,10 +22,7 @@ func EncodeRow(r Row) []byte {
 	buf = appendLenString(buf, r.Value)
 	var tmp [8]byte
 	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(r.Conf))
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], uint64(r.Prov))
-	buf = append(buf, tmp[:]...)
-	return buf
+	return append(buf, tmp[:]...)
 }
 
 // DecodeRow parses a row serialized by EncodeRow.
@@ -47,11 +41,10 @@ func DecodeRow(b []byte) (Row, error) {
 	if r.Value, b, err = readLenString(b); err != nil {
 		return r, err
 	}
-	if len(b) != 16 {
-		return r, fmt.Errorf("uql: row encoding has %d trailing bytes, want 16", len(b))
+	if len(b) != 8 {
+		return r, fmt.Errorf("uql: row encoding has %d trailing bytes, want 8", len(b))
 	}
-	r.Conf = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
-	r.Prov = provenance.NodeID(binary.LittleEndian.Uint64(b[8:16]))
+	r.Conf = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	return r, nil
 }
 

@@ -5,13 +5,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/filestore"
-	"repro/internal/provenance"
 )
 
 func TestRowEncodeDecodeRoundTrip(t *testing.T) {
 	r := Row{
 		Entity: "Madison, Wisconsin", Attribute: "temperature",
-		Qualifier: "September", Value: "62.0", Conf: 0.92, Prov: 17,
+		Qualifier: "September", Value: "62.0", Conf: 0.92,
 	}
 	got, err := DecodeRow(EncodeRow(r))
 	if err != nil {
@@ -23,8 +22,8 @@ func TestRowEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestRowRoundTripProperty(t *testing.T) {
-	f := func(e, a, q, v string, conf float64, prov int64) bool {
-		r := Row{Entity: e, Attribute: a, Qualifier: q, Value: v, Conf: conf, Prov: provenance.NodeID(prov)}
+	f := func(e, a, q, v string, conf float64) bool {
+		r := Row{Entity: e, Attribute: a, Qualifier: q, Value: v, Conf: conf}
 		got, err := DecodeRow(EncodeRow(r))
 		return err == nil && got == r
 	}
@@ -44,8 +43,8 @@ func TestDecodeRowErrors(t *testing.T) {
 func TestSpillAndLoadRelation(t *testing.T) {
 	env := NewEnv()
 	env.Relations["facts"] = []Row{
-		{Entity: "a", Attribute: "x", Value: "1", Conf: 0.5, Prov: 3},
-		{Entity: "b", Attribute: "y", Qualifier: "q", Value: "2", Conf: 0.9, Prov: 4},
+		{Entity: "a", Attribute: "x", Value: "1", Conf: 0.5},
+		{Entity: "b", Attribute: "y", Qualifier: "q", Value: "2", Conf: 0.9},
 	}
 	store := filestore.New(256)
 	n, err := env.SpillRelation("facts", store)
