@@ -398,8 +398,10 @@
 // streams acked INSERTs at a daemon, kills it with SIGKILL mid-traffic,
 // reopens the directory, and audits that every acked response survived.
 // A correction is an index-point write with no retry: IX on the table,
-// an entity-index lookup, X on the one row (Txn.LockRowByIndex), so
-// racing corrections cannot deadlock each other. The alert center's
+// one entity-index lookup, X on every stored row of the fact
+// (Txn.LockRowsByIndex; an extractor may store a fact twice, from an
+// infobox and from prose, and both rows take the new value), so racing
+// corrections of distinct facts cannot deadlock each other. The alert center's
 // delivery ledger (Center.History) proves exactly-once notification per
 // correction identity under concurrent corrections. bench/ drives every
 // workload through this front end (server.wire_self_us.<op>,
@@ -655,9 +657,29 @@
 // return, holding the pin and the latch (shared for reads, exclusive for
 // writes) until Release. Data is dead after Release: the frame's buffer
 // may next hold another page. A heap holds at most one chain page's latch
-// at a time and never latches under the pool mutex; HeapFile.mu guards
-// only the page chain. Row locks protect rows, the latch protects the
-// page header they share. TestHeapPageLatchReadersVsWriters holds the
+// at a time and never latches under the pool mutex. HeapFile.mu only
+// serializes growth of the page chain (it is held while the tail is
+// latched to link a new page). The chain order and the free-space map
+// live under their own mutex, freeSpace.mu, a leaf below both: it is
+// taken under HeapFile.mu and under page latches, and its holder never
+// pins a page or takes another lock, so an insert recording its page's
+// bound under the latch never waits on a grower. The map keeps, per chain
+// position, a uint16 upper bound on the longest record insert could place
+// on the page with no reservations held, and a max-tree over groups of
+// positions, so InsertWhere's first fit (the tail, then the chain in
+// order, then growth) costs O(log pages) and about one pin per row
+// instead of a pin of every page each time the tail fills. The invariant
+// is that a bound never understates what insert would accept: insertInto
+// records the bound as its attempt leaves the page, still latched, and
+// every other mutation that can free room (delete, in-place update,
+// undo's ForceSlot, redo, Adopt, a bulk load's linked pages) resets it
+// to unknown; OpenHeapFile seeds the bounds on its chain walk.
+// TestFreeSpaceMatchesWalk is the oracle that holds it (same RIDs and
+// byte-identical pages as the walk it replaced, through deletes, updates,
+// aborts, reopen and recovery), TestHeapAppendPinsPerRow the work gate,
+// and scan_cold's setup_s and core.ingest_rows_per_s the metrics that
+// watch it. Row locks protect rows, the latch protects the page header
+// they share. TestHeapPageLatchReadersVsWriters holds the
 // rule (readers and writers on shared pages, clean under -race), and CI
 // runs `go test -race -cpu 1,2,4 ./...` plus the benchmark under -race.
 // The pool does no I/O under its mutex (Flush's per-frame write of an

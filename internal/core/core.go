@@ -734,12 +734,13 @@ func (s *System) SweepSuspicious(ctx context.Context) ([]debugger.Violation, err
 // reputation. The contributor is rewarded via the incentive manager, and
 // the corrected row is re-evaluated against alert subscriptions (a
 // correction is new information arriving, exactly what a standing query
-// watches for). The row is addressed through the entity index under IX on
-// the table and X on the row alone, so corrections of distinct rows run
-// side by side and cannot deadlock each other; a deadlock against a
-// multi-row writer surfaces once as rdbms.ErrDeadlock for the caller to
-// retry. A correction never changes (entity, attribute, qualifier), so
-// the catalog cache is left alone.
+// watches for). Every stored row of the fact is corrected, addressed
+// through the entity index under IX on the table and X on those rows
+// alone, so corrections of distinct facts run side by side and cannot
+// deadlock each other; a deadlock against a multi-row writer surfaces
+// once as rdbms.ErrDeadlock for the caller to retry. A correction never
+// changes (entity, attribute, qualifier), so the catalog cache is left
+// alone.
 func (s *System) CorrectValue(ctx context.Context, user, entity, attribute, qualifier, newValue string) error {
 	if err := s.beginOp(); err != nil {
 		return err
@@ -764,21 +765,24 @@ func (s *System) CorrectValue(ctx context.Context, user, entity, attribute, qual
 	return nil
 }
 
-// correctRow is CorrectValue's transaction: lock the fact's row through
-// the entity index, rewrite its value and confidence, commit.
+// correctRow is CorrectValue's transaction: lock every stored row of the
+// fact through one entity-index lookup (an extractor may store a fact
+// more than once, e.g. from an infobox and from prose), rewrite each
+// one's value and confidence, commit.
 func (s *System) correctRow(ctx context.Context, weight float64, entity, attribute, qualifier, newValue string) error {
 	tx := s.DB.Begin().WithContext(ctx)
-	rid, row, found, err := tx.LockRowByIndex(TableName, "entity", rdbms.NewString(entity), func(t rdbms.Tuple) bool {
+	rids, rows, err := tx.LockRowsByIndex(TableName, "entity", rdbms.NewString(entity), func(t rdbms.Tuple) bool {
 		return t[1].S == attribute && t[2].S == qualifier
 	})
-	if err == nil && !found {
+	if err == nil && len(rids) == 0 {
 		err = fmt.Errorf("%w: no extracted row for %s.%s[%s]", ErrNotFound, entity, attribute, qualifier)
 	}
-	if err == nil {
+	for i := 0; i < len(rids) && err == nil; i++ {
+		row := rows[i]
 		row[3] = rdbms.NewString(newValue)
 		row[4] = numValue(newValue)
 		row[5] = rdbms.NewFloat(weight)
-		_, err = tx.Update(TableName, rid, row)
+		_, err = tx.Update(TableName, rids[i], row)
 	}
 	if err != nil {
 		tx.Abort()

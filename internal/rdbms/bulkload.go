@@ -233,13 +233,14 @@ func (h *HeapFile) AppendChunk(tups []Tuple, maxPages int, onPinned func(rids []
 		}
 	}
 	unpinAll()
+	ids := make([]PageID, len(pages))
+	for i, g := range pages {
+		ids[i] = g.ID()
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := h.linkLocked(pages[0].ID()); err != nil {
+	if err := h.linkLocked(ids...); err != nil {
 		return rids, consumed, lsn, err
-	}
-	for _, g := range pages[1:] {
-		h.pages = append(h.pages, g.ID())
 	}
 	return rids, consumed, lsn, nil
 }

@@ -2,7 +2,6 @@ package rdbms
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -11,8 +10,11 @@ import (
 // slotted pages. All page access goes through the buffer pool, and every
 // read or write of page bytes holds that page's latch (see BufferPool);
 // transaction-level isolation is provided above it by the lock manager.
-// mu guards only the chain: the cached page order and the tail-append
-// path that extends it. It is never held just to read page bytes.
+// mu serializes growth of the chain (a tail link and its append); it is
+// never held just to read page bytes. fs holds the chain order and the
+// free-space map inserts search (see freeSpace); its lock is a leaf, taken
+// under mu and under page latches, so an insert holding a page latch
+// never waits on a grower, who holds mu while it latches the tail.
 //
 // A slot a live transaction has touched belongs to that transaction until
 // it ends (see reserve): no other insert reuses it, and inserts and
@@ -26,7 +28,7 @@ type HeapFile struct {
 	mu    sync.Mutex
 	bp    *BufferPool
 	first PageID
-	pages []PageID // cached chain order
+	fs    freeSpace
 
 	resMu     sync.Mutex
 	reserved  map[PageID]reservations
@@ -41,7 +43,9 @@ func CreateHeapFile(bp *BufferPool) (*HeapFile, error) {
 	}
 	newSlottedPage(g.Data()).setNext(InvalidPage)
 	g.Release(true)
-	return &HeapFile{bp: bp, first: g.ID(), pages: []PageID{g.ID()}}, nil
+	h := &HeapFile{bp: bp, first: g.ID()}
+	h.fs.add(g.ID(), fsUnknown)
+	return h, nil
 }
 
 // OpenHeapFile reconstructs a heap from its first page by walking the
@@ -51,22 +55,25 @@ func CreateHeapFile(bp *BufferPool) (*HeapFile, error) {
 // reads as zero, and no chain ever links *to* page 0 (links always
 // target later allocations, and under a DB page 0 is the catalog). Both
 // terminate the chain; any rows on such pages are covered by WAL
-// records, and recovery re-adopts the pages it replays onto.
+// records, and recovery re-adopts the pages it replays onto. The walk
+// seeds each page's free-space bound, so the first insert after an open
+// searches the map instead of walking the chain again.
 func OpenHeapFile(bp *BufferPool, first PageID) (*HeapFile, error) {
 	h := &HeapFile{bp: bp, first: first}
 	id := first
-	for id != InvalidPage && (id != 0 || len(h.pages) == 0) && id < bp.NumPages() {
+	for n := 0; id != InvalidPage && (id != 0 || n == 0) && id < bp.NumPages(); n++ {
 		// One-touch chain walk: scan-hinted so opening a large heap does
 		// not displace the hot working set.
 		g, err := bp.PinScan(id)
 		if err != nil {
 			return nil, err
 		}
-		next := newSlottedPage(g.Data()).next()
+		p := newSlottedPage(g.Data())
+		next, b := p.next(), p.insertBound()
 		g.Release(false)
-		h.pages = append(h.pages, id)
+		h.fs.add(id, b)
 		id = next
-		if len(h.pages) > 1<<24 {
+		if n >= 1<<24 {
 			return nil, fmt.Errorf("rdbms: heap chain cycle at page %d", id)
 		}
 	}
@@ -76,44 +83,40 @@ func OpenHeapFile(bp *BufferPool, first PageID) (*HeapFile, error) {
 // FirstPage returns the head page id (stored in the catalog).
 func (h *HeapFile) FirstPage() PageID { return h.first }
 
-// chain returns a copy of the page order.
-func (h *HeapFile) chain() []PageID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]PageID(nil), h.pages...)
-}
-
-// linkLocked points the tail at id and appends id to the chain; the
-// caller holds h.mu and no chain page's latch.
-func (h *HeapFile) linkLocked(id PageID) error {
-	g, err := h.bp.Pin(h.pages[len(h.pages)-1], LatchExclusive)
+// linkLocked points the tail at ids[0] and appends ids, which the caller
+// has already chained to each other, to the chain with unknown bounds;
+// the caller holds h.mu and no chain page's latch.
+func (h *HeapFile) linkLocked(ids ...PageID) error {
+	g, err := h.bp.Pin(h.fs.tail(), LatchExclusive)
 	if err != nil {
 		return err
 	}
-	newSlottedPage(g.Data()).setNext(id)
+	newSlottedPage(g.Data()).setNext(ids[0])
 	g.Release(true)
-	h.pages = append(h.pages, id)
+	for _, id := range ids {
+		h.fs.add(id, fsUnknown)
+	}
 	return nil
 }
 
 // growFrom links a fresh, empty tail page unless the chain already grew
-// past the n pages the caller has tried, and returns the pages new since.
-func (h *HeapFile) growFrom(n int) ([]PageID, error) {
+// past the n pages the caller has tried, and returns the chain's length.
+func (h *HeapFile) growFrom(n int) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.pages) == n {
+	if h.fs.length() == n {
 		g, err := h.bp.NewPage()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		id := g.ID()
 		newSlottedPage(g.Data()).setNext(InvalidPage)
 		g.Release(true)
 		if err := h.linkLocked(id); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-	return append([]PageID(nil), h.pages[n:]...), nil
+	return h.fs.length(), nil
 }
 
 // applied runs a mutation's onApply hook, if any, while the page is still
@@ -204,29 +207,49 @@ func (h *HeapFile) InsertWhere(t Tuple, onApply func(RID) LSN) (RID, error) {
 	if len(rec)+slotSize > PageSize-pageHeaderSize {
 		return RID{}, fmt.Errorf("rdbms: tuple of %d bytes exceeds page capacity", len(rec))
 	}
-	// Try the last page first (append-mostly workloads), then the rest.
-	h.mu.Lock()
-	n := len(h.pages)
-	order := make([]PageID, 0, n)
-	order = append(order, h.pages[n-1])
-	order = append(order, h.pages[:n-1]...)
-	h.mu.Unlock()
+	// The tail first (append-mostly workloads), then the earlier pages in
+	// chain order, then pages grown for rec: first fit in that order.
+	// firstFit passes over only pages whose bound says insertInto would
+	// refuse rec, so rec lands where trying every page would place it.
+	n := h.fs.length()
+	if rid, ok, err := h.insertFirstFit(n-1, n, rec, onApply); ok || err != nil {
+		return rid, err
+	}
+	if rid, ok, err := h.insertFirstFit(0, n-1, rec, onApply); ok || err != nil {
+		return rid, err
+	}
 	for {
-		for _, id := range order {
-			if rid, ok, err := h.insertInto(id, rec, onApply); ok || err != nil {
-				return rid, err
-			}
-		}
 		// Every page tried is full: grow, then try only the new pages.
-		fresh, err := h.growFrom(n)
+		m, err := h.growFrom(n)
 		if err != nil {
 			return RID{}, err
 		}
-		order, n = fresh, n+len(fresh)
+		if rid, ok, err := h.insertFirstFit(n, m, rec, onApply); ok || err != nil {
+			return rid, err
+		}
+		n = m
 	}
 }
 
-// insertInto places rec on page id under its write latch if it fits.
+// insertFirstFit tries, in chain order, the pages at positions [lo, hi)
+// whose bound admits rec, until one takes it.
+func (h *HeapFile) insertFirstFit(lo, hi int, rec []byte, onApply func(RID) LSN) (RID, bool, error) {
+	for {
+		pos, id, ok := h.fs.firstFit(lo, hi, len(rec))
+		if !ok {
+			return RID{}, false, nil
+		}
+		if rid, ok, err := h.insertInto(id, rec, onApply); ok || err != nil {
+			return rid, ok, err
+		}
+		lo = pos + 1
+	}
+}
+
+// insertInto places rec on page id under its write latch if it fits, and
+// records the page's bound as the attempt leaves it, still latched: a
+// bound stored after the latch dropped could understate room a delete
+// freed in between.
 func (h *HeapFile) insertInto(id PageID, rec []byte, onApply func(RID) LSN) (rid RID, ok bool, err error) {
 	g, err := h.bp.Pin(id, LatchExclusive)
 	if err != nil {
@@ -234,13 +257,14 @@ func (h *HeapFile) insertInto(id PageID, rec []byte, onApply func(RID) LSN) (rid
 	}
 	defer func() { g.Release(ok) }()
 	p := newSlottedPage(g.Data())
-	if p.freeSpace() < len(rec) && p.reclaimable() < len(rec) {
-		// Full for rec whatever the reservations say: an insert walking the
-		// chain past full pages does not consult them.
+	if b := p.insertBound(); b < len(rec) {
+		// Full for rec whatever the reservations say.
+		h.fs.set(id, b)
 		return RID{}, false, nil
 	}
 	var slot uint16
 	h.withReserved(id, func(res reservations) { slot, ok = p.insert(rec, res) })
+	h.fs.set(id, p.insertBound())
 	if !ok {
 		return RID{}, false, nil
 	}
@@ -256,7 +280,7 @@ func (h *HeapFile) insertInto(id PageID, rec []byte, onApply func(RID) LSN) (rid
 func (h *HeapFile) Adopt(id PageID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if slices.Contains(h.pages, id) {
+	if h.fs.contains(id) {
 		return nil
 	}
 	g, err := h.bp.Pin(id, LatchExclusive)
@@ -321,6 +345,7 @@ func (h *HeapFile) RedoSlot(rid RID, sc SlotContent, lsn LSN) (bool, error) {
 		return false, nil
 	}
 	defer g.Release(true)
+	defer h.fs.forget(rid.Page)
 	if err := setSlotContent(p, rid.Slot, sc); err != nil {
 		return false, fmt.Errorf("rdbms: redo %v: %w", rid, err)
 	}
@@ -339,6 +364,7 @@ func (h *HeapFile) ForceSlot(rid RID, sc SlotContent, onApply func(RID) LSN) err
 		return err
 	}
 	defer g.Release(true)
+	defer h.fs.forget(rid.Page)
 	p := newSlottedPage(g.Data())
 	if err := setSlotContent(p, rid.Slot, sc); err != nil {
 		return fmt.Errorf("rdbms: undo %v: %w", rid, err)
@@ -381,6 +407,7 @@ func (h *HeapFile) DeleteWith(rid RID, onApply func(RID) LSN) (bool, error) {
 	p := newSlottedPage(g.Data())
 	ok := p.del(rid.Slot)
 	if ok {
+		h.fs.forget(rid.Page)
 		applied(p, rid, onApply)
 	}
 	return ok, nil
@@ -426,6 +453,7 @@ func (h *HeapFile) TryUpdateInPlace(rid RID, t Tuple, onApply func(RID) LSN) (ne
 		}
 		return RID{}, false, nil
 	}
+	h.fs.forget(rid.Page)
 	applied(p, rid, onApply)
 	return rid, true, nil
 }
@@ -492,8 +520,4 @@ func (h *HeapFile) Count() (int, error) {
 }
 
 // Pages returns the number of pages in the chain.
-func (h *HeapFile) Pages() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.pages)
-}
+func (h *HeapFile) Pages() int { return h.fs.length() }

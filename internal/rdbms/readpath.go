@@ -231,7 +231,7 @@ func (s *recordSink) flush() bool {
 // page. seen, when non-nil, records every live heap slot the sweep read.
 // stopped reports that the sink's flush returned false.
 func scanHeap(h *HeapFile, vis visibility, poll func() error, seen *slotSet, sink rowSink) (stopped bool, err error) {
-	for _, id := range h.chain() {
+	for _, id := range h.fs.chain() {
 		if poll != nil {
 			if err := poll(); err != nil {
 				return false, err

@@ -64,7 +64,7 @@ func refIndexRows(src readSource, table string, t *Table, rids []RID, b *binding
 // refHeapScan decodes each page's live rows under its latch, then visits
 // them.
 func refHeapScan(h *HeapFile, fn func(RID, Tuple) bool) error {
-	for _, id := range h.chain() {
+	for _, id := range h.fs.chain() {
 		g, err := h.bp.PinScan(id)
 		if err != nil {
 			return err

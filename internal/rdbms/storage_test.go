@@ -388,13 +388,13 @@ func TestHeapAdopt(t *testing.T) {
 	}
 	id := g.ID()
 	g.Release(true)
-	if slices.Contains(h.chain(), id) {
+	if slices.Contains(h.fs.chain(), id) {
 		t.Fatal("orphan should not be in chain")
 	}
 	if err := h.Adopt(id); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Contains(h.chain(), id) {
+	if !slices.Contains(h.fs.chain(), id) {
 		t.Fatal("adopted page missing from chain")
 	}
 	// Adopt is idempotent.

@@ -299,7 +299,7 @@ func (tx *Txn) Update(table string, rid RID, tup Tuple) (RID, error) {
 // fixIndexes moves a row's index entries from (before, oldRID) to (after,
 // newRID), skipping the ones that do not change. The new entry goes in
 // before the old one comes out, so an index lookup never finds the row
-// missing mid-update: LockRowByIndex answers "no such row" from that.
+// missing mid-update: LockRowsByIndex answers "no such row" from that.
 func (tx *Txn) fixIndexes(t *Table, oldRID, newRID RID, before, after Tuple) {
 	for col, idx := range t.Indexes {
 		ci := t.Schema.ColIndex(col)
@@ -359,54 +359,67 @@ func (tx *Txn) IndexLookup(table, column string, key Value) ([]RID, error) {
 	return idx.Lookup(key), nil
 }
 
-// LockRowByIndex finds the row whose indexed column equals key and which
-// match accepts, and locks it for writing: IX on the table (never S, so
-// writers of distinct rows stay compatible and cannot form an S→X upgrade
-// cycle), then X on the one row. Each index candidate is read under its
-// heap page's read latch and offered to match; the first accepted one is
-// X-locked, then re-read and re-checked, since it was chosen without the
-// lock. If meanwhile the row died, stopped matching, or moved (an Update
-// that does not fit in place gives the row a new RID), the lookup runs
-// again. An index entry whose heap slot is dead belongs to a writer in the
-// middle of moving or deleting that row; when no live candidate matches,
-// the lookup waits for that writer through the entry's X lock and retries.
+// LockRowsByIndex finds every row whose indexed column equals key and
+// which match accepts, and locks them for writing: IX on the table (never
+// S, so writers of distinct rows stay compatible and cannot form an S→X
+// upgrade cycle), then X on each row, from one index lookup. Each index
+// candidate is read under its heap page's read latch and offered to
+// match; an accepted one is X-locked, then re-read and re-checked, since
+// it was chosen without the lock. If meanwhile a row died, stopped
+// matching, or moved (an Update that does not fit in place gives the row
+// a new RID), the lookup runs again. An index entry whose heap slot is
+// dead belongs to a writer in the middle of moving or deleting that row,
+// which may be one of the matches: the lookup waits for that writer
+// through the entry's X lock and runs again. Rows come back in index
+// order, each with the tuple read under its lock.
 //
 // Candidates are chosen from the newest heap bytes, committed or not, and
-// the re-check under X decides. "No such row" (found false, err nil) is
+// the re-check under X decides. "No such row" (no rids, err nil) is
 // answered without a predicate lock: a row that another transaction is
 // inserting, or has deleted or rewritten out of the match without
 // committing, is not waited on.
-func (tx *Txn) LockRowByIndex(table, column string, key Value, match func(Tuple) bool) (rid RID, tup Tuple, found bool, err error) {
+func (tx *Txn) LockRowsByIndex(table, column string, key Value, match func(Tuple) bool) (rids []RID, tups []Tuple, err error) {
 	if tx.done {
-		return RID{}, nil, false, ErrTxnDone
+		return nil, nil, ErrTxnDone
 	}
 	t, err := tx.table(table)
 	if err != nil {
-		return RID{}, nil, false, err
+		return nil, nil, err
 	}
 	idx := t.Indexes[column]
 	if idx == nil {
-		return RID{}, nil, false, fmt.Errorf("rdbms: no index on %s.%s", table, column)
+		return nil, nil, fmt.Errorf("rdbms: no index on %s.%s", table, column)
 	}
 	ci := t.Schema.ColIndex(column)
 	accept := func(got Tuple, live bool) bool { return live && eqKey(got[ci], key) && match(got) }
 	if err := tx.db.lm.Acquire(tx.id, TableLock(table), LockIX); err != nil {
-		return RID{}, nil, false, err
+		return nil, nil, err
 	}
 	for {
 		if err := tx.ctxErr(); err != nil {
-			return RID{}, nil, false, err
+			return nil, nil, err
 		}
-		var cand, busy RID
-		var hit, inFlight bool
+		rids, tups = rids[:0], tups[:0]
+		var busy RID
+		var inFlight, again bool
 		for _, r := range idx.Lookup(key) {
 			got, live, err := t.Heap.Get(r)
 			if err != nil {
-				return RID{}, nil, false, err
+				return nil, nil, err
 			}
 			if accept(got, live) {
-				cand, hit = r, true
-				break
+				if err := tx.db.lm.Acquire(tx.id, RowLock(table, r), LockExclusive); err != nil {
+					return nil, nil, err
+				}
+				if got, live, err = t.Heap.Get(r); err != nil {
+					return nil, nil, err
+				}
+				if accept(got, live) {
+					rids, tups = append(rids, r), append(tups, got)
+				} else {
+					again = true
+				}
+				continue
 			}
 			// A dead slot this transaction already holds X on has no writer
 			// in flight: it is not worth waiting on again.
@@ -414,21 +427,12 @@ func (tx *Txn) LockRowByIndex(table, column string, key Value, match func(Tuple)
 				busy, inFlight = r, true
 			}
 		}
-		if !hit {
-			if !inFlight {
-				return RID{}, nil, false, nil
+		if inFlight {
+			if err := tx.db.lm.Acquire(tx.id, RowLock(table, busy), LockExclusive); err != nil {
+				return nil, nil, err
 			}
-			cand = busy
-		}
-		if err := tx.db.lm.Acquire(tx.id, RowLock(table, cand), LockExclusive); err != nil {
-			return RID{}, nil, false, err
-		}
-		got, live, err := t.Heap.Get(cand)
-		if err != nil {
-			return RID{}, nil, false, err
-		}
-		if accept(got, live) {
-			return cand, got, true, nil
+		} else if !again {
+			return rids, tups, nil
 		}
 	}
 }

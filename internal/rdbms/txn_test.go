@@ -3,6 +3,7 @@ package rdbms
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,66 @@ func TestTxnIndexRollback(t *testing.T) {
 	tx2.Commit()
 }
 
+// lockRowByIndex locks the one row of a fact through LockRowsByIndex.
+func lockRowByIndex(tx *Txn, table, column string, key Value, match func(Tuple) bool) (RID, Tuple, bool, error) {
+	rids, tups, err := tx.LockRowsByIndex(table, column, key, match)
+	if err != nil || len(rids) == 0 {
+		return RID{}, nil, false, err
+	}
+	if len(rids) > 1 {
+		return RID{}, nil, false, fmt.Errorf("%d rows match, want one", len(rids))
+	}
+	return rids[0], tups[0], true, nil
+}
+
+// TestLockRowsByIndexLocksEveryMatch: every row under the key that match
+// accepts comes back X-locked, in index order, and no other row is
+// locked.
+func TestLockRowsByIndexLocksEveryMatch(t *testing.T) {
+	db := newTestDB(t)
+	mustCreateCities(t, db)
+	if err := db.CreateIndex("cities", "state"); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	var want, others []RID
+	for i, c := range []struct {
+		state string
+		pop   int64
+	}{{"WI", 7}, {"WI", 8}, {"MN", 7}, {"WI", 7}, {"WI", 7}} {
+		rid, err := tx.Insert("cities", Tuple{NewString(fmt.Sprintf("c%d", i)), NewString(c.state), NewInt(c.pop)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.state == "WI" && c.pop == 7 {
+			want = append(want, rid)
+		} else {
+			others = append(others, rid)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	lk := db.Begin()
+	rids, tups, err := lk.LockRowsByIndex("cities", "state", NewString("WI"), func(tup Tuple) bool { return tup[2].I == 7 })
+	if err != nil || !slices.Equal(rids, want) {
+		t.Fatalf("locked %v (err %v), want %v", rids, err, want)
+	}
+	for i, rid := range rids {
+		if tups[i][1].S != "WI" || tups[i][2].I != 7 || !db.lm.Held(lk.id, RowLock("cities", rid), LockExclusive) {
+			t.Fatalf("row %v: tuple %v, X held %v", rid, tups[i], db.lm.Held(lk.id, RowLock("cities", rid), LockExclusive))
+		}
+	}
+	for _, rid := range others {
+		if db.lm.Held(lk.id, RowLock("cities", rid), LockExclusive) {
+			t.Fatalf("row %v does not match but is locked", rid)
+		}
+	}
+	if err := lk.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLockRowByIndexFollowsMovedRow: T1 holds X on a row and rewrites it
 // into a tuple that no longer fits its page, so the row moves to a new
 // RID. T2, queued in LockRowByIndex on the old RID's X lock, must come
@@ -226,7 +287,7 @@ func TestLockRowByIndexFollowsMovedRow(t *testing.T) {
 	}
 
 	t1 := db.Begin()
-	rid, _, found, err := t1.LockRowByIndex("cities", "state", NewString("WI"), isPop(7))
+	rid, _, found, err := lockRowByIndex(t1, "cities", "state", NewString("WI"), isPop(7))
 	if err != nil || !found || rid != old {
 		t.Fatalf("T1 lock: rid %v found %v err %v, want %v", rid, found, err, old)
 	}
@@ -240,7 +301,7 @@ func TestLockRowByIndexFollowsMovedRow(t *testing.T) {
 	t2 := db.Begin()
 	got := make(chan locked, 1)
 	go func() {
-		rid, tup, found, err := t2.LockRowByIndex("cities", "state", NewString("WI"), isPop(7))
+		rid, tup, found, err := lockRowByIndex(t2, "cities", "state", NewString("WI"), isPop(7))
 		got <- locked{rid, tup, found, err}
 	}()
 	waitLocked(t, &db.lm.mu, func() bool {
@@ -249,10 +310,10 @@ func TestLockRowByIndexFollowsMovedRow(t *testing.T) {
 	})
 
 	t3 := db.Begin()
-	if _, _, found, err := t3.LockRowByIndex("cities", "state", NewString("WI"), isPop(8)); err != nil || !found {
+	if _, _, found, err := lockRowByIndex(t3, "cities", "state", NewString("WI"), isPop(8)); err != nil || !found {
 		t.Fatalf("writer of another row under the same key: found %v err %v", found, err)
 	}
-	if _, _, found, err := t3.LockRowByIndex("cities", "state", NewString("WI"), isPop(9)); err != nil || found {
+	if _, _, found, err := lockRowByIndex(t3, "cities", "state", NewString("WI"), isPop(9)); err != nil || found {
 		t.Fatalf("absent row: found %v err %v", found, err)
 	}
 	if err := t3.Commit(); err != nil {
@@ -313,7 +374,7 @@ func TestLockRowByIndexNeverMissesRow(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				tx := db.Begin()
-				rid, tup, found, err := tx.LockRowByIndex("cities", "state", NewString("WI"), isTarget)
+				rid, tup, found, err := lockRowByIndex(tx, "cities", "state", NewString("WI"), isTarget)
 				if err != nil || !found {
 					tx.Abort()
 					t.Errorf("writer %d round %d: found %v err %v", w, i, found, err)

@@ -243,3 +243,42 @@ func TestExplainAndCorrectMissingFactNotFound(t *testing.T) {
 		t.Fatalf("explain of an inserted fact: got %v, want ErrNotFound (no document re-derives)", err)
 	}
 }
+
+// TestCorrectEveryStoredRow: the city pipeline stores Madison's
+// population twice (infobox and prose), and a correction rewrites both,
+// on one engine and on 2 shards, so no read finds the replaced value.
+func TestCorrectEveryStoredRow(t *testing.T) {
+	ctx := context.Background()
+	const q = "SELECT value, num FROM extracted WHERE entity = 'Madison, Wisconsin' AND attribute = 'population'"
+	for _, b := range []struct {
+		name string
+		sys  Backend
+	}{
+		{"one engine", newTestSystem(t, 12)},
+		{"2 shards", newShardedBackend(t, 12, 2)},
+	} {
+		t.Cleanup(func() { b.sys.Close() })
+		before, err := b.sys.SQL(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(before.Rows) < 2 {
+			t.Fatalf("%s: %d population rows stored; the test needs a fact stored twice", b.name, len(before.Rows))
+		}
+		if err := b.sys.CorrectValue(ctx, "editor", "Madison, Wisconsin", "population", "", "999"); err != nil {
+			t.Fatal(err)
+		}
+		after, err := b.sys.SQL(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after.Rows) != len(before.Rows) {
+			t.Fatalf("%s: %d rows after the correction, %d before", b.name, len(after.Rows), len(before.Rows))
+		}
+		for _, r := range after.Rows {
+			if r[0].S != "999" || r[1].F != 999 {
+				t.Fatalf("%s: a row still reads %v after the correction: %v", b.name, r, after.Rows)
+			}
+		}
+	}
+}
