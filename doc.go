@@ -550,13 +550,15 @@
 //
 //   - ORDER BY queries push OFFSET+LIMIT to each shard and k-way merge
 //     the sorted streams (ties keep the lowest shard index).
-//   - Aggregates recombine from per-shard partials (COUNT/SUM add,
-//     MIN/MAX fold, AVG from sum+count), mirroring the engine's own
-//     aggregate state machine; GROUP BY groups merge by key. COUNT, MIN,
-//     MAX and integer SUM are exact. A float SUM or AVG adds the
-//     partial sums in another order than one engine's scan, so it can
-//     differ in the last bits: at 2 shards SUM(num) over temperature
-//     reads 32754 on one engine and 32753.999999999993 sharded.
+//   - Grouped statements split into the engine's own two steps: every
+//     shard runs the partial step (core.View.AggregatePartial: group
+//     keys plus one rdbms.Accumulator per distinct aggregate) and the
+//     router runs rdbms.FinishAggregate once over the partials. The
+//     aggregate rules exist once, in the accumulator: SUM is an exact
+//     superaccumulator rounded once, MIN/MAX pick under one total
+//     order, and groups come out in key order, so a grouped statement
+//     answers the same at every shard count. Held by
+//     TestShardedSelectEquivalenceOracle; watched by ask_p50_us.
 //   - Unordered scans and DISTINCT over the extracted table exploit a
 //     structural invariant: the bulk-ingest stream is entity-sorted
 //     (cluster output is globally key-sorted, and core.ExtractAll now
@@ -570,14 +572,15 @@
 //
 // The equivalence oracle (internal/shard/shard_test.go) proves the
 // contract the merges exist for: for 1-, 2-, and 4-shard layouts over
-// the same corpus, AskGuided, KeywordSearch, Browse, and a 38-query SQL
-// matrix (ORDER BY with LIMIT/OFFSET/DESC, aggregates, GROUP BY,
-// DISTINCT, unordered scans, entity-routed queries, a co-located JOIN,
+// the same corpus, AskGuided, KeywordSearch, Browse, and a 50-query SQL
+// matrix (ORDER BY with LIMIT/OFFSET/DESC, aggregates, float SUM/AVG,
+// GROUP BY, HAVING, aggregate arithmetic, DISTINCT, unordered scans,
+// entity-routed queries, a co-located JOIN,
 // and the expression shapes BETWEEN, IS [NOT] NULL, NOT, unary minus,
 // operator precedence, LIKE, quoted and float literals) render
 // byte-identical to a single engine. Writes through SQL are typed
-// ErrReadOnly; cross-shard JOINs, routed JOINs that are not co-located,
-// and HAVING are typed ErrUnsupported.
+// ErrReadOnly; cross-shard JOINs and routed JOINs that are not
+// co-located are typed ErrUnsupported.
 //
 // Vector snapshots. ShardedSystem.View pins one PR7 MVCC snapshot per
 // shard — a vector of LSNs — so a cross-shard read session is

@@ -1,15 +1,14 @@
-// Package browse implements the user layer's browsing and visualization
-// modes: faceted navigation over the extracted EAV structure and simple
-// text histograms — the "browsing, visualization" exploitation modes of
-// the paper's DGE model, through which users refine an ill-defined
-// information need before (or instead of) issuing a structured query.
+// Package browse implements the user layer's browsing mode: faceted
+// navigation over the extracted EAV structure — the "browsing"
+// exploitation mode of the paper's DGE model, through which users refine
+// an ill-defined information need before (or instead of) issuing a
+// structured query.
 package browse
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 )
 
@@ -363,65 +362,4 @@ func (b *Browser) Path() string {
 		parts[i] = f.facet + "=" + f.value
 	}
 	return strings.Join(parts, " > ")
-}
-
-// Histogram renders a text bar chart of numeric values keyed by label —
-// the paper's "visualization" mode at terminal fidelity. Bars scale to
-// width characters; non-numeric values are skipped.
-func Histogram(rows []Row, label func(Row) string, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	type bucket struct {
-		label string
-		sum   float64
-		n     int
-	}
-	order := []string{}
-	buckets := map[string]*bucket{}
-	for _, r := range rows {
-		v, err := strconv.ParseFloat(r.Value, 64)
-		if err != nil {
-			continue
-		}
-		l := label(r)
-		bk, ok := buckets[l]
-		if !ok {
-			bk = &bucket{label: l}
-			buckets[l] = bk
-			order = append(order, l)
-		}
-		bk.sum += v
-		bk.n++
-	}
-	if len(order) == 0 {
-		return "(no numeric data)\n"
-	}
-	maxAvg := 0.0
-	for _, l := range order {
-		bk := buckets[l]
-		if avg := bk.sum / float64(bk.n); avg > maxAvg {
-			maxAvg = avg
-		}
-	}
-	var b strings.Builder
-	labelWidth := 0
-	for _, l := range order {
-		if len(l) > labelWidth {
-			labelWidth = len(l)
-		}
-	}
-	for _, l := range order {
-		bk := buckets[l]
-		avg := bk.sum / float64(bk.n)
-		bar := 0
-		if maxAvg > 0 {
-			bar = int(avg / maxAvg * float64(width))
-		}
-		if bar < 0 {
-			bar = 0
-		}
-		fmt.Fprintf(&b, "%-*s | %s %.1f\n", labelWidth, l, strings.Repeat("#", bar), avg)
-	}
-	return b.String()
 }

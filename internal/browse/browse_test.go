@@ -1,9 +1,6 @@
 package browse
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func sampleRows() []Row {
 	return []Row{
@@ -72,38 +69,5 @@ func TestRefineAndBack(t *testing.T) {
 	}
 	if err := b.Refine("bogus", "x"); err == nil {
 		t.Fatal("unknown facet should error")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	rows := []Row{
-		{Entity: "a", Attribute: "temperature", Qualifier: "June", Value: "50"},
-		{Entity: "a", Attribute: "temperature", Qualifier: "July", Value: "100"},
-		{Entity: "a", Attribute: "temperature", Qualifier: "July", Value: "100"},
-		{Entity: "a", Attribute: "motto", Qualifier: "x", Value: "not numeric"},
-	}
-	h := Histogram(rows, func(r Row) string { return r.Qualifier }, 20)
-	lines := strings.Split(strings.TrimSpace(h), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("histogram:\n%s", h)
-	}
-	if !strings.Contains(lines[0], "June") || !strings.Contains(lines[1], "July") {
-		t.Fatalf("labels:\n%s", h)
-	}
-	// July (avg 100) has the full-width bar; June (50) half.
-	julyBar := strings.Count(lines[1], "#")
-	juneBar := strings.Count(lines[0], "#")
-	if julyBar != 20 || juneBar != 10 {
-		t.Fatalf("bars: june=%d july=%d\n%s", juneBar, julyBar, h)
-	}
-	if !strings.Contains(lines[1], "100.0") {
-		t.Fatalf("value label missing:\n%s", h)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := Histogram([]Row{{Value: "text"}}, func(r Row) string { return "x" }, 0)
-	if !strings.Contains(h, "no numeric data") {
-		t.Fatalf("empty histogram: %q", h)
 	}
 }

@@ -140,6 +140,16 @@ func (v *View) ExecSelect(sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
 	return v.snap.ExecSelect(sel)
 }
 
+// AggregatePartial runs a grouped SELECT's partial step at the View's
+// snapshot; rdbms.FinishAggregate merges partials into the answer.
+func (v *View) AggregatePartial(sel rdbms.SelectStmt) (*rdbms.AggPartial, error) {
+	if err := v.err(); err != nil {
+		return nil, err
+	}
+	v.s.Stats.Inc("core.queries.sql", 1)
+	return v.snap.AggregatePartial(sel)
+}
+
 // Browse is the View-scoped exploitation mode 4: a faceted browser built
 // from one snapshot scan, so its facets describe exactly the structure at
 // the View's LSN. The scan hands over encoded records, and the Builder

@@ -1006,3 +1006,12 @@ func (sn *Snap) ExecSelect(s SelectStmt) (*ResultSet, error) {
 	}
 	return execSelectSrc(sn, s)
 }
+
+// AggregatePartial runs a grouped SELECT's partial step against the
+// snapshot; FinishAggregate turns partials into the answer.
+func (sn *Snap) AggregatePartial(s SelectStmt) (*AggPartial, error) {
+	if err := sn.ctxErr(); err != nil {
+		return nil, err
+	}
+	return aggregatePartial(sn, s)
+}

@@ -195,9 +195,6 @@ func SelectColumnName(se SelectExpr) string {
 	return exprString(se.Expr)
 }
 
-// HasAggregate reports whether an expression contains an aggregate call.
-func HasAggregate(e Expr) bool { return hasAgg(e) }
-
 // hasAgg reports whether e contains an aggregate call.
 func hasAgg(e Expr) bool {
 	switch x := e.(type) {

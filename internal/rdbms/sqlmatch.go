@@ -52,7 +52,7 @@ type encConj struct {
 // compileMatcher compiles where's top-level conjuncts over the table bound
 // by b (named fromName). It returns the zero matcher when none compiles.
 func compileMatcher(where Expr, b *binding, fromName string) encMatcher {
-	conjuncts := splitConjuncts(where)
+	conjuncts := SplitConjuncts(where)
 	m := encMatcher{conj: make([]encConj, len(conjuncts)), ncols: len(b.cols)}
 	usable := false
 	for i, e := range conjuncts {

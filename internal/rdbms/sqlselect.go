@@ -1,9 +1,11 @@
 package rdbms
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,36 +61,21 @@ func (tx *Txn) execSelect(s SelectStmt) (*ResultSet, error) {
 // them before they are decoded — and unordered LIMIT/OFFSET queries stop
 // reading as soon as enough rows qualify.
 func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
-	t, err := src.table(s.From)
+	if IsGrouped(s) {
+		pt, err := aggregatePartial(src, s)
+		if err != nil {
+			return nil, err
+		}
+		return FinishAggregate(pt)
+	}
+	t, fromName, b, f, err := bindFrom(src, s)
 	if err != nil {
 		return nil, err
 	}
-	fromName := s.FromAlias
-	if fromName == "" {
-		fromName = s.From
-	}
-	b := bindingForTable(&t.Schema, fromName)
-
-	grouped := len(s.GroupBy) > 0
-	for _, se := range s.Exprs {
-		if !se.Star && hasAgg(se.Expr) {
-			grouped = true
-		}
-	}
-
-	// With no join, WHERE references only the FROM table and is pushed
-	// into the base access. With a join it may reference join columns, so
-	// it stays a post-join residual.
-	pushedWhere := s.Where
-	if s.Join != nil {
-		pushedWhere = nil
-	}
-	// The pushed WHERE is prepared once for the whole statement.
-	f := newRowFilter(pushedWhere, b, fromName)
 	// Ordered LIMIT queries whose single sort key is an indexed column are
 	// served in index order: rows emerge already sorted, OFFSET+LIMIT stops
 	// the scan early, and no sort runs at all.
-	if op := chooseOrderPath(s, t, fromName, b, grouped); op != nil {
+	if op := chooseOrderPath(s, t, fromName, b); op != nil {
 		rows, ok, err := src.orderRows(s, t, op, f, s.Offset+s.Limit)
 		if err != nil {
 			return nil, err
@@ -104,71 +91,89 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 	// handed to projection. Index access paths keep the classic route
 	// (they already bound the candidate set); project()'s own top-k then
 	// handles them.
-	if s.Join == nil && !grouped && !s.Distinct && len(s.OrderBy) > 0 && s.Limit >= 0 &&
+	if s.Join == nil && !s.Distinct && len(s.OrderBy) > 0 && s.Limit >= 0 &&
 		chooseAccessPath(s.Where, t, fromName) == nil {
-		rows, err := scanTopKRows(src, s, b, f)
+		rows, err := topKRows(s, b, s.Offset+s.Limit, func(emit func(Tuple) bool) error {
+			return src.scanWhere(s.From, f, func(_ RID, t Tuple) bool { return emit(t) })
+		})
 		if err != nil {
 			return nil, err
 		}
 		return presortedResult(s, b, rows, "seq scan "+s.From+" + top-k pushdown")
 	}
 
-	// Unordered, ungrouped, non-distinct queries need at most
-	// offset+limit qualifying rows; anything fancier consumes the full
-	// qualifying set.
+	// Unordered, non-distinct queries need at most offset+limit
+	// qualifying rows; anything fancier consumes the full qualifying set.
 	stopAfter := -1
-	if s.Join == nil && !grouped && !s.Distinct &&
-		len(s.OrderBy) == 0 && s.Limit >= 0 {
+	if s.Join == nil && !s.Distinct && len(s.OrderBy) == 0 && s.Limit >= 0 {
 		stopAfter = s.Offset + s.Limit
 	}
 
-	rows, plan, err := baseRows(src, s, t, fromName, f, stopAfter)
+	rows, b, plan, err := selectRows(src, s, t, fromName, b, f, stopAfter)
 	if err != nil {
 		return nil, err
 	}
-
-	if s.Join != nil {
-		rows, b, err = hashJoin(src, rows, b, s.Join)
-		if err != nil {
-			return nil, err
-		}
-		plan += " + hash join " + s.Join.Table
-
-		// Residual filter, post-join.
-		if s.Where != nil {
-			filtered := rows[:0:0]
-			for _, r := range rows {
-				v, err := evalExpr(s.Where, b, r)
-				if err != nil {
-					return nil, err
-				}
-				if truthy(v) {
-					filtered = append(filtered, r)
-				}
-			}
-			rows = filtered
-		}
-	}
-
-	var out *ResultSet
-	if grouped {
-		out, err = groupAndAggregate(s, b, rows)
-	} else {
-		out, err = project(s, b, rows)
-	}
+	// ORDER BY is handled inside project (keys may reference unprojected
+	// columns); LIMIT/OFFSET applied last.
+	out, err := project(s, b, rows)
 	if err != nil {
 		return nil, err
 	}
-
 	if s.Distinct {
 		out.Rows = distinctRows(out.Rows)
 	}
-	// Non-grouped ORDER BY is handled inside project (keys may reference
-	// unprojected columns); grouped ordering inside groupAndAggregate.
-	// LIMIT/OFFSET applied last.
 	ApplyOffsetLimit(out, s.Offset, s.Limit)
 	out.Plan = plan
 	return out, nil
+}
+
+// bindFrom resolves a SELECT's FROM table, the name its columns are
+// qualified by, their binding, and the WHERE the base access applies:
+// all of it with no join; with a join it may reference join columns, so
+// it stays a post-join residual (nil here).
+func bindFrom(src readSource, s SelectStmt) (*Table, string, *binding, *rowFilter, error) {
+	t, err := src.table(s.From)
+	if err != nil {
+		return nil, "", nil, nil, err
+	}
+	fromName := s.FromAlias
+	if fromName == "" {
+		fromName = s.From
+	}
+	b := bindingForTable(&t.Schema, fromName)
+	if s.Join != nil {
+		return t, fromName, b, nil, nil
+	}
+	return t, fromName, b, newRowFilter(s.Where, b, fromName), nil
+}
+
+// selectRows produces the statement's qualifying rows: the base access
+// under the pushed filter f, then the hash join and the WHERE as a
+// post-join residual. It returns the rows' binding and the plan line.
+func selectRows(src readSource, s SelectStmt, t *Table, fromName string, b *binding, f *rowFilter, stopAfter int) ([]Tuple, *binding, string, error) {
+	rows, plan, err := baseRows(src, s, t, fromName, f, stopAfter)
+	if err != nil || s.Join == nil {
+		return rows, b, plan, err
+	}
+	rows, b, err = hashJoin(src, rows, b, s.Join)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	plan += " + hash join " + s.Join.Table
+	if s.Where != nil {
+		filtered := rows[:0:0]
+		for _, r := range rows {
+			v, err := evalExpr(s.Where, b, r)
+			if err != nil {
+				return nil, nil, "", err
+			}
+			if truthy(v) {
+				filtered = append(filtered, r)
+			}
+		}
+		rows = filtered
+	}
+	return rows, b, plan, nil
 }
 
 // presortedResult finishes a query whose base rows already arrive in
@@ -261,7 +266,7 @@ func chooseAccessPath(where Expr, t *Table, fromName string) *accessPath {
 	if where == nil || len(t.Indexes) == 0 {
 		return nil
 	}
-	conjuncts := splitConjuncts(where)
+	conjuncts := SplitConjuncts(where)
 	var bestEq *accessPath
 	bestEqCount := 0
 	var bestRange *accessPath
@@ -352,9 +357,10 @@ func flipOp(op string) string {
 	return op
 }
 
-func splitConjuncts(e Expr) []Expr {
+// SplitConjuncts returns the top-level AND operands of e.
+func SplitConjuncts(e Expr) []Expr {
 	if be, ok := e.(BinaryExpr); ok && be.Op == "AND" {
-		return append(splitConjuncts(be.Left), splitConjuncts(be.Right)...)
+		return append(SplitConjuncts(be.Left), SplitConjuncts(be.Right)...)
 	}
 	return []Expr{e}
 }
@@ -513,65 +519,64 @@ func AppendTupleKey(dst []byte, t Tuple) []byte {
 // projects only those — instead of materializing and sorting everything.
 func project(s SelectStmt, b *binding, rows []Tuple) (*ResultSet, error) {
 	cols, exprs := expandSelect(s, b)
-	out := &ResultSet{Columns: cols}
-
-	projectRow := func(r Tuple) (Tuple, error) {
-		proj := make(Tuple, len(exprs))
-		for i, e := range exprs {
-			v, err := evalExpr(e, b, r)
-			if err != nil {
-				return nil, err
-			}
-			proj[i] = v
-		}
-		return proj, nil
-	}
-
 	if n, bounded := topKBound(s, len(rows)); bounded {
-		sorted, err := topKRows(s, b, rows, cols, exprs, n)
+		var err error
+		rows, err = topKRows(s, b, n, func(emit func(Tuple) bool) error {
+			for _, r := range rows {
+				if !emit(r) {
+					break
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range sorted {
-			proj, err := projectRow(r)
+	} else if len(s.OrderBy) > 0 {
+		keyExprs := resolveKeyExprs(s, cols, exprs)
+		keyed := make([]keyedRow, len(rows))
+		for i, r := range rows {
+			keys, err := evalAll(keyExprs, b, r)
 			if err != nil {
 				return nil, err
 			}
-			out.Rows = append(out.Rows, proj)
+			keyed[i] = keyedRow{keys: keys, row: r}
 		}
-		return out, nil
-	}
-
-	keyed := make([]keyedRow, 0, len(rows))
-	for seq, r := range rows {
-		proj, err := projectRow(r)
-		if err != nil {
-			return nil, err
-		}
-		var keys Tuple
-		for _, ok := range s.OrderBy {
-			v, err := evalOrderKey(ok.Expr, b, r, cols, proj)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, v)
-		}
-		keyed = append(keyed, keyedRow{keys: keys, row: proj, seq: seq})
-	}
-	if len(s.OrderBy) > 0 {
 		sort.SliceStable(keyed, func(i, j int) bool {
 			return OrderLess(keyed[i].keys, keyed[j].keys, s.OrderBy)
 		})
+		rows = make([]Tuple, len(keyed))
+		for i := range keyed {
+			rows[i] = keyed[i].row
+		}
 	}
-	for _, kr := range keyed {
-		out.Rows = append(out.Rows, kr.row)
+	out := &ResultSet{Columns: cols}
+	for _, r := range rows {
+		proj, err := evalAll(exprs, b, r)
+		if err != nil {
+			return nil, err
+		}
+		out.Rows = append(out.Rows, proj)
+	}
+	return out, nil
+}
+
+// evalAll evaluates each expression over the row.
+func evalAll(exprs []Expr, b *binding, r Tuple) (Tuple, error) {
+	out := make(Tuple, len(exprs))
+	for i, e := range exprs {
+		v, err := evalExpr(e, b, r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
 	}
 	return out, nil
 }
 
 // resolveKeyExprs maps ORDER BY expressions to evaluable expressions,
 // following select-list aliases (ORDER BY v where the list has `val AS
-// v`) — the same resolution project()'s top-k and evalOrderKey perform.
+// v`).
 func resolveKeyExprs(s SelectStmt, cols []string, exprs []Expr) []Expr {
 	keyExprs := make([]Expr, len(s.OrderBy))
 	for i, ok := range s.OrderBy {
@@ -588,57 +593,6 @@ func resolveKeyExprs(s SelectStmt, cols []string, exprs []Expr) []Expr {
 	return keyExprs
 }
 
-// scanTopKRows runs the bounded top-k collector inside the sequential
-// scan: the WHERE filter f runs in the page loop, each surviving tuple has
-// its ORDER BY keys evaluated in the scan callback, and only tuples the
-// heap accepts are ever retained — a rejected row costs no allocation
-// beyond its transient decode. Survivors return in ORDER BY order (ties
-// in scan order, matching the stable full sort). O(k) live memory for any
-// table size.
-func scanTopKRows(src readSource, s SelectStmt, b *binding, f *rowFilter) ([]Tuple, error) {
-	n := s.Offset + s.Limit
-	if n == 0 {
-		return nil, nil
-	}
-	cols, exprs := expandSelect(s, b)
-	keyExprs := resolveKeyExprs(s, cols, exprs)
-	tk := newTopK(n, s.OrderBy)
-	scratch := make(Tuple, len(keyExprs))
-	seq := 0
-	var evalErr error
-	err := src.scanWhere(s.From, f, func(_ RID, tup Tuple) bool {
-		for i, e := range keyExprs {
-			v, err := evalExpr(e, b, tup)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			scratch[i] = v
-		}
-		mySeq := seq
-		seq++
-		if !tk.accepts(scratch) {
-			return true
-		}
-		keys := make(Tuple, len(scratch))
-		copy(keys, scratch)
-		tk.add(&keyedRow{keys: keys, row: tup, seq: mySeq})
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	sorted := tk.sorted()
-	out := make([]Tuple, len(sorted))
-	for i, kr := range sorted {
-		out[i] = kr.row
-	}
-	return out, nil
-}
-
 // topKBound reports whether ORDER BY + LIMIT can be served by the bounded
 // top-k collector, and the number of rows it must retain (OFFSET+LIMIT).
 // DISTINCT disqualifies it: dedup after truncation could underfill the
@@ -651,32 +605,35 @@ func topKBound(s SelectStmt, nrows int) (int, bool) {
 	return n, n < nrows
 }
 
-// topKRows runs the bounded-heap top-k over the base rows, evaluating only
-// ORDER BY keys per row (select-list aliases resolve to their underlying
-// expressions) and returning the surviving source rows in sorted order.
-// Only survivors are ever projected by the caller: O(n log k) time, O(k)
-// retained rows, k projections.
-func topKRows(s SelectStmt, b *binding, rows []Tuple, cols []string, exprs []Expr, n int) ([]Tuple, error) {
+// topKRows runs the bounded-heap top-k over the rows feed emits — a
+// slice, or a sequential scan whose WHERE filter runs in the page loop —
+// evaluating only ORDER BY keys per row. Only rows the heap accepts are
+// retained, so a rejected row costs no allocation beyond its transient
+// decode; survivors return in ORDER BY order, ties in emission order
+// (matching the stable full sort). O(n log k) time, O(k) live rows.
+func topKRows(s SelectStmt, b *binding, n int, feed func(emit func(Tuple) bool) error) ([]Tuple, error) {
 	if n == 0 {
 		return nil, nil
 	}
+	cols, exprs := expandSelect(s, b)
 	keyExprs := resolveKeyExprs(s, cols, exprs)
 	tk := newTopK(n, s.OrderBy)
 	scratch := make(Tuple, len(keyExprs))
-	for seq, r := range rows {
+	seq := 0
+	var evalErr error
+	err := feed(func(r Tuple) bool {
 		for i, e := range keyExprs {
-			v, err := evalExpr(e, b, r)
-			if err != nil {
-				return nil, err
+			if scratch[i], evalErr = evalExpr(e, b, r); evalErr != nil {
+				return false
 			}
-			scratch[i] = v
 		}
-		if !tk.accepts(scratch) {
-			continue
+		if seq++; tk.accepts(scratch) {
+			tk.add(&keyedRow{keys: slices.Clone(scratch), row: r, seq: seq})
 		}
-		keys := make(Tuple, len(scratch))
-		copy(keys, scratch)
-		tk.add(&keyedRow{keys: keys, row: r, seq: seq})
+		return true
+	})
+	if err = cmp.Or(evalErr, err); err != nil {
+		return nil, err
 	}
 	sorted := tk.sorted()
 	out := make([]Tuple, len(sorted))
@@ -684,19 +641,6 @@ func topKRows(s SelectStmt, b *binding, rows []Tuple, cols []string, exprs []Exp
 		out[i] = kr.row
 	}
 	return out, nil
-}
-
-// evalOrderKey evaluates an ORDER BY key; a bare column name may refer to
-// a select-list alias.
-func evalOrderKey(e Expr, b *binding, row Tuple, cols []string, proj Tuple) (Value, error) {
-	if cr, ok := e.(ColumnRef); ok && cr.Table == "" {
-		for i, c := range cols {
-			if c == cr.Column {
-				return proj[i], nil
-			}
-		}
-	}
-	return evalExpr(e, b, row)
 }
 
 // OrderLess reports whether the key tuple a sorts before b under keys:
@@ -753,254 +697,4 @@ func distinctRows(rows []Tuple) []Tuple {
 		}
 	}
 	return out
-}
-
-// aggState accumulates one aggregate function.
-type aggState struct {
-	fn    string
-	count int64
-	sum   float64
-	sumI  int64
-	isInt bool
-	min   Value
-	max   Value
-	init  bool
-}
-
-func (a *aggState) add(v Value) {
-	if v.IsNull() {
-		return
-	}
-	a.count++
-	switch v.Type {
-	case TInt:
-		a.sumI += v.I
-		a.sum += float64(v.I)
-		if !a.init {
-			a.isInt = true
-		}
-	case TFloat:
-		a.sum += v.F
-		a.isInt = false
-	}
-	if !a.init {
-		a.min, a.max = v, v
-		a.init = true
-		return
-	}
-	if c, ok := Compare(v, a.min); ok && c < 0 {
-		a.min = v
-	}
-	if c, ok := Compare(v, a.max); ok && c > 0 {
-		a.max = v
-	}
-}
-
-func (a *aggState) result() Value {
-	switch a.fn {
-	case "COUNT":
-		return NewInt(a.count)
-	case "SUM":
-		if a.count == 0 {
-			return Null()
-		}
-		if a.isInt {
-			return NewInt(a.sumI)
-		}
-		return NewFloat(a.sum)
-	case "AVG":
-		if a.count == 0 {
-			return Null()
-		}
-		return NewFloat(a.sum / float64(a.count))
-	case "MIN":
-		if !a.init {
-			return Null()
-		}
-		return a.min
-	case "MAX":
-		if !a.init {
-			return Null()
-		}
-		return a.max
-	}
-	return Null()
-}
-
-// groupAndAggregate implements GROUP BY + aggregates + HAVING + ORDER BY
-// for grouped queries (including implicit single-group aggregation).
-func groupAndAggregate(s SelectStmt, b *binding, rows []Tuple) (*ResultSet, error) {
-	cols, exprs := expandSelect(s, b)
-
-	type group struct {
-		keyVals Tuple
-		rows    []Tuple
-	}
-	groups := map[string]*group{}
-	var order []string
-	var keyBuf []byte
-	for _, r := range rows {
-		var keyVals Tuple
-		keyBuf = keyBuf[:0]
-		for _, g := range s.GroupBy {
-			v, err := evalExpr(g, b, r)
-			if err != nil {
-				return nil, err
-			}
-			keyVals = append(keyVals, v)
-			keyBuf = appendKey(keyBuf, v)
-		}
-		gr, ok := groups[string(keyBuf)]
-		if !ok {
-			gr = &group{keyVals: keyVals}
-			k := string(keyBuf)
-			groups[k] = gr
-			order = append(order, k)
-		}
-		gr.rows = append(gr.rows, r)
-	}
-	// Implicit single group for aggregate-only queries with no rows.
-	if len(s.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
-	}
-
-	evalAggExpr := func(e Expr, gr *group) (Value, error) {
-		return evalWithAggs(e, b, gr.rows, s.GroupBy, gr.keyVals)
-	}
-
-	out := &ResultSet{Columns: cols}
-	var keyed []keyedRow
-	for _, k := range order {
-		gr := groups[k]
-		if s.Having != nil {
-			v, err := evalAggExpr(s.Having, gr)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		row := make(Tuple, len(exprs))
-		for i, e := range exprs {
-			v, err := evalAggExpr(e, gr)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		var keys Tuple
-		for _, okey := range s.OrderBy {
-			// Order keys may be aliases of the projection.
-			if cr, ok := okey.Expr.(ColumnRef); ok && cr.Table == "" {
-				found := false
-				for i, c := range cols {
-					if c == cr.Column {
-						keys = append(keys, row[i])
-						found = true
-						break
-					}
-				}
-				if found {
-					continue
-				}
-			}
-			v, err := evalAggExpr(okey.Expr, gr)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, v)
-		}
-		keyed = append(keyed, keyedRow{keys: keys, row: row, seq: len(keyed)})
-	}
-	if len(s.OrderBy) > 0 {
-		if n, bounded := topKBound(s, len(keyed)); bounded {
-			// Groups are already materialized; the bounded heap still
-			// replaces the O(g log g) sort with O(g log k).
-			tk := newTopK(n, s.OrderBy)
-			for i := range keyed {
-				tk.add(&keyed[i])
-			}
-			keyed = keyed[:0:0]
-			for _, kr := range tk.sorted() {
-				keyed = append(keyed, *kr)
-			}
-		} else {
-			sort.SliceStable(keyed, func(i, j int) bool {
-				return OrderLess(keyed[i].keys, keyed[j].keys, s.OrderBy)
-			})
-		}
-	}
-	for _, kr := range keyed {
-		out.Rows = append(out.Rows, kr.row)
-	}
-	return out, nil
-}
-
-// evalWithAggs evaluates an expression that may contain aggregates over the
-// group's rows. Non-aggregate column refs must be GROUP BY keys.
-func evalWithAggs(e Expr, b *binding, rows []Tuple, groupBy []ColumnRef, keyVals Tuple) (Value, error) {
-	switch x := e.(type) {
-	case AggExpr:
-		st := &aggState{fn: x.Func}
-		for _, r := range rows {
-			if x.Star {
-				st.count++
-				continue
-			}
-			v, err := evalExpr(x.Arg, b, r)
-			if err != nil {
-				return Value{}, err
-			}
-			st.add(v)
-		}
-		return st.result(), nil
-	case ColumnRef:
-		for i, g := range groupBy {
-			if g.Column == x.Column && (x.Table == "" || g.Table == "" || g.Table == x.Table) {
-				return keyVals[i], nil
-			}
-		}
-		return Value{}, fmt.Errorf("rdbms: column %s is neither aggregated nor grouped", x)
-	case Literal:
-		return x.Val, nil
-	case BinaryExpr:
-		l, err := evalWithAggs(x.Left, b, rows, groupBy, keyVals)
-		if err != nil {
-			return Value{}, err
-		}
-		r, err := evalWithAggs(x.Right, b, rows, groupBy, keyVals)
-		if err != nil {
-			return Value{}, err
-		}
-		return evalBinary(BinaryExpr{Op: x.Op, Left: Literal{Val: l}, Right: Literal{Val: r}}, b, nil)
-	case UnaryExpr:
-		v, err := evalWithAggs(x.X, b, rows, groupBy, keyVals)
-		if err != nil {
-			return Value{}, err
-		}
-		return evalExpr(UnaryExpr{Op: x.Op, X: Literal{Val: v}}, b, nil)
-	case IsNullExpr:
-		v, err := evalWithAggs(x.X, b, rows, groupBy, keyVals)
-		if err != nil {
-			return Value{}, err
-		}
-		return NewBool(v.IsNull() != x.Not), nil
-	case BetweenExpr:
-		v, err := evalWithAggs(x.X, b, rows, groupBy, keyVals)
-		if err != nil {
-			return Value{}, err
-		}
-		lo, err := evalWithAggs(x.Lo, b, rows, groupBy, keyVals)
-		if err != nil {
-			return Value{}, err
-		}
-		hi, err := evalWithAggs(x.Hi, b, rows, groupBy, keyVals)
-		if err != nil {
-			return Value{}, err
-		}
-		return evalExpr(BetweenExpr{X: Literal{Val: v}, Lo: Literal{Val: lo}, Hi: Literal{Val: hi}}, b, nil)
-	}
-	return Value{}, fmt.Errorf("rdbms: unsupported grouped expression %T", e)
 }

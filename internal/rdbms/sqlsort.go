@@ -146,8 +146,8 @@ func (op *orderPath) describe() string {
 // access path wins instead — it fetches a small posting list and the
 // bounded top-k sort handles ordering — but a range access path on the
 // sort column folds its bounds into the order scan.
-func chooseOrderPath(s SelectStmt, t *Table, fromName string, b *binding, grouped bool) *orderPath {
-	if s.Join != nil || grouped || s.Distinct || s.Limit < 0 ||
+func chooseOrderPath(s SelectStmt, t *Table, fromName string, b *binding) *orderPath {
+	if s.Join != nil || s.Distinct || s.Limit < 0 ||
 		len(s.OrderBy) != 1 || len(t.Indexes) == 0 {
 		return nil
 	}
@@ -177,7 +177,7 @@ func chooseOrderPath(s SelectStmt, t *Table, fromName string, b *binding, groupe
 
 // resolveOrderColumn reduces an ORDER BY expression to a column reference,
 // following one level of select-list aliasing (ORDER BY v where the list
-// has `val AS v`), mirroring evalOrderKey's alias resolution.
+// has `val AS v`), as resolveKeyExprs does.
 func resolveOrderColumn(e Expr, s SelectStmt, b *binding) (ColumnRef, bool) {
 	cr, ok := e.(ColumnRef)
 	if !ok {

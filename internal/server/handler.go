@@ -201,7 +201,8 @@ func errResponse(err error) *Response {
 		// shard): typed so clients can distinguish "partition gone"
 		// from internal failure.
 		code = CodeDegraded
-	case errors.Is(err, shard.ErrReadOnly), errors.Is(err, shard.ErrUnsupported):
+	case errors.Is(err, shard.ErrReadOnly), errors.Is(err, shard.ErrUnsupported),
+		errors.Is(err, rdbms.ErrNotGrouped), errors.Is(err, rdbms.ErrIntegerOverflow):
 		code = CodeBadRequest
 	case errors.Is(err, ErrDraining), errors.Is(err, core.ErrClosed):
 		code = CodeClosed

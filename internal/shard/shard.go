@@ -29,13 +29,16 @@
 //     tie order, LIMIT and OFFSET. For orderings that exclude entity,
 //     cross-shard ties break by shard index (same multiset, order may
 //     differ from a single engine's scan order).
-//   - Aggregates recombine from per-shard partials (COUNT sums;
-//     SUM/MIN/MAX merge mirroring the engine's aggState; AVG from
-//     per-shard SUM+COUNT). COUNT, MIN, MAX and integer SUM are exact;
-//     float sums depend on summation order and may differ in the last
-//     bits. GROUP BY merges groups by key; merged groups emerge sorted
-//     by group key rather than in single-engine first-seen scan order.
-//     HAVING and cross-shard JOINs are refused with typed errors.
+//   - A grouped statement (GROUP BY or an aggregate) runs the engine's
+//     partial step on every shard — each group's key and one exact
+//     rdbms.Accumulator per aggregate — and the engine's final step
+//     once, at the router, over the shards' partials: merge by key,
+//     order by key, HAVING, projection, ORDER BY, DISTINCT, OFFSET and
+//     LIMIT. Shards ship accumulator state, never a rounded value, and
+//     a SUM rounds once, so a grouped statement answers the same at
+//     every shard count. Held by TestShardedSelectEquivalenceOracle;
+//     watched by ask_p50_us (every ask runs a single-group AVG).
+//     Cross-shard JOINs are refused with a typed error.
 //   - Unordered plain SELECTs and DISTINCT over the extracted table
 //     merge per-shard streams on ascending entity. The bulk-ingest
 //     stream is globally entity-sorted (the cluster sorts its reduce

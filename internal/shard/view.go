@@ -134,11 +134,11 @@ func (sv *ShardedView) AskGuided(query string, k int) (*core.GuidedAnswer, error
 // SQL parses a read statement once and executes it across the shard
 // snapshots; see the package doc for the routing and merge contract.
 func (sv *ShardedView) SQL(query string) (*rdbms.ResultSet, error) {
-	return execSharded(sv.ss, query, len(sv.views), func(i int, sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
+	return execSharded(sv.ss, query, len(sv.views), func(i int) (*core.View, error) {
 		if sv.views[i] == nil {
 			return nil, core.ErrClosed
 		}
-		return sv.views[i].ExecSelect(sel)
+		return sv.views[i], nil
 	})
 }
 
